@@ -242,7 +242,8 @@ def compose(first: CircuitTemplate, second: CircuitTemplate) -> CircuitTemplate:
 
 
 def _resolve_angle(angle: AngleSource, features: np.ndarray, params: np.ndarray):
-    # features has shape (..., n_feature_slots); returns a scalar or (...,) array
+    # features has shape (..., n_feature_slots) and params (..., n_parameter_slots);
+    # returns a scalar or an array over their leading axes
     if isinstance(angle, ConstAngle):
         return angle.value
     if isinstance(angle, FeatureAngle):
@@ -251,12 +252,17 @@ def _resolve_angle(angle: AngleSource, features: np.ndarray, params: np.ndarray)
         return 2.0 * (np.pi - features[..., angle.index_a]) * (
             np.pi - features[..., angle.index_b]
         )
-    return params[angle.index]
+    return params[..., angle.index]
 
 
 def run_gates(amps: np.ndarray, gates, n_qubits: int,
               features: np.ndarray, params: np.ndarray) -> None:
-    """Apply a gate sequence in place to amplitude array(s), last axis = state."""
+    """Apply a gate sequence in place to amplitude array(s), last axis = state.
+
+    features and params may carry leading axes that broadcast against the
+    amplitude batch axes: amplitudes of shape (B, N, 2**n) with params of
+    shape (B, 1, P) run B parameter vectors over N states in one pass.
+    """
     for g in gates:
         if g.kind == "H":
             apply_1q_array(amps, HADAMARD, g.qubits[0], n_qubits)

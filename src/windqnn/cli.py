@@ -360,9 +360,6 @@ def cmd_run(config_path: str) -> int:
     except DataError as exc:
         print(f"data: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"data: {exc}", file=sys.stderr)
-        return 3
 
     run_id = cfg.run_id or datetime.now(timezone.utc).strftime("run-%Y%m%d-%H%M%S")
     run_dir = os.path.join(cfg.output_directory, run_id)

@@ -39,6 +39,10 @@ class ScalingError(DataError):
     """A column is constant, so a min-max scale cannot be fitted."""
 
 
+class SplitError(DataError, ValueError):
+    """The dataset is too small for the split to leave rows on both sides."""
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable rows of (features, power); features follow FEATURE_COLUMNS order."""
@@ -129,10 +133,10 @@ def split(
         raise ValueError(f"split.mode must be 'shuffled' or 'chronological', got {mode!r}")
     n = len(dataset)
     if n == 0:
-        raise ValueError("cannot split an empty dataset")
+        raise SplitError("cannot split an empty dataset")
     n_train = int(np.floor(train_fraction * n))
     if n_train == 0 or n_train == n:
-        raise ValueError(
+        raise SplitError(
             f"split.fraction {train_fraction} leaves an empty side for n={n}"
         )
     order = _fisher_yates(n, seed) if mode == "shuffled" else np.arange(n)

@@ -4,9 +4,30 @@ A model pairs a composed feature-map + ansatz template with a parameter
 vector and (optionally) the dataset scaler.  The twelve benchmark configs
 pair each feature map (Z, ZZ) with each of the six entanglement layouts.
 
-Gradients and losses exploit the template split: the feature-encoding
-prefix does not depend on the parameters, so its statevectors are computed
-once per dataset and reused for every objective and gradient evaluation.
+Training exploits the template split.  The feature-encoding prefix does not
+depend on the parameters, so the state psi_s of every training row after the
+prefix is computed once per dataset.  The trainable suffix acts on those
+states as one 2**n x 2**n unitary U(theta), so the parity readout collapses
+into one Hermitian observable per parameter vector:
+
+    f_s(theta) = Re(psi_s^H M(theta) psi_s),   M = U^H diag(parity) U.
+
+M is built by running the suffix gates over an identity stack, which costs
+as much as running them over 2**n rows instead of every training row.
+
+The gradient uses the parameter-shift rule (Mitarai et al. 2018,
+arXiv:1803.00745; Schuld et al. 2019, arXiv:1811.11184): for a rotation
+angle theta_k, df_s/dtheta_k = (f_s(theta + pi/2 e_k) - f_s(theta - pi/2 e_k)) / 2.
+With residuals r_s = f_s - y_s, the MSE chain rule sums over the rows only
+through rho_r = sum_s r_s psi_s psi_s^H, so
+
+    dL/dtheta_k = Re tr(rho_r (M(theta + pi/2 e_k) - M(theta - pi/2 e_k))) / N.
+
+One gradient is therefore one batched suffix pass over the 2P+1 operators
+M(theta), M(theta +- pi/2 e_k), plus one contraction of the rows into rho_r.
+Templates with a feature gate after a parameterized gate cannot be split;
+they run every shifted parameter vector through the full circuit instead,
+still in one batched pass.
 """
 from __future__ import annotations
 
@@ -27,7 +48,7 @@ from .circuit import (
 )
 from .data import ScalingSpec, invert_target, scale_features
 from .optimizer import OptimizeResult, OptimizerOptions, minimize
-from .statevector import expect_z_all_array
+from .statevector import _parity_signs, expect_z_all_array
 
 N_QUBITS = 4  # one qubit per input feature
 
@@ -127,34 +148,79 @@ def predict_physical(model: QnnModel, features_physical) -> np.ndarray:
     return invert_target(model.scaling, predict_scaled(model, scaled))
 
 
-class _PrefixCache:
-    """Statevectors after the feature-encoding prefix, shared across a run.
+class _ObservableCache:
+    """Training rows encoded once by the feature prefix, read out through
+    the suffix observable M(theta).
 
     Valid only for templates whose parameterized gates all come after the
-    feature gates (true for every composed model here); falls back to full
-    circuit evaluation otherwise.
+    feature gates (true for every composed model here).  Otherwise
+    ``states`` is None and every evaluation runs the full circuit.
     """
 
     def __init__(self, template: CircuitTemplate, features: np.ndarray):
         self.template = template
         self.features = features
         split = feature_prefix_length(template)
-        if split is None:
-            self.suffix = None
-            self.base = None
-        else:
-            amps = np.zeros((features.shape[0], 2**template.n_qubits), dtype=complex)
-            amps[:, 0] = 1.0
-            run_gates(amps, template.gates[:split], template.n_qubits, features, np.zeros(0))
+        self.states = None
+        if split is not None:
+            self.states = _zero_states(features.shape[:1], template.n_qubits)
+            run_gates(self.states, template.gates[:split], template.n_qubits,
+                      features, np.zeros(0))
             self.suffix = template.gates[split:]
-            self.base = amps
 
-    def predict(self, params: np.ndarray) -> np.ndarray:
-        if self.base is None:
-            return evaluate_batch(self.template, self.features, params)
-        amps = self.base.copy()
-        run_gates(amps, self.suffix, self.template.n_qubits, self.features, params)
-        return expect_z_all_array(amps)
+    def observables(self, thetas: np.ndarray) -> np.ndarray:
+        """M(theta) for each row of a (B, P) parameter stack, shape (B, d, d)."""
+        n_qubits = self.template.n_qubits
+        dim = 2**n_qubits
+        # columns[b, j] = U_b e_j, so columns[b] is the transpose of U_b
+        columns = np.repeat(np.eye(dim, dtype=complex)[None], thetas.shape[0], axis=0)
+        run_gates(columns, self.suffix, n_qubits, self.features, thetas[:, None, :])
+        return (columns.conj() * _parity_signs(n_qubits)) @ np.swapaxes(columns, 1, 2)
+
+    def predictions(self, thetas: np.ndarray) -> np.ndarray:
+        """Readouts of every row for each of a (B, P) parameter stack, shape (B, N)."""
+        if self.states is None:
+            amps = _zero_states((thetas.shape[0],) + self.features.shape[:1],
+                                self.template.n_qubits)
+            run_gates(amps, self.template.gates, self.template.n_qubits,
+                      self.features, thetas[:, None, :])
+            return expect_z_all_array(amps)
+        return np.array([self._readout(m) for m in self.observables(thetas)])
+
+    def _readout(self, observable: np.ndarray) -> np.ndarray:
+        return np.sum((self.states @ observable.T) * self.states.conj(), axis=1).real
+
+    def predict(self, theta: np.ndarray) -> np.ndarray:
+        return self.predictions(theta[None])[0]
+
+    def shift_gradient(self, theta: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """Exact dL/dtheta from all 2P+1 shifted parameter vectors at once."""
+        p = theta.shape[0]
+        shift = np.pi / 2 * np.eye(p)
+        thetas = theta + np.concatenate([np.zeros((1, p)), shift, -shift])
+        n = targets.shape[0]
+        if self.states is None:
+            f = self.predictions(thetas)
+            return (f[1:p + 1] - f[p + 1:]) @ (f[0] - targets) / n
+        m = self.observables(thetas)
+        residuals = self._readout(m[0]) - targets
+        rho = self.states.T @ (residuals[:, None] * self.states.conj())
+        return np.einsum("kij,ji->k", m[1:p + 1] - m[p + 1:], rho).real / n
+
+    def difference_gradient(self, theta: np.ndarray, targets: np.ndarray,
+                            step: float) -> np.ndarray:
+        """Forward-difference dL/dtheta from all P+1 parameter vectors at once."""
+        thetas = theta + np.concatenate([np.zeros((1, theta.shape[0])),
+                                         step * np.eye(theta.shape[0])])
+        losses = np.array([_loss_from_predictions(f, targets)
+                           for f in self.predictions(thetas)])
+        return (losses[1:] - losses[0]) / step
+
+
+def _zero_states(batch_shape: tuple, n_qubits: int) -> np.ndarray:
+    amps = np.zeros(batch_shape + (2**n_qubits,), dtype=complex)
+    amps[..., 0] = 1.0
+    return amps
 
 
 def _check_batch(features_scaled, targets_scaled):
@@ -174,8 +240,9 @@ def _check_batch(features_scaled, targets_scaled):
 def loss_mse(model: QnnModel, features_scaled, targets_scaled) -> float:
     """Mean squared error in scaled target space, fixed sample order."""
     features, targets = _check_batch(features_scaled, targets_scaled)
-    predictions = evaluate_batch(model.template, features, model.parameters)
-    return float(np.mean((predictions - targets) ** 2))
+    return _loss_from_predictions(
+        evaluate_batch(model.template, features, model.parameters), targets
+    )
 
 
 def _loss_from_predictions(predictions: np.ndarray, targets: np.ndarray) -> float:
@@ -189,25 +256,8 @@ def gradient_parameter_shift(model: QnnModel, features_scaled, targets_scaled) -
     the MSE chain rule then gives (2/N) sum_s (f_s - y_s) * df_s/dtheta_k.
     """
     features, targets = _check_batch(features_scaled, targets_scaled)
-    cache = _PrefixCache(model.template, features)
-    return _parameter_shift_from_cache(cache, model.parameters, targets)
-
-
-def _parameter_shift_from_cache(cache, params, targets) -> np.ndarray:
-    residuals = cache.predict(params) - targets
-    n = targets.shape[0]
-    grad = np.empty(params.shape[0])
-    shifted = params.copy()
-    for k in range(params.shape[0]):
-        original = shifted[k]
-        shifted[k] = original + np.pi / 2
-        f_plus = cache.predict(shifted)
-        shifted[k] = original - np.pi / 2
-        f_minus = cache.predict(shifted)
-        shifted[k] = original
-        df = (f_plus - f_minus) / 2.0
-        grad[k] = 2.0 / n * float(residuals @ df)
-    return grad
+    cache = _ObservableCache(model.template, features)
+    return cache.shift_gradient(model.parameters, targets)
 
 
 def gradient_finite_difference(
@@ -217,21 +267,8 @@ def gradient_finite_difference(
     if step <= 0:
         raise ValueError(f"step must be > 0, got {step}")
     features, targets = _check_batch(features_scaled, targets_scaled)
-    cache = _PrefixCache(model.template, features)
-    return _finite_difference_from_cache(cache, model.parameters, targets, step)
-
-
-def _finite_difference_from_cache(cache, params, targets, step) -> np.ndarray:
-    base = _loss_from_predictions(cache.predict(params), targets)
-    grad = np.empty(params.shape[0])
-    shifted = params.copy()
-    for k in range(params.shape[0]):
-        original = shifted[k]
-        shifted[k] = original + step
-        bumped = _loss_from_predictions(cache.predict(shifted), targets)
-        shifted[k] = original
-        grad[k] = (bumped - base) / step
-    return grad
+    cache = _ObservableCache(model.template, features)
+    return cache.difference_gradient(model.parameters, targets, step)
 
 
 def train(
@@ -253,16 +290,16 @@ def train(
             f"got {gradient_mode!r}"
         )
     features, targets = _check_batch(features_scaled, targets_scaled)
-    cache = _PrefixCache(model.template, features)
+    cache = _ObservableCache(model.template, features)
 
     def objective(theta):
         return _loss_from_predictions(cache.predict(theta), targets)
 
     if gradient_mode == "parameter_shift":
-        gradient = lambda theta: _parameter_shift_from_cache(cache, theta, targets)
+        gradient = lambda theta: cache.shift_gradient(theta, targets)
     else:
-        gradient = lambda theta: _finite_difference_from_cache(
-            cache, theta, targets, finite_difference_step
+        gradient = lambda theta: cache.difference_gradient(
+            theta, targets, finite_difference_step
         )
 
     result: OptimizeResult = minimize(objective, gradient, model.parameters, options)

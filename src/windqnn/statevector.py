@@ -65,12 +65,11 @@ def _qubit_view(amps: np.ndarray, n_qubits: int, qubit: int) -> np.ndarray:
     return np.moveaxis(shaped, axis, 0)
 
 
-def _broadcast_angle(theta, batch_ndim: int, tail_ndim: int):
+def _broadcast_angle(theta, tail_ndim: int):
     # Align a per-sample angle array against the (batch..., 2, ..., 2) slices.
     t = np.asarray(theta, dtype=float)
     if t.ndim:
         t = t.reshape(t.shape + (1,) * tail_ndim)
-    del batch_ndim
     return t
 
 
@@ -86,14 +85,14 @@ def apply_1q_array(amps: np.ndarray, u: np.ndarray, qubit: int, n_qubits: int) -
 def apply_phase_array(amps: np.ndarray, theta, qubit: int, n_qubits: int) -> None:
     """Multiply the qubit=1 half by e^{i*theta}; theta may be per-sample."""
     b = _qubit_view(amps, n_qubits, qubit)
-    t = _broadcast_angle(theta, amps.ndim - 1, n_qubits - 1)
+    t = _broadcast_angle(theta, n_qubits - 1)
     b[1] = b[1] * np.exp(1j * t)
 
 
 def apply_ry_array(amps: np.ndarray, theta, qubit: int, n_qubits: int) -> None:
     """Real Y-rotation on one qubit; theta may be per-sample."""
     b = _qubit_view(amps, n_qubits, qubit)
-    t = _broadcast_angle(theta, amps.ndim - 1, n_qubits - 1)
+    t = _broadcast_angle(theta, n_qubits - 1)
     c, s = np.cos(t / 2.0), np.sin(t / 2.0)
     lo = c * b[0] - s * b[1]
     hi = s * b[0] + c * b[1]
@@ -126,9 +125,7 @@ def expect_z_all_array(amps: np.ndarray) -> np.ndarray:
 
 
 def expect_z_single_array(amps: np.ndarray, qubit: int) -> np.ndarray:
-    n_qubits = int(np.log2(amps.shape[-1]))
-    signs = 1.0 - 2.0 * ((np.arange(2**n_qubits) >> qubit) & 1)
-    del n_qubits
+    signs = 1.0 - 2.0 * ((np.arange(amps.shape[-1]) >> qubit) & 1)
     probs = np.abs(amps) ** 2
     return probs @ signs
 

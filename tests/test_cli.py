@@ -211,6 +211,25 @@ class TestRun:
         assert main(["run", "--config", path]) == 3
         assert capsys.readouterr().err.startswith("data:")
 
+    def test_one_row_csv_exits_3(self, tmp_path, capsys):
+        csv_path = tmp_path / "one.csv"
+        csv_path.write_text(
+            "wind_speed,wind_direction,pressure,temperature,power\n"
+            "8.0,180.0,1013.0,12.0,500.0\n", encoding="utf-8")
+        path = write_config(tmp_path, f"data: {{source: csv, csv_path: {csv_path}}}")
+        assert main(["run", "--config", path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data:") and "empty side" in err
+
+    def test_program_error_is_not_reported_as_data_error(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr("windqnn.cli.fit_scaler", broken)
+        path = write_config(tmp_path, SMALL_RUN % (tmp_path / "runs"))
+        with pytest.raises(ValueError, match="broadcast"):
+            main(["run", "--config", path])
+
     def test_small_run_writes_artifacts(self, tmp_path, capsys):
         out_dir = tmp_path / "runs"
         path = write_config(tmp_path, SMALL_RUN % out_dir)

@@ -8,6 +8,7 @@ from windqnn.data import (
     EmptyDataError,
     SchemaError,
     ScalingError,
+    SplitError,
     fit_scaler,
     generate_synthetic,
     ideal_power_curve,
@@ -135,6 +136,15 @@ def test_split_rejects_degenerate_fraction(fraction):
     dataset = generate_synthetic(10, seed=7)
     with pytest.raises(ValueError, match="split.fraction"):
         split(dataset, fraction)
+
+
+@pytest.mark.parametrize("rows", [0, 1])
+def test_split_too_small_dataset_is_data_error(rows):
+    dataset = generate_synthetic(5, seed=7)
+    tiny = Dataset(dataset.features[:rows], dataset.power[:rows])
+    with pytest.raises(SplitError) as info:
+        split(tiny, 0.8)
+    assert isinstance(info.value, DataError) and isinstance(info.value, ValueError)
 
 
 def test_split_rejects_unknown_mode():

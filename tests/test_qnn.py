@@ -1,15 +1,28 @@
 """Model-level tests: config matrix, prediction oracles, gradients, training."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from windqnn.circuit import CircuitTemplate, FeatureAngle, GateSpec, ParamAngle
+from windqnn.circuit import (
+    CircuitTemplate,
+    ConstAngle,
+    FeatureAngle,
+    GateSpec,
+    ParamAngle,
+    build_ansatz,
+    build_z_feature_map,
+    build_zz_feature_map,
+    compose,
+    evaluate_batch,
+)
 from windqnn.data import ScalingSpec
 from windqnn.optimizer import OptimizerOptions
 from windqnn.qnn import (
     CONFIG_IDS,
     CONFIG_TABLE,
     QnnModel,
-    _PrefixCache,
+    _ObservableCache,
     build_model,
     gradient_finite_difference,
     gradient_parameter_shift,
@@ -168,6 +181,18 @@ def test_loss_rejects_bad_shapes():
 
 # --- gradients ---------------------------------------------------------------
 
+def _central_difference(model, xs, ys, h=1e-6):
+    grad = np.empty(model.parameters.shape[0])
+    for k in range(grad.shape[0]):
+        step = np.zeros_like(model.parameters)
+        step[k] = h
+        grad[k] = (
+            loss_mse(with_parameters(model, model.parameters + step), xs, ys)
+            - loss_mse(with_parameters(model, model.parameters - step), xs, ys)
+        ) / (2 * h)
+    return grad
+
+
 def test_gradient_zero_at_zero_residuals():
     rng = np.random.default_rng(63)
     model = build_model("QNN-4", init_seed=17)
@@ -184,19 +209,7 @@ def test_parameter_shift_matches_central_difference(config_id):
     xs = rng.uniform(0, np.pi, size=(8, 4))
     ys = rng.uniform(-1, 1, size=8)
     grad = gradient_parameter_shift(model, xs, ys)
-
-    h = 1e-6
-    central = np.empty(16)
-    for k in range(16):
-        up = model.parameters.copy()
-        up[k] += h
-        down = model.parameters.copy()
-        down[k] -= h
-        central[k] = (
-            loss_mse(with_parameters(model, up), xs, ys)
-            - loss_mse(with_parameters(model, down), xs, ys)
-        ) / (2 * h)
-    assert np.max(np.abs(grad - central)) < 1e-6
+    assert np.max(np.abs(grad - _central_difference(model, xs, ys))) < 1e-6
 
 
 def test_finite_difference_agrees_with_parameter_shift():
@@ -215,13 +228,12 @@ def test_finite_difference_rejects_bad_step():
         gradient_finite_difference(model, np.zeros((1, 4)), np.zeros(1), step=0.0)
 
 
-def test_prefix_cache_matches_full_evaluation():
+def test_observable_cache_matches_full_evaluation():
     rng = np.random.default_rng(73)
     model = build_model("QNN-11", init_seed=29)
     xs = rng.uniform(0, np.pi, size=(5, 4))
-    cache = _PrefixCache(model.template, xs)
-    assert cache.base is not None
-    from windqnn.circuit import evaluate_batch
+    cache = _ObservableCache(model.template, xs)
+    assert cache.states is not None
 
     for _ in range(3):
         theta = rng.uniform(-np.pi, np.pi, size=16)
@@ -230,21 +242,118 @@ def test_prefix_cache_matches_full_evaluation():
         )
 
 
-def test_prefix_cache_falls_back_when_gates_interleave():
+def test_observable_cache_falls_back_when_gates_interleave():
     template = CircuitTemplate(
         1,
-        (GateSpec("RY", (0,), ParamAngle(0)), GateSpec("P", (0,), FeatureAngle(0))),
+        (GateSpec("RY", (0,), ParamAngle(0)), GateSpec("P", (0,), FeatureAngle(0)),
+         GateSpec("H", (0,)), GateSpec("RY", (0,), ParamAngle(1))),
         n_feature_slots=1,
-        n_parameter_slots=1,
+        n_parameter_slots=2,
     )
     xs = np.array([[0.4], [1.1]])
-    cache = _PrefixCache(template, xs)
-    assert cache.base is None
-    from windqnn.circuit import evaluate_batch
+    cache = _ObservableCache(template, xs)
+    assert cache.states is None
 
-    theta = np.array([0.7])
+    theta = np.array([0.7, -0.3])
     np.testing.assert_allclose(
         cache.predict(theta), evaluate_batch(template, xs, theta), atol=1e-12
+    )
+    model = QnnModel(template=template, parameters=theta)
+    ys = np.array([0.2, -0.5])
+    np.testing.assert_allclose(
+        gradient_parameter_shift(model, xs, ys), _central_difference(model, xs, ys),
+        atol=1e-7,
+    )
+
+
+def test_full_and_reverse_linear_ansatz_share_one_observable():
+    # Both CX layers permute the basis identically, which is why QNN-2 and
+    # QNN-5 (and QNN-8 and QNN-11) report identical metrics.
+    rng = np.random.default_rng(74)
+    no_features = np.zeros((1, 0))
+    full = _ObservableCache(build_ansatz(4, 3, "full"), no_features)
+    reverse = _ObservableCache(build_ansatz(4, 3, "reverse_linear"), no_features)
+    thetas = rng.uniform(-np.pi, np.pi, size=(8, 16))
+    np.testing.assert_allclose(
+        full.observables(thetas), reverse.observables(thetas), rtol=0, atol=1e-12
+    )
+
+
+# --- collapsed observable properties -----------------------------------------
+
+ANGLES = st.floats(-np.pi, np.pi)
+QUBITS = st.integers(0, 3)
+
+
+@st.composite
+def prefixed_templates(draw):
+    """A Z or ZZ feature map followed by a random feature-free suffix.
+
+    The suffix always holds an H, P(const), RY run on one qubit, so its
+    observable is complex Hermitian rather than real symmetric; every RY
+    owns one parameter slot.
+    """
+    reps = draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        prefix = build_z_feature_map(4, reps)
+    else:
+        prefix = build_zz_feature_map(4, reps, draw(st.sampled_from(["full", "linear"])))
+    placed = [(kind, draw(st.permutations(range(4)))[:2])
+              for kind in draw(st.lists(st.sampled_from(["RY", "H", "P", "CX"]),
+                                        max_size=10))]
+    qubit = draw(QUBITS)
+    at = draw(st.integers(0, len(placed)))
+    placed[at:at] = [("H", [qubit]), ("P", [qubit]), ("RY", [qubit])]
+    gates = []
+    for kind, qubits in placed:
+        if kind == "CX":
+            gates.append(GateSpec("CX", tuple(qubits)))
+        elif kind == "H":
+            gates.append(GateSpec("H", (qubits[0],)))
+        elif kind == "P":
+            gates.append(GateSpec("P", (qubits[0],), ConstAngle(draw(ANGLES))))
+        else:
+            slot = sum(g.kind == "RY" for g in gates)
+            gates.append(GateSpec("RY", (qubits[0],), ParamAngle(slot)))
+    suffix = CircuitTemplate(4, tuple(gates),
+                             n_parameter_slots=sum(g.kind == "RY" for g in gates))
+    return prefix, suffix
+
+
+@st.composite
+def bound_models(draw):
+    prefix, suffix = draw(prefixed_templates())
+    rows = draw(st.integers(1, 4))
+    xs = np.array(draw(st.lists(st.floats(0, np.pi), min_size=4 * rows,
+                                max_size=4 * rows))).reshape(rows, 4)
+    theta = np.array(draw(st.lists(ANGLES, min_size=suffix.n_parameter_slots,
+                                   max_size=suffix.n_parameter_slots)))
+    ys = np.array(draw(st.lists(st.floats(-1, 1), min_size=rows, max_size=rows)))
+    return prefix, suffix, xs, theta, ys
+
+
+@settings(max_examples=60, deadline=None)
+@given(bound_models())
+def test_collapsed_predict_matches_dense_observable(case):
+    prefix, suffix, xs, theta, _ = case
+    cache = _ObservableCache(compose(prefix, suffix), xs)
+    u = dense_template_matrix(suffix, np.zeros(0), theta)
+    observable = u.conj().T @ dense_z_all_operator(4) @ u
+    want = []
+    for x in xs:
+        psi = dense_template_matrix(prefix, x, np.zeros(0))[:, 0]
+        want.append(np.real(psi.conj() @ observable @ psi))
+    np.testing.assert_allclose(cache.predict(theta), want, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bound_models())
+def test_batched_shift_gradient_matches_central_difference(case):
+    prefix, suffix, xs, theta, ys = case
+    model = QnnModel(template=compose(prefix, suffix), parameters=theta)
+    np.testing.assert_allclose(
+        gradient_parameter_shift(model, xs, ys), _central_difference(model, xs, ys),
+        rtol=0, atol=1e-7,
     )
 
 
