@@ -15,6 +15,13 @@ class SingularMatrixError(ValueError):
     """Design matrix is rank deficient; the message names the offending column."""
 
 
+def _check_width(queries: np.ndarray, width: int) -> np.ndarray:
+    queries = np.atleast_2d(np.asarray(queries, dtype=float))
+    if queries.shape[1] != width:
+        raise ValueError(f"queries have {queries.shape[1]} columns, the model expects {width}")
+    return queries
+
+
 # --- k-nearest neighbors -----------------------------------------------------
 
 @dataclass(frozen=True)
@@ -35,16 +42,28 @@ def fit_knn(features: np.ndarray, targets: np.ndarray, k: int = 5) -> KnnModel:
 def predict_knn(model: KnnModel, queries: np.ndarray) -> np.ndarray:
     """Mean target of the k nearest training rows by Euclidean distance.
 
-    Distance ties break toward the lower training-row index (stable sort).
+    Distance ties break toward the lower training-row index, as a stable
+    sort would.  ``argpartition`` keeps k candidates per query and they are
+    ordered by (distance, index); a query where an unselected row ties the
+    k-th distance falls back to a stable sort of its whole row, so the
+    neighbours and their order in the mean match a full stable sort.
     """
-    queries = np.atleast_2d(np.asarray(queries, dtype=float))
+    queries = _check_width(queries, model.features.shape[1])
+    n_train, k = model.features.shape[0], model.k
     out = np.empty(queries.shape[0])
-    # chunked so the (chunk, n_train, n_features) difference array stays small
-    chunk = max(1, 10**6 // model.features.shape[0])
+    chunk = max(1, 10**6 // n_train)  # keeps each (chunk, n_train) block small
     for start in range(0, queries.shape[0], chunk):
         q = queries[start : start + chunk]
-        d2 = ((q[:, None, :] - model.features[None, :, :]) ** 2).sum(axis=2)
-        nearest = np.argsort(d2, axis=1, kind="stable")[:, : model.k]
+        # feature by feature in order: numpy sums a row of under 8 terms alike
+        d2 = np.zeros((q.shape[0], n_train))
+        for f in range(q.shape[1]):
+            d2 += (q[:, f, None] - model.features[:, f]) ** 2
+        part = np.argpartition(d2, k - 1, axis=1)[:, :k]
+        part_d2 = np.take_along_axis(d2, part, axis=1)
+        nearest = np.take_along_axis(part, np.lexsort((part, part_d2), axis=1), axis=1)
+        kth = part_d2.max(axis=1, keepdims=True)
+        for row in np.flatnonzero(np.count_nonzero(d2 <= kth, axis=1) != k):
+            nearest[row] = np.argsort(d2[row], kind="stable")[:k]
         out[start : start + chunk] = model.targets[nearest].mean(axis=1)
     return out
 
@@ -73,32 +92,27 @@ class CartModel:
 def _best_split(features: np.ndarray, targets: np.ndarray):
     """Exhaustive scan over (feature, midpoint threshold) pairs by SSE.
 
-    Prefix sums give each candidate's child SSEs in O(1); ties resolve to
-    the lowest feature index, then the lowest threshold, by scan order.
+    One stable sort per column and prefix sums give the child SSEs of every
+    cut at once; a position between equal values is no cut and scores +inf.
+    Ties resolve to the lowest feature (the first column holding the smallest
+    minimum), then to the lowest threshold (the first minimum in that column).
     """
-    n = targets.shape[0]
-    best = None  # (sse, feature, threshold, sorted order, split position)
-    for f in range(features.shape[1]):
-        order = np.argsort(features[:, f], kind="stable")
-        values = features[order, f]
-        t = targets[order]
-        s1 = np.cumsum(t)
-        s2 = np.cumsum(t * t)
-        total1, total2 = s1[-1], s2[-1]
-        cut = np.nonzero(values[1:] > values[:-1])[0] + 1  # split before index i
-        if cut.size == 0:
-            continue
-        left1, left2 = s1[cut - 1], s2[cut - 1]
-        n_left = cut.astype(float)
-        n_right = n - n_left
-        sse = (left2 - left1**2 / n_left) + (
-            (total2 - left2) - (total1 - left1) ** 2 / n_right
-        )
-        i = int(np.argmin(sse))  # first minimum = lowest threshold
-        if best is None or sse[i] < best[0]:
-            thr = 0.5 * (values[cut[i] - 1] + values[cut[i]])
-            best = (float(sse[i]), f, thr, order, int(cut[i]))
-    return best
+    n, d = features.shape
+    order = np.argsort(features, axis=0, kind="stable")
+    values = features[order, np.arange(d)]
+    t = targets[order]
+    s1 = np.cumsum(t, axis=0)
+    s2 = np.cumsum(t * t, axis=0)
+    left1, left2 = s1[:-1], s2[:-1]  # row i: split before sorted index i + 1
+    n_left = np.arange(1.0, n)[:, None]
+    sse = (left2 - left1**2 / n_left) + ((s2[-1] - left2) - (s1[-1] - left1) ** 2 / (n - n_left))
+    sse[values[1:] <= values[:-1]] = np.inf
+    best = sse.min(axis=0)
+    f = int(np.argmin(best))
+    if not np.isfinite(best[f]):
+        return None
+    i = int(np.argmin(sse[:, f]))
+    return f, 0.5 * (values[i, f] + values[i + 1, f]), order[:, f], i + 1
 
 
 def fit_cart(
@@ -130,7 +144,7 @@ def fit_cart(
         found = _best_split(features[idx], t)
         if found is None:
             continue
-        _, f, thr, order, pos = found
+        f, thr, order, pos = found
         node.feature = f
         node.threshold = thr
         node.left = TreeNode(value=0.0)
@@ -142,7 +156,7 @@ def fit_cart(
 
 def predict_cart(model: CartModel, queries: np.ndarray) -> np.ndarray:
     """Route each query to its leaf; prediction is the leaf's training mean."""
-    queries = np.atleast_2d(np.asarray(queries, dtype=float))
+    queries = _check_width(queries, model.n_features)
     out = np.empty(queries.shape[0])
     stack = [(model.root, np.arange(queries.shape[0]))]
     while stack:
@@ -196,5 +210,5 @@ def fit_ols(
 
 
 def predict_ols(model: OlsModel, queries: np.ndarray) -> np.ndarray:
-    queries = np.atleast_2d(np.asarray(queries, dtype=float))
+    queries = _check_width(queries, model.coefficients.shape[0])
     return queries @ model.coefficients + model.intercept

@@ -16,8 +16,13 @@ import numpy as np
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERATIONS = "max_iterations"
 STATUS_LINE_SEARCH_FAILED = "line_search_failed"
+STATUS_NON_FINITE = "non_finite"
 
 _CURVATURE_FLOOR = 1e-10  # pairs with s.y at or below this are discarded
+
+
+class _NonFiniteTrial(Exception):
+    """A line-search trial point gave a NaN or inf objective or gradient."""
 
 
 @dataclass(frozen=True)
@@ -159,7 +164,9 @@ def minimize(
 
     The trace records (iteration, objective) starting at iteration 0 = x0.
     On a line-search failure the best point so far is returned with status
-    line_search_failed; hitting the iteration cap reports max_iterations.
+    line_search_failed, and on a NaN or inf objective or gradient at a trial
+    point with status non_finite; hitting the iteration cap reports
+    max_iterations.
     """
     opts = options or OptimizerOptions()
     x = np.array(x0, dtype=float)
@@ -191,20 +198,25 @@ def minimize(
         def eval_at(alpha):
             if alpha not in cache:
                 point = x + alpha * direction
-                cache[alpha] = (
-                    float(objective(point)),
-                    np.asarray(gradient(point), dtype=float),
-                )
+                value = float(objective(point))
+                grad = np.asarray(gradient(point), dtype=float)
+                if not np.isfinite(value) or not np.all(np.isfinite(grad)):
+                    raise _NonFiniteTrial
+                cache[alpha] = (value, grad)
             return cache[alpha]
 
-        step = line_search_strong_wolfe(
-            lambda a: eval_at(a)[0],
-            lambda a: float(eval_at(a)[1] @ direction),
-            initial_step=1.0,
-            c1=opts.wolfe_c1,
-            c2=opts.wolfe_c2,
-            max_steps=opts.max_line_search_steps,
-        )
+        try:
+            step = line_search_strong_wolfe(
+                lambda a: eval_at(a)[0],
+                lambda a: float(eval_at(a)[1] @ direction),
+                initial_step=1.0,
+                c1=opts.wolfe_c1,
+                c2=opts.wolfe_c2,
+                max_steps=opts.max_line_search_steps,
+            )
+        except _NonFiniteTrial:
+            status = STATUS_NON_FINITE
+            break
         if step is None:
             status = STATUS_LINE_SEARCH_FAILED
             break

@@ -3,6 +3,10 @@
 These build full 2**n x 2**n operators with Kronecker products and apply
 them by plain matrix-vector multiplication.  Deliberately slow and memory
 hungry: they exist only to validate the stride-based kernels at small n.
+
+The kNN and CART oracles at the end are the plain forms of the baselines:
+a full stable sort of every distance row, and a split scan one feature at
+a time.  The fast baselines must match them bit for bit.
 """
 from __future__ import annotations
 
@@ -118,3 +122,78 @@ def dense_template_matrix(template, features, params) -> np.ndarray:
             raise ValueError(f"unknown gate kind {g.kind!r}")
         op = m @ op
     return op
+
+
+def knn_predict_oracle(features, targets, k: int, queries) -> np.ndarray:
+    """kNN by a full stable sort of every query's distance row.
+
+    The stable sort breaks distance ties toward the lower training index.
+    """
+    queries = np.atleast_2d(np.asarray(queries, dtype=float))
+    out = np.empty(queries.shape[0])
+    # chunked so the (chunk, n_train, n_features) difference array stays small
+    chunk = max(1, 10**6 // features.shape[0])
+    for start in range(0, queries.shape[0], chunk):
+        q = queries[start : start + chunk]
+        d2 = ((q[:, None, :] - features[None, :, :]) ** 2).sum(axis=2)
+        nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        out[start : start + chunk] = targets[nearest].mean(axis=1)
+    return out
+
+
+def cart_split_oracle(features, targets):
+    """Best (sse, feature, threshold, order, position) by a per-feature scan.
+
+    Prefix sums give each candidate's child SSEs; ties resolve to the lowest
+    feature index, then the lowest threshold, by scan order.
+    """
+    n = targets.shape[0]
+    best = None
+    for f in range(features.shape[1]):
+        order = np.argsort(features[:, f], kind="stable")
+        values = features[order, f]
+        t = targets[order]
+        s1 = np.cumsum(t)
+        s2 = np.cumsum(t * t)
+        total1, total2 = s1[-1], s2[-1]
+        cut = np.nonzero(values[1:] > values[:-1])[0] + 1  # split before index i
+        if cut.size == 0:
+            continue
+        left1, left2 = s1[cut - 1], s2[cut - 1]
+        n_left = cut.astype(float)
+        n_right = n - n_left
+        sse = (left2 - left1**2 / n_left) + (
+            (total2 - left2) - (total1 - left1) ** 2 / n_right
+        )
+        i = int(np.argmin(sse))  # first minimum = lowest threshold
+        if best is None or sse[i] < best[0]:
+            thr = 0.5 * (values[cut[i] - 1] + values[cut[i]])
+            best = (float(sse[i]), f, thr, order, int(cut[i]))
+    return best
+
+
+def cart_tree_oracle(features, targets, max_depth=None, min_samples_split=2, depth=0):
+    """Recursive CART built on cart_split_oracle, as nested tuples.
+
+    A leaf is its training mean; a split is (feature, threshold, left, right).
+    Children keep the rows in the split feature's sorted order, as fit_cart
+    does, so each leaf mean sums in the same order.
+    """
+    value = float(targets.mean())
+    if (
+        targets.shape[0] < min_samples_split
+        or np.all(targets == targets[0])
+        or (max_depth is not None and depth >= max_depth)
+    ):
+        return value
+    found = cart_split_oracle(features, targets)
+    if found is None:
+        return value
+    _, f, thr, order, pos = found
+    left, right = order[:pos], order[pos:]
+    return (
+        f,
+        thr,
+        cart_tree_oracle(features[left], targets[left], max_depth, min_samples_split, depth + 1),
+        cart_tree_oracle(features[right], targets[right], max_depth, min_samples_split, depth + 1),
+    )

@@ -1,6 +1,8 @@
 """Baseline regressor tests against brute-force oracles and fixed cases."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from windqnn.baselines import (
     SingularMatrixError,
@@ -12,6 +14,8 @@ from windqnn.baselines import (
     predict_ols,
 )
 from windqnn.evaluate import mae, r2
+
+from oracles import cart_tree_oracle, knn_predict_oracle
 
 
 # --- kNN ---------------------------------------------------------------------
@@ -29,8 +33,10 @@ def test_knn_k_equals_n_gives_global_mean():
     features = rng.normal(size=(12, 4))
     targets = rng.normal(size=12)
     model = fit_knn(features, targets, k=12)
-    got = predict_knn(model, rng.normal(size=(3, 4)))
+    queries = rng.normal(size=(3, 4))
+    got = predict_knn(model, queries)
     np.testing.assert_allclose(got, np.full(3, targets.mean()), atol=1e-12)
+    np.testing.assert_array_equal(got, knn_predict_oracle(features, targets, 12, queries))
 
 
 def test_knn_matches_brute_force_oracle():
@@ -54,6 +60,67 @@ def test_knn_distance_ties_break_to_lower_index():
     model = fit_knn(features, targets, k=1)
     # query equidistant from rows 0 and 1: row 0 wins
     assert predict_knn(model, np.array([[0.0, 0.0]]))[0] == 10.0
+
+
+def test_knn_tie_block_straddling_kth_takes_lower_indices():
+    # rows 2, 5, 6 and 7 all sit on the query, so k = 3 cuts through the tie
+    # block; a plain argpartition keeps rows 2, 6 and 7 here, and the stable
+    # rule wants 2, 5 and 6
+    features = np.array([[1.0], [1.0], [0.0], [2.0], [2.0], [0.0], [0.0], [0.0]])
+    targets = 2.0 ** np.arange(8)  # every subset has its own mean
+    model = fit_knn(features, targets, k=3)
+    want = targets[[2, 5, 6]].mean()
+    np.testing.assert_array_equal(predict_knn(model, np.zeros((2, 1))), [want, want])
+
+
+def test_knn_spanning_several_chunks_matches_oracle():
+    # 20000 training rows give 50 queries per distance block, so 120 queries
+    # take three blocks, the last one partial
+    rng = np.random.default_rng(24)
+    features = np.round(rng.uniform(size=(20000, 4)), 2)
+    targets = rng.normal(size=20000)
+    queries = np.round(rng.uniform(size=(120, 4)), 2)
+    got = predict_knn(fit_knn(features, targets, k=5), queries)
+    np.testing.assert_array_equal(got, knn_predict_oracle(features, targets, 5, queries))
+
+
+@st.composite
+def tie_heavy_knn_cases(draw):
+    width = draw(st.integers(1, 4))
+    levels = draw(st.integers(1, 3))
+    coords = st.integers(0, levels).map(lambda v: v / levels)
+    rows = draw(st.lists(st.lists(coords, min_size=width, max_size=width),
+                         min_size=1, max_size=30))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=10))  # duplicated rows
+    queries = draw(st.lists(st.lists(coords, min_size=width, max_size=width),
+                            min_size=1, max_size=8))
+    targets = draw(st.lists(st.floats(-1e3, 1e3), min_size=len(rows), max_size=len(rows)))
+    k = draw(st.integers(1, len(rows)))
+    return np.array(rows), np.array(targets), k, np.array(queries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tie_heavy_knn_cases())
+def test_knn_matches_stable_sort_oracle_on_ties(case):
+    features, targets, k, queries = case
+    got = predict_knn(fit_knn(features, targets, k), queries)
+    np.testing.assert_array_equal(got, knn_predict_oracle(features, targets, k, queries))
+
+
+def test_predict_rejects_query_width_mismatch():
+    rng = np.random.default_rng(25)
+    features = rng.normal(size=(20, 4))
+    targets = rng.normal(size=20)
+    models = [
+        (predict_knn, fit_knn(features, targets, 3)),
+        (predict_cart, fit_cart(features, targets)),
+        (predict_ols, fit_ols(features, targets)),
+    ]
+    for predict, model in models:
+        for width in (1, 5):
+            with pytest.raises(ValueError, match=f"queries have {width} columns, "
+                                                 "the model expects 4"):
+                predict(model, np.zeros((2, width)))
 
 
 def test_knn_rejects_bad_k():
@@ -118,6 +185,32 @@ def test_cart_matches_exhaustive_oracle_on_hand_dataset():
     # child resolves to the lower feature index
     assert model.root.feature == 0 and model.root.threshold == 3.5
     assert model.root.right.feature == 0 and model.root.right.threshold == 5.5
+
+
+@st.composite
+def cart_cases(draw):
+    rows = draw(st.integers(1, 40))
+    width = draw(st.integers(1, 4))
+    if draw(st.booleans()):  # coarse: few distinct values, many ties
+        values = st.integers(0, 3).map(float)
+        targets = st.integers(0, 4).map(float)
+    else:
+        values = st.floats(-10, 10)
+        targets = st.floats(-1e3, 1e3)
+    features = draw(st.lists(values, min_size=rows * width, max_size=rows * width))
+    ys = draw(st.lists(targets, min_size=rows, max_size=rows))
+    max_depth = draw(st.none() | st.integers(0, 5))
+    min_samples_split = draw(st.integers(2, 8))
+    return np.array(features).reshape(rows, width), np.array(ys), max_depth, min_samples_split
+
+
+@settings(max_examples=150, deadline=None)
+@given(cart_cases())
+def test_cart_matches_per_feature_scan_oracle(case):
+    features, targets, max_depth, min_samples_split = case
+    model = fit_cart(features, targets, max_depth, min_samples_split)
+    want = cart_tree_oracle(features, targets, max_depth, min_samples_split)
+    assert _as_tuple(model.root) == want
 
 
 def test_cart_memorizes_distinct_features():

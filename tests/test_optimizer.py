@@ -6,6 +6,7 @@ from windqnn.optimizer import (
     STATUS_CONVERGED,
     STATUS_LINE_SEARCH_FAILED,
     STATUS_MAX_ITERATIONS,
+    STATUS_NON_FINITE,
     OptimizerOptions,
     line_search_strong_wolfe,
     minimize,
@@ -153,6 +154,20 @@ def test_minimize_line_search_failure_returns_best_so_far():
     result = minimize(objective, grad, np.array([0.0]))
     assert result.status == STATUS_LINE_SEARCH_FAILED
     assert result.trace[0] == (0, 0.0)
+
+
+@pytest.mark.parametrize("bad", ["objective", "gradient"])
+def test_minimize_non_finite_trial_returns_best_so_far(bad):
+    # finite at x0 only, so every line-search trial (alpha > 0) is NaN
+    x0 = np.array([1.0, -2.0])
+    at_x0 = lambda x: np.array_equal(x, x0)
+    objective = lambda x: float(x @ x) if at_x0(x) or bad == "gradient" else float("nan")
+    grad = lambda x: 2.0 * x if at_x0(x) or bad == "objective" else np.full(2, np.nan)
+    result = minimize(objective, grad, x0)
+    assert result.status == STATUS_NON_FINITE
+    assert result.trace == [(0, 5.0)]
+    assert result.best_value == 5.0
+    np.testing.assert_array_equal(result.best_point, x0)
 
 
 def test_quadratic_converges_within_dim_plus_one_with_full_memory():
