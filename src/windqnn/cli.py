@@ -12,7 +12,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -49,6 +51,7 @@ from .qnn import (
     CONFIG_IDS,
     CONFIG_TABLE,
     build_model,
+    encode,
     predict_scaled,
     train,
     with_parameters,
@@ -230,11 +233,38 @@ def _load_dataset(cfg: ExperimentConfig) -> Tuple[Dataset, int]:
     return generate_synthetic(cfg.n_rows, cfg.data_seed), 0
 
 
-def _train_method(method_id: str, cfg: ExperimentConfig, bundle) -> MethodResult:
+class _SharedEncodings:
+    """Train-row and test-row states after each feature map, per run.
+
+    The six QNNs of one feature map share its parameter-free encoding, so
+    the first to ask encodes the rows and the others reuse the states.  The
+    entry is dropped once the last selected QNN of that map has taken it,
+    which keeps at most the maps still in use alive.
+    """
+
+    def __init__(self, selection):
+        self._lock = threading.Lock()
+        self._uses = Counter(CONFIG_TABLE[m][0] for m in selection if m in CONFIG_TABLE)
+        self.states = {}
+
+    def take(self, family: str, template, x_train, x_test):
+        with self._lock:
+            if family not in self.states:
+                self.states[family] = (encode(template, x_train), encode(template, x_test))
+            shared = self.states[family]
+            self._uses[family] -= 1
+            if self._uses[family] == 0:
+                del self.states[family]
+        return shared
+
+
+def _train_method(method_id: str, cfg: ExperimentConfig, bundle,
+                  encodings: _SharedEncodings) -> MethodResult:
     """Fit one method end to end and measure its wall time."""
     scaling, x_train, y_train_scaled, train_power, x_test, test_power = bundle
     started = time.perf_counter()
     if method_id in CONFIG_TABLE:
+        family, entanglement = CONFIG_TABLE[method_id]
         model = build_model(
             method_id,
             feature_map_reps=cfg.feature_map_reps,
@@ -243,14 +273,15 @@ def _train_method(method_id: str, cfg: ExperimentConfig, bundle) -> MethodResult
             init_seed=cfg.init_seed,
             scaling=scaling,
         )
+        train_states, test_states = encodings.take(family, model.template, x_train, x_test)
         result = train(
             model, x_train, y_train_scaled, cfg.optimizer,
             gradient_mode=cfg.gradient_mode,
             finite_difference_step=cfg.finite_difference_step,
+            states=train_states,
         )
         fitted = with_parameters(model, result.parameters)
-        predictions = invert_target(scaling, predict_scaled(fitted, x_test))
-        family, entanglement = CONFIG_TABLE[method_id]
+        predictions = invert_target(scaling, predict_scaled(fitted, x_test, test_states))
         elapsed = time.perf_counter() - started
         return MethodResult(
             method_id=method_id,
@@ -260,6 +291,7 @@ def _train_method(method_id: str, cfg: ExperimentConfig, bundle) -> MethodResult
             mae=mae(test_power, predictions),
             wall_time_s=elapsed,
             seed=cfg.init_seed,
+            status=result.status,
             trace=result.trace,
             actual=test_power,
             predicted=predictions,
@@ -295,7 +327,11 @@ def run_experiment(cfg: ExperimentConfig) -> Tuple[ExperimentReport, List[Tuple[
     Returns the report plus a list of (method_id, error message) failures.
     Methods run independently: one failure does not abort the others.
     """
-    dataset, _ = _load_dataset(cfg)
+    dataset, dropped = _load_dataset(cfg)
+    if dropped:
+        print(f"data: dropped {dropped} of {len(dataset) + dropped} rows from "
+              f"{cfg.csv_path} (missing, unparseable or non-finite cells, or "
+              f"negative power)", file=sys.stderr)
     train_set, test_set = split(dataset, cfg.split_fraction,
                                 mode=cfg.split_mode, seed=cfg.split_seed)
     scaling = fit_scaler(train_set)
@@ -307,15 +343,16 @@ def run_experiment(cfg: ExperimentConfig) -> Tuple[ExperimentReport, List[Tuple[
         scale_features(scaling, test_set.features),
         test_set.power,
     )
+    encodings = _SharedEncodings(cfg.selection)
 
     workers = cfg.parallelism or os.cpu_count() or 1
     methods: List[MethodResult] = []
     failures: List[Tuple[str, str]] = []
     if workers == 1:
-        outcomes = [(m, _run_safely(m, cfg, bundle)) for m in cfg.selection]
+        outcomes = [(m, _run_safely(m, cfg, bundle, encodings)) for m in cfg.selection]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [(m, pool.submit(_run_safely, m, cfg, bundle))
+            futures = [(m, pool.submit(_run_safely, m, cfg, bundle, encodings))
                        for m in cfg.selection]
             outcomes = [(m, f.result()) for m, f in futures]
     for method_id, outcome in outcomes:
@@ -326,9 +363,9 @@ def run_experiment(cfg: ExperimentConfig) -> Tuple[ExperimentReport, List[Tuple[
     return ExperimentReport(methods=methods), failures
 
 
-def _run_safely(method_id: str, cfg: ExperimentConfig, bundle):
+def _run_safely(method_id: str, cfg: ExperimentConfig, bundle, encodings: _SharedEncodings):
     try:
-        return _train_method(method_id, cfg, bundle)
+        return _train_method(method_id, cfg, bundle, encodings)
     except Exception as exc:  # recorded, surfaced as exit 4 at the end
         return f"{type(exc).__name__}: {exc}"
 

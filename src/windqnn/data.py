@@ -167,10 +167,6 @@ def scale_features(spec: ScalingSpec, features: np.ndarray) -> np.ndarray:
     return np.clip(unit, 0.0, 1.0) * np.pi
 
 
-def invert_features(spec: ScalingSpec, scaled: np.ndarray) -> np.ndarray:
-    return scaled / np.pi * (spec.feature_max - spec.feature_min) + spec.feature_min
-
-
 def scale_target(spec: ScalingSpec, power: np.ndarray) -> np.ndarray:
     """Map power into [-1, 1], clamping out-of-range values to the endpoints."""
     unit = (np.asarray(power, dtype=float) - spec.target_min) / (

@@ -23,11 +23,22 @@ through rho_r = sum_s r_s psi_s psi_s^H, so
 
     dL/dtheta_k = Re tr(rho_r (M(theta + pi/2 e_k) - M(theta - pi/2 e_k))) / N.
 
-One gradient is therefore one batched suffix pass over the 2P+1 operators
-M(theta), M(theta +- pi/2 e_k), plus one contraction of the rows into rho_r.
-Templates with a feature gate after a parameterized gate cannot be split;
-they run every shifted parameter vector through the full circuit instead,
-still in one batched pass.
+One gradient is therefore one batched suffix pass over the 2P operators
+M(theta +- pi/2 e_k), plus the residuals at theta and one contraction of the
+rows into rho_r.  Templates with a feature gate after a parameterized gate
+cannot be split; they run every shifted parameter vector through the full
+circuit instead, still in one batched pass.
+
+Each piece of that work runs once.  The prefix states depend only on the
+feature map and the rows, so ``encode`` is public: a caller that trains
+several models of one feature map on the same rows encodes them once and
+hands the states to ``train`` and ``predict_scaled``.  L-BFGS asks for the
+objective and then the gradient at every trial point, so the cache keeps
+the readout of the last theta it saw (matched by value, not identity), and
+the gradient at that theta takes its residuals from it instead of reading
+every row out again.  Test predictions read out through the same collapsed
+observable; ``evaluate_batch`` stays the gate-level reference that
+``loss_mse`` and the tests use.
 """
 from __future__ import annotations
 
@@ -130,14 +141,17 @@ def with_parameters(model: QnnModel, parameters: np.ndarray) -> QnnModel:
     return replace(model, parameters=np.asarray(parameters, dtype=float))
 
 
-def predict_scaled(model: QnnModel, features_scaled) -> np.ndarray:
-    """Circuit expectation in [-1, 1]; accepts one sample or a matrix."""
-    features_scaled = np.asarray(features_scaled, dtype=float)
-    if features_scaled.ndim == 1:
-        return evaluate_batch(
-            model.template, features_scaled[None, :], model.parameters
-        )[0]
-    return evaluate_batch(model.template, features_scaled, model.parameters)
+def predict_scaled(model: QnnModel, features_scaled,
+                   states: Optional[np.ndarray] = None) -> np.ndarray:
+    """Circuit expectation in [-1, 1]; accepts one sample or a matrix.
+
+    ``states`` optionally gives the rows already run through the feature
+    prefix, as returned by ``encode``.
+    """
+    features = np.asarray(features_scaled, dtype=float)
+    if features.ndim == 1:
+        return predict_scaled(model, features[None, :])[0]
+    return _ObservableCache(model.template, features, states).predict(model.parameters)
 
 
 def predict_physical(model: QnnModel, features_physical) -> np.ndarray:
@@ -148,25 +162,40 @@ def predict_physical(model: QnnModel, features_physical) -> np.ndarray:
     return invert_target(model.scaling, predict_scaled(model, scaled))
 
 
+def encode(template: CircuitTemplate, features: np.ndarray) -> Optional[np.ndarray]:
+    """State of every row after the feature prefix, shape (N, 2**n).
+
+    None when a parameterized gate comes before a feature gate, so the
+    template cannot be split.
+    """
+    split = feature_prefix_length(template)
+    if split is None:
+        return None
+    states = _zero_states(features.shape[:1], template.n_qubits)
+    run_gates(states, template.gates[:split], template.n_qubits, features, np.zeros(0))
+    return states
+
+
 class _ObservableCache:
-    """Training rows encoded once by the feature prefix, read out through
-    the suffix observable M(theta).
+    """Rows encoded once by the feature prefix, read out through the suffix
+    observable M(theta).
 
     Valid only for templates whose parameterized gates all come after the
     feature gates (true for every composed model here).  Otherwise
-    ``states`` is None and every evaluation runs the full circuit.
+    ``states`` is None and every evaluation runs the full circuit.  The
+    readout of the last theta is kept, so an objective and a gradient at the
+    same point read the rows out once.
     """
 
-    def __init__(self, template: CircuitTemplate, features: np.ndarray):
+    def __init__(self, template: CircuitTemplate, features: np.ndarray,
+                 states: Optional[np.ndarray] = None):
         self.template = template
         self.features = features
         split = feature_prefix_length(template)
-        self.states = None
-        if split is not None:
-            self.states = _zero_states(features.shape[:1], template.n_qubits)
-            run_gates(self.states, template.gates[:split], template.n_qubits,
-                      features, np.zeros(0))
-            self.suffix = template.gates[split:]
+        self.suffix = None if split is None else template.gates[split:]
+        self.states = encode(template, features) if states is None else states
+        self._theta = None
+        self._predictions = None
 
     def observables(self, thetas: np.ndarray) -> np.ndarray:
         """M(theta) for each row of a (B, P) parameter stack, shape (B, d, d)."""
@@ -191,30 +220,36 @@ class _ObservableCache:
         return np.sum((self.states @ observable.T) * self.states.conj(), axis=1).real
 
     def predict(self, theta: np.ndarray) -> np.ndarray:
-        return self.predictions(theta[None])[0]
+        """Readouts of every row at theta, reused while theta is unchanged."""
+        if not np.array_equal(theta, self._theta):
+            self._predictions = self.predictions(theta[None])[0]
+            self._theta = np.array(theta, dtype=float)
+        return self._predictions
 
     def shift_gradient(self, theta: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        """Exact dL/dtheta from all 2P+1 shifted parameter vectors at once."""
+        """Exact dL/dtheta from the readout at theta and the 2P shifted
+        parameter vectors, all shifts in one batch."""
         p = theta.shape[0]
         shift = np.pi / 2 * np.eye(p)
-        thetas = theta + np.concatenate([np.zeros((1, p)), shift, -shift])
+        thetas = theta + np.concatenate([shift, -shift])
+        residuals = self.predict(theta) - targets
         n = targets.shape[0]
         if self.states is None:
             f = self.predictions(thetas)
-            return (f[1:p + 1] - f[p + 1:]) @ (f[0] - targets) / n
+            return (f[:p] - f[p:]) @ residuals / n
         m = self.observables(thetas)
-        residuals = self._readout(m[0]) - targets
         rho = self.states.T @ (residuals[:, None] * self.states.conj())
-        return np.einsum("kij,ji->k", m[1:p + 1] - m[p + 1:], rho).real / n
+        return np.einsum("kij,ji->k", m[:p] - m[p:], rho).real / n
 
     def difference_gradient(self, theta: np.ndarray, targets: np.ndarray,
                             step: float) -> np.ndarray:
-        """Forward-difference dL/dtheta from all P+1 parameter vectors at once."""
-        thetas = theta + np.concatenate([np.zeros((1, theta.shape[0])),
-                                         step * np.eye(theta.shape[0])])
-        losses = np.array([_loss_from_predictions(f, targets)
-                           for f in self.predictions(thetas)])
-        return (losses[1:] - losses[0]) / step
+        """Forward-difference dL/dtheta from the readout at theta and the P
+        stepped parameter vectors, all steps in one batch."""
+        base = _loss_from_predictions(self.predict(theta), targets)
+        thetas = theta + step * np.eye(theta.shape[0])
+        stepped = np.array([_loss_from_predictions(f, targets)
+                            for f in self.predictions(thetas)])
+        return (stepped - base) / step
 
 
 def _zero_states(batch_shape: tuple, n_qubits: int) -> np.ndarray:
@@ -278,11 +313,14 @@ def train(
     options: Optional[OptimizerOptions] = None,
     gradient_mode: str = "parameter_shift",
     finite_difference_step: float = 1e-8,
+    states: Optional[np.ndarray] = None,
 ) -> TrainedResult:
     """Minimize the MSE over the model parameters; the model is not mutated.
 
     gradient_mode selects the exact parameter-shift gradient (default) or
-    the forward finite-difference gradient with the given step.
+    the forward finite-difference gradient with the given step.  ``states``
+    optionally gives the rows already run through the feature prefix, as
+    returned by ``encode``.
     """
     if gradient_mode not in ("parameter_shift", "finite_difference"):
         raise ValueError(
@@ -290,7 +328,7 @@ def train(
             f"got {gradient_mode!r}"
         )
     features, targets = _check_batch(features_scaled, targets_scaled)
-    cache = _ObservableCache(model.template, features)
+    cache = _ObservableCache(model.template, features, states)
 
     def objective(theta):
         return _loss_from_predictions(cache.predict(theta), targets)

@@ -62,6 +62,7 @@ class MethodResult:
     mae: float
     wall_time_s: float
     seed: int
+    status: str = ""  # the optimizer's stop status; empty for baselines
     trace: List[Tuple[int, float]] = field(default_factory=list)
     actual: np.ndarray = field(default_factory=lambda: np.zeros(0))
     predicted: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -100,17 +101,21 @@ def write_results_csv(report: ExperimentReport, path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(
-            ["config_id", "feature_map", "ansatz", "r2", "mae", "wall_time_s", "seed"]
+            ["config_id", "feature_map", "ansatz", "r2", "mae", "wall_time_s", "seed",
+             "status"]
         )
         for m in report.ordered():
             writer.writerow(
                 [m.method_id, m.feature_map, m.ansatz,
-                 _fmt(m.r2), _fmt(m.mae), _fmt(m.wall_time_s), str(m.seed)]
+                 _fmt(m.r2), _fmt(m.mae), _fmt(m.wall_time_s), str(m.seed), m.status]
             )
 
 
 def read_results_csv(path: str) -> ExperimentReport:
-    """Parse a results.csv back into a report (without traces/predictions)."""
+    """Parse a results.csv back into a report (without traces/predictions).
+
+    Files written before the status column existed read with empty status.
+    """
     methods = []
     with open(path, newline="", encoding="utf-8") as handle:
         for row in csv.DictReader(handle):
@@ -123,6 +128,7 @@ def read_results_csv(path: str) -> ExperimentReport:
                     mae=float(row["mae"]),
                     wall_time_s=float(row["wall_time_s"]),
                     seed=int(row["seed"]),
+                    status=row.get("status", ""),
                 )
             )
     return ExperimentReport(methods=methods)
@@ -133,8 +139,8 @@ def write_results_markdown(report: ExperimentReport, path: str) -> None:
     lines = [
         "# Benchmark results",
         "",
-        "| Group | Method | R^2 | MAE (kW) | Ref R^2 | Ref MAE | dR^2 | dMAE |",
-        "|---|---|---:|---:|---:|---:|---:|---:|",
+        "| Group | Method | R^2 | MAE (kW) | Ref R^2 | Ref MAE | dR^2 | dMAE | Status |",
+        "|---|---|---:|---:|---:|---:|---:|---:|---|",
     ]
     for m in report.ordered():
         group = "Quantum" if m.method_id in CONFIG_TABLE else "Classical"
@@ -142,7 +148,7 @@ def write_results_markdown(report: ExperimentReport, path: str) -> None:
         lines.append(
             f"| {group} | {m.display_name} | {m.r2:.2f} | {m.mae:.2f} "
             f"| {ref_r2:.2f} | {ref_mae:.2f} "
-            f"| {m.r2 - ref_r2:+.2f} | {m.mae - ref_mae:+.2f} |"
+            f"| {m.r2 - ref_r2:+.2f} | {m.mae - ref_mae:+.2f} | {m.status} |"
         )
     lines.append("")
     with open(path, "w", encoding="utf-8") as handle:

@@ -1,11 +1,13 @@
 """Tests for config parsing, the argparse surface, and the run pipeline."""
 import csv
 import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from windqnn import __version__
+from windqnn import __version__, cli
 from windqnn.cli import ConfigError, load_config, main, run_experiment
 from windqnn.data import load_csv
 from windqnn.report import METHOD_ORDER
@@ -269,6 +271,91 @@ parallelism: {degree}
             assert one.method_id == many.method_id
             assert one.r2 == many.r2 and one.mae == many.mae
             assert np.array_equal(one.predicted, many.predicted)
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_each_feature_map_is_encoded_once_per_run(self, tmp_path, monkeypatch, degree):
+        encoded = []
+        created = []
+        encode = cli.encode
+
+        def counting_encode(template, features):
+            encoded.append(features.shape[0])
+            return encode(template, features)
+
+        class Recorded(cli._SharedEncodings):
+            def __init__(self, selection):
+                super().__init__(selection)
+                created.append(self)
+
+        monkeypatch.setattr(cli, "encode", counting_encode)
+        monkeypatch.setattr(cli, "_SharedEncodings", Recorded)
+        cfg = load_config(write_config(tmp_path, f"""
+data: {{n_rows: 60, seed: 42}}
+optimizer: {{max_iterations: 1}}
+selection: [QNN-1, QNN-7, QNN-2, dt, QNN-8, QNN-3]
+parallelism: {degree}
+"""))
+        report, failures = run_experiment(cfg)
+        assert failures == [] and len(report.methods) == 6
+        # one train-row and one test-row encoding per feature map (Z, ZZ)
+        assert sorted(encoded) == [12, 12, 48, 48]
+        assert len(created) == 1 and created[0].states == {}
+
+    def test_shared_encodings_survive_contention(self, monkeypatch):
+        encoded = []
+
+        def counting_encode(template, features):
+            encoded.append(template)
+            return object()
+
+        monkeypatch.setattr(cli, "encode", counting_encode)
+        selection = list(cli.CONFIG_IDS) * 4
+        shared = cli._SharedEncodings(selection)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(shared.take, cli.CONFIG_TABLE[m][0], m, None, None)
+                           for m in selection]
+                taken = [f.result(timeout=30) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        # one train and one test encoding per feature map, then released
+        assert len(encoded) == 4 and shared.states == {}
+        for family in ("z", "zz"):
+            pairs = {id(t) for m, t in zip(selection, taken)
+                     if cli.CONFIG_TABLE[m][0] == family}
+            assert len(pairs) == 1
+
+    def test_dropped_csv_rows_are_reported_on_stderr(self, tmp_path, capsys):
+        csv_path = str(tmp_path / "data.csv")
+        assert main(["gen-data", "--rows", "40", "--seed", "3", "--out", csv_path]) == 0
+        with open(csv_path, "a", encoding="utf-8") as handle:
+            handle.write("8.0,180.0,not-a-number,12.0,500.0\n")
+        capsys.readouterr()
+        out_dir = tmp_path / "runs"
+        path = write_config(tmp_path, f"""
+data: {{source: csv, csv_path: "{csv_path}"}}
+selection: [ols]
+output: {{directory: "{out_dir}", run_id: dirty}}
+""")
+        assert main(["run", "--config", path]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"data: dropped 1 of 41 rows from {csv_path} (missing, unparseable or "
+            f"non-finite cells, or negative power)\n"
+        )
+        assert "dropped 1" not in captured.out
+        assert captured.out.splitlines()[0].startswith("method ")
+
+    def test_results_record_optimizer_status(self, tmp_path):
+        out_dir = tmp_path / "runs"
+        path = write_config(tmp_path, SMALL_RUN % out_dir)
+        assert main(["run", "--config", path]) == 0
+        rows = read_rows(out_dir / "fixed" / "results.csv")
+        assert [r["status"] for r in rows] == ["max_iterations", "", ""]
+        markdown = (out_dir / "fixed" / "results.md").read_text(encoding="utf-8")
+        assert "| Status |" in markdown and "| max_iterations |" in markdown
 
     def test_method_failure_exits_4_but_keeps_others(self, tmp_path, capsys):
         out_dir = tmp_path / "runs"

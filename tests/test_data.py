@@ -12,7 +12,6 @@ from windqnn.data import (
     fit_scaler,
     generate_synthetic,
     ideal_power_curve,
-    invert_features,
     invert_target,
     load_csv,
     scale_features,
@@ -184,10 +183,6 @@ def test_training_values_span_exact_ranges():
 def test_scale_invert_round_trip():
     spec = fit_scaler(_toy_train())
     rng = np.random.default_rng(11)
-    features = rng.uniform([0, 0, 990, -5], [10, 360, 1030, 25], size=(20, 4))
-    np.testing.assert_allclose(
-        invert_features(spec, scale_features(spec, features)), features, atol=1e-9
-    )
     power = rng.uniform(0, 2031, size=20)
     np.testing.assert_allclose(
         invert_target(spec, scale_target(spec, power)), power, atol=1e-9

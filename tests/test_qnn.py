@@ -24,6 +24,7 @@ from windqnn.qnn import (
     QnnModel,
     _ObservableCache,
     build_model,
+    encode,
     gradient_finite_difference,
     gradient_parameter_shift,
     initial_parameters,
@@ -151,7 +152,9 @@ def test_loss_zero_for_perfect_targets():
     rng = np.random.default_rng(59)
     model = build_model("QNN-2", init_seed=5)
     xs = rng.uniform(0, np.pi, size=(6, 4))
-    targets = predict_scaled(model, xs)
+    # loss_mse reads out gate by gate; predict_scaled's collapsed readout
+    # agrees with it only to rounding (see the 12-config test below)
+    targets = evaluate_batch(model.template, xs, model.parameters)
     assert loss_mse(model, xs, targets) == 0.0
 
 
@@ -357,7 +360,73 @@ def test_batched_shift_gradient_matches_central_difference(case):
     )
 
 
+@settings(max_examples=60, deadline=None)
+@given(bound_models(), st.floats(0.1, np.pi))
+def test_gradient_after_objective_equals_fresh_gradient(case, offset):
+    # L-BFGS asks for the objective, then the gradient, at each trial point;
+    # the gradient must reuse that readout only when theta is unchanged.
+    prefix, suffix, xs, theta, ys = case
+    template = compose(prefix, suffix)
+    other = theta + offset
+    for mode in ("shift", "difference"):
+        def gradient(cache, at):
+            if mode == "shift":
+                return cache.shift_gradient(at, ys)
+            return cache.difference_gradient(at, ys, 1e-6)
+
+        fresh = gradient(_ObservableCache(template, xs), theta)
+        same = _ObservableCache(template, xs)
+        same.predict(theta.copy())
+        moved = _ObservableCache(template, xs)
+        moved.predict(other)
+        assert np.array_equal(gradient(same, theta), fresh)
+        assert np.array_equal(gradient(moved, theta), fresh)
+        assert np.array_equal(moved.predict(theta),
+                              _ObservableCache(template, xs).predict(theta))
+
+
+def test_gradient_reads_rows_out_only_at_a_new_theta():
+    rng = np.random.default_rng(76)
+    model = build_model("QNN-8", init_seed=5)
+    xs = rng.uniform(0, np.pi, size=(7, 4))
+    ys = rng.uniform(-1, 1, size=7)
+    cache = _ObservableCache(model.template, xs)
+    readouts = []
+    read = cache._readout
+    cache._readout = lambda observable: readouts.append(1) or read(observable)
+    cache.predict(model.parameters.copy())
+    cache.shift_gradient(model.parameters.copy(), ys)
+    assert len(readouts) == 1  # an equal theta in a new array is a hit
+    cache.shift_gradient(model.parameters + 0.5, ys)
+    assert len(readouts) == 2
+
+
+@pytest.mark.parametrize("config_id", CONFIG_IDS)
+def test_predictions_match_gate_level_evaluation(config_id):
+    rng = np.random.default_rng(75)
+    model = build_model(config_id, init_seed=47)
+    xs = rng.uniform(0, np.pi, size=(9, 4))
+    want = evaluate_batch(model.template, xs, model.parameters)
+    np.testing.assert_allclose(predict_scaled(model, xs), want, rtol=0, atol=1e-12)
+    shared = encode(model.template, xs)
+    np.testing.assert_array_equal(predict_scaled(model, xs, shared),
+                                  predict_scaled(model, xs))
+
+
 # --- training ----------------------------------------------------------------
+
+@pytest.mark.parametrize("config_id", ["QNN-1", "QNN-8"])
+def test_train_with_shared_states_matches_own_encoding(config_id):
+    rng = np.random.default_rng(77)
+    model = build_model(config_id, init_seed=3)
+    xs = rng.uniform(0, np.pi, size=(10, 4))
+    ys = rng.uniform(-1, 1, size=10)
+    options = OptimizerOptions(max_iterations=3)
+    own = train(model, xs, ys, options)
+    shared = train(model, xs, ys, options, states=encode(model.template, xs))
+    np.testing.assert_array_equal(shared.parameters, own.parameters)
+    assert shared.trace == own.trace and shared.status == own.status
+
 
 def test_train_already_optimal_stops_immediately():
     rng = np.random.default_rng(79)

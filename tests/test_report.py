@@ -42,6 +42,7 @@ def _full_report(n_points=8):
                 mae=100.0 + i,
                 wall_time_s=1.5 + i,
                 seed=42,
+                status="max_iterations" if i % 2 else "converged",
                 trace=[(0, 1.0 + i), (1, 0.5 + i), (2, 0.25 + i)],
                 actual=actual,
                 predicted=actual + rng.normal(0, 50, size=n_points),
@@ -72,7 +73,7 @@ def test_results_csv_has_fifteen_rows(tmp_path):
     write_results_csv(_full_report(), path)
     lines = open(path, encoding="utf-8").read().strip().splitlines()
     assert len(lines) == 16  # header + 15 methods
-    assert lines[0] == "config_id,feature_map,ansatz,r2,mae,wall_time_s,seed"
+    assert lines[0] == "config_id,feature_map,ansatz,r2,mae,wall_time_s,seed,status"
 
 
 def test_results_csv_qnn5_row(tmp_path):
@@ -101,6 +102,20 @@ def test_results_csv_round_trips_exact_floats(tmp_path):
         assert m.r2 == want[m.method_id].r2
         assert m.mae == want[m.method_id].mae
         assert m.wall_time_s == want[m.method_id].wall_time_s
+        assert m.status == want[m.method_id].status
+
+
+def test_results_csv_without_status_column_still_reads(tmp_path):
+    path = tmp_path / "results.csv"
+    path.write_text(
+        "config_id,feature_map,ansatz,r2,mae,wall_time_s,seed\n"
+        "QNN-1,Z,linear,0.5,200.0,1.25,42\n"
+        "dt,,decision_tree,0.9,70.0,0.1,42\n",
+        encoding="utf-8",
+    )
+    loaded = read_results_csv(str(path))
+    assert [(m.method_id, m.status) for m in loaded.methods] == [("QNN-1", ""), ("dt", "")]
+    assert loaded.methods[0].wall_time_s == 1.25
 
 
 def test_method_result_validates_config_pairing():
