@@ -19,8 +19,8 @@ config = ExperimentConfig(
 )
 
 report, failures = run_experiment(config)
-for method_id, message in failures:
-    print(f"{method_id} failed: {message}")
+for failure in failures:
+    print(f"{failure.method_id} failed: {failure.message}")
 
 # The Z-map configs (QNN-1, QNN-4) should clearly beat the ZZ-map ones
 # (QNN-7, QNN-10) even at this reduced scale.

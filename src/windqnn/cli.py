@@ -14,11 +14,12 @@ import os
 import sys
 import threading
 import time
+import traceback
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import yaml
 
@@ -34,6 +35,7 @@ from .baselines import (
 from .circuit import ENTANGLEMENTS, render
 from .data import (
     FEATURE_COLUMNS,
+    TARGET_COLUMN,
     DataError,
     Dataset,
     fit_scaler,
@@ -52,6 +54,7 @@ from .qnn import (
     CONFIG_TABLE,
     build_model,
     encode,
+    gram_form,
     predict_scaled,
     train,
     with_parameters,
@@ -74,6 +77,15 @@ BASELINE_SLUGS = {
 
 class ConfigError(Exception):
     """Invalid or unreadable experiment configuration; message names the key."""
+
+
+class MethodFailure(NamedTuple):
+    """A method that raised: the one-line ``Type: message`` for stderr and
+    the full traceback for ``<run>/<method>/error.txt``."""
+
+    method_id: str
+    message: str
+    traceback: str
 
 
 @dataclass
@@ -117,6 +129,20 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _number(value, kind, key: str):
+    """kind(value), or a ConfigError naming the key when YAML gave a value
+    of the wrong type: a word, a list or a mapping where a number belongs,
+    or a fraction where a count belongs."""
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or (kind is int and isinstance(value, float) and number != value):
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} must be {noun}, got {value!r}")
+    return number
+
+
 def load_config(path: str) -> ExperimentConfig:
     """Parse and validate a YAML experiment config."""
     try:
@@ -146,38 +172,50 @@ def load_config(path: str) -> ExperimentConfig:
     cfg.csv_path = data.get("csv_path", cfg.csv_path)
     _require(cfg.data_source != "csv" or bool(cfg.csv_path),
              "data.csv_path is required when data.source is 'csv'")
+    _require(cfg.csv_path is None or isinstance(cfg.csv_path, str),
+             f"data.csv_path must be a string, got {cfg.csv_path!r}")
     cfg.columns = data.get("columns", cfg.columns)
-    cfg.n_rows = int(data.get("n_rows", cfg.n_rows))
+    _require(cfg.columns is None or isinstance(cfg.columns, dict),
+             f"data.columns must be a mapping, got {cfg.columns!r}")
+    for canonical, header in (cfg.columns or {}).items():
+        _require(canonical in FEATURE_COLUMNS + (TARGET_COLUMN,),
+                 f"unknown key data.columns.{canonical}")
+        _require(isinstance(header, str),
+                 f"data.columns.{canonical} must be a string, got {header!r}")
+    cfg.n_rows = _number(data.get("n_rows", cfg.n_rows), int, "data.n_rows")
     _require(cfg.n_rows >= 1, f"data.n_rows must be >= 1, got {cfg.n_rows}")
-    cfg.data_seed = int(data.get("seed", cfg.data_seed))
+    cfg.data_seed = _number(data.get("seed", cfg.data_seed), int, "data.seed")
 
     sp = _section(raw, "split", {"fraction", "mode", "seed"})
-    cfg.split_fraction = float(sp.get("fraction", cfg.split_fraction))
+    cfg.split_fraction = _number(sp.get("fraction", cfg.split_fraction), float,
+                                 "split.fraction")
     _require(0.0 < cfg.split_fraction < 1.0,
              f"split.fraction must be in (0, 1), got {cfg.split_fraction}")
     cfg.split_mode = sp.get("mode", cfg.split_mode)
     _require(cfg.split_mode in ("shuffled", "chronological"),
              f"split.mode must be 'shuffled' or 'chronological', got {cfg.split_mode!r}")
-    cfg.split_seed = int(sp.get("seed", cfg.split_seed))
+    cfg.split_seed = _number(sp.get("seed", cfg.split_seed), int, "split.seed")
 
     q = _section(raw, "qnn", {"feature_map_reps", "ansatz_reps", "zz_entanglement",
                               "init_seed", "gradient_mode", "finite_difference_step"})
-    cfg.feature_map_reps = int(q.get("feature_map_reps", cfg.feature_map_reps))
+    cfg.feature_map_reps = _number(q.get("feature_map_reps", cfg.feature_map_reps), int,
+                                   "qnn.feature_map_reps")
     _require(cfg.feature_map_reps >= 1,
              f"qnn.feature_map_reps must be >= 1, got {cfg.feature_map_reps}")
-    cfg.ansatz_reps = int(q.get("ansatz_reps", cfg.ansatz_reps))
+    cfg.ansatz_reps = _number(q.get("ansatz_reps", cfg.ansatz_reps), int, "qnn.ansatz_reps")
     _require(cfg.ansatz_reps >= 1, f"qnn.ansatz_reps must be >= 1, got {cfg.ansatz_reps}")
     cfg.zz_entanglement = q.get("zz_entanglement", cfg.zz_entanglement)
     _require(cfg.zz_entanglement in ENTANGLEMENTS,
              f"qnn.zz_entanglement must be one of {ENTANGLEMENTS}, "
              f"got {cfg.zz_entanglement!r}")
-    cfg.init_seed = int(q.get("init_seed", cfg.init_seed))
+    cfg.init_seed = _number(q.get("init_seed", cfg.init_seed), int, "qnn.init_seed")
     cfg.gradient_mode = q.get("gradient_mode", cfg.gradient_mode)
     _require(cfg.gradient_mode in ("parameter_shift", "finite_difference"),
              f"qnn.gradient_mode must be 'parameter_shift' or 'finite_difference', "
              f"got {cfg.gradient_mode!r}")
-    cfg.finite_difference_step = float(
-        q.get("finite_difference_step", cfg.finite_difference_step)
+    cfg.finite_difference_step = _number(
+        q.get("finite_difference_step", cfg.finite_difference_step), float,
+        "qnn.finite_difference_step"
     )
     _require(cfg.finite_difference_step > 0,
              f"qnn.finite_difference_step must be > 0, got {cfg.finite_difference_step}")
@@ -185,21 +223,25 @@ def load_config(path: str) -> ExperimentConfig:
     opt = _section(raw, "optimizer", {"max_iterations", "memory", "gradient_tolerance",
                                       "relative_f_tolerance", "wolfe_c1", "wolfe_c2",
                                       "max_line_search_steps"})
-    kwargs = {k: v for k, v in opt.items() if v is not None}
+    counts = {"max_iterations", "memory", "max_line_search_steps"}
+    kwargs = {k: _number(v, int if k in counts else float, f"optimizer.{k}")
+              for k, v in opt.items() if v is not None}
     try:
         cfg.optimizer = OptimizerOptions(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"optimizer: {exc}") from exc
 
     base = _section(raw, "baselines", {"knn_k", "cart_max_depth", "cart_min_samples_split"})
-    cfg.knn_k = int(base.get("knn_k", cfg.knn_k))
+    cfg.knn_k = _number(base.get("knn_k", cfg.knn_k), int, "baselines.knn_k")
     _require(cfg.knn_k >= 1, f"baselines.knn_k must be >= 1, got {cfg.knn_k}")
     depth = base.get("cart_max_depth", cfg.cart_max_depth)
-    cfg.cart_max_depth = None if depth is None else int(depth)
+    cfg.cart_max_depth = None if depth is None else _number(depth, int,
+                                                            "baselines.cart_max_depth")
     _require(cfg.cart_max_depth is None or cfg.cart_max_depth >= 1,
              f"baselines.cart_max_depth must be >= 1 or null, got {cfg.cart_max_depth}")
-    cfg.cart_min_samples_split = int(
-        base.get("cart_min_samples_split", cfg.cart_min_samples_split)
+    cfg.cart_min_samples_split = _number(
+        base.get("cart_min_samples_split", cfg.cart_min_samples_split), int,
+        "baselines.cart_min_samples_split"
     )
     _require(cfg.cart_min_samples_split >= 2,
              f"baselines.cart_min_samples_split must be >= 2, "
@@ -217,11 +259,15 @@ def load_config(path: str) -> ExperimentConfig:
 
     out = _section(raw, "output", {"directory", "run_id"})
     cfg.output_directory = out.get("directory", cfg.output_directory)
+    _require(isinstance(cfg.output_directory, str),
+             f"output.directory must be a string, got {cfg.output_directory!r}")
     cfg.run_id = out.get("run_id", cfg.run_id)
+    _require(cfg.run_id is None or isinstance(cfg.run_id, str),
+             f"output.run_id must be a string, got {cfg.run_id!r}")
 
     par = raw.get("parallelism")
     if par is not None:
-        cfg.parallelism = int(par)
+        cfg.parallelism = _number(par, int, "parallelism")
         _require(cfg.parallelism >= 1, f"parallelism must be >= 1, got {cfg.parallelism}")
 
     return cfg
@@ -234,27 +280,31 @@ def _load_dataset(cfg: ExperimentConfig) -> Tuple[Dataset, int]:
 
 
 class _SharedEncodings:
-    """Train-row and test-row states after each feature map, per run.
+    """Per feature map and run: the Gram form of the training rows and the
+    test-row states.
 
     The six QNNs of one feature map share its parameter-free encoding, so
-    the first to ask encodes the rows and the others reuse the states.  The
-    entry is dropped once the last selected QNN of that map has taken it,
-    which keeps at most the maps still in use alive.
+    the first to ask encodes the rows and folds the training rows into
+    ``gram_form``; the others reuse both.  The training-row states are not
+    kept: training needs only the Gram form.  The entry is dropped once the
+    last selected QNN of that map has taken it, which keeps at most the maps
+    still in use alive.
     """
 
     def __init__(self, selection):
         self._lock = threading.Lock()
         self._uses = Counter(CONFIG_TABLE[m][0] for m in selection if m in CONFIG_TABLE)
-        self.states = {}
+        self.slots = {}
 
-    def take(self, family: str, template, x_train, x_test):
+    def take(self, family: str, template, x_train, y_train, x_test):
         with self._lock:
-            if family not in self.states:
-                self.states[family] = (encode(template, x_train), encode(template, x_test))
-            shared = self.states[family]
+            if family not in self.slots:
+                gram = gram_form(encode(template, x_train), y_train)
+                self.slots[family] = (gram, encode(template, x_test))
+            shared = self.slots[family]
             self._uses[family] -= 1
             if self._uses[family] == 0:
-                del self.states[family]
+                del self.slots[family]
         return shared
 
 
@@ -273,12 +323,13 @@ def _train_method(method_id: str, cfg: ExperimentConfig, bundle,
             init_seed=cfg.init_seed,
             scaling=scaling,
         )
-        train_states, test_states = encodings.take(family, model.template, x_train, x_test)
+        gram, test_states = encodings.take(family, model.template, x_train,
+                                           y_train_scaled, x_test)
         result = train(
             model, x_train, y_train_scaled, cfg.optimizer,
             gradient_mode=cfg.gradient_mode,
             finite_difference_step=cfg.finite_difference_step,
-            states=train_states,
+            gram=gram,
         )
         fitted = with_parameters(model, result.parameters)
         predictions = invert_target(scaling, predict_scaled(fitted, x_test, test_states))
@@ -321,10 +372,10 @@ def _train_method(method_id: str, cfg: ExperimentConfig, bundle,
     )
 
 
-def run_experiment(cfg: ExperimentConfig) -> Tuple[ExperimentReport, List[Tuple[str, str]]]:
+def run_experiment(cfg: ExperimentConfig) -> Tuple[ExperimentReport, List[MethodFailure]]:
     """Load, split, scale, train every selected method, compute test metrics.
 
-    Returns the report plus a list of (method_id, error message) failures.
+    Returns the report plus one MethodFailure per method that raised.
     Methods run independently: one failure does not abort the others.
     """
     dataset, dropped = _load_dataset(cfg)
@@ -346,20 +397,15 @@ def run_experiment(cfg: ExperimentConfig) -> Tuple[ExperimentReport, List[Tuple[
     encodings = _SharedEncodings(cfg.selection)
 
     workers = cfg.parallelism or os.cpu_count() or 1
-    methods: List[MethodResult] = []
-    failures: List[Tuple[str, str]] = []
     if workers == 1:
-        outcomes = [(m, _run_safely(m, cfg, bundle, encodings)) for m in cfg.selection]
+        outcomes = [_run_safely(m, cfg, bundle, encodings) for m in cfg.selection]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [(m, pool.submit(_run_safely, m, cfg, bundle, encodings))
+            futures = [pool.submit(_run_safely, m, cfg, bundle, encodings)
                        for m in cfg.selection]
-            outcomes = [(m, f.result()) for m, f in futures]
-    for method_id, outcome in outcomes:
-        if isinstance(outcome, MethodResult):
-            methods.append(outcome)
-        else:
-            failures.append((method_id, outcome))
+            outcomes = [f.result() for f in futures]
+    methods = [o for o in outcomes if isinstance(o, MethodResult)]
+    failures = [o for o in outcomes if isinstance(o, MethodFailure)]
     return ExperimentReport(methods=methods), failures
 
 
@@ -367,7 +413,8 @@ def _run_safely(method_id: str, cfg: ExperimentConfig, bundle, encodings: _Share
     try:
         return _train_method(method_id, cfg, bundle, encodings)
     except Exception as exc:  # recorded, surfaced as exit 4 at the end
-        return f"{type(exc).__name__}: {exc}"
+        return MethodFailure(method_id, f"{type(exc).__name__}: {exc}",
+                             traceback.format_exc())
 
 
 def _summary_table(report: ExperimentReport) -> str:
@@ -402,13 +449,18 @@ def cmd_run(config_path: str) -> int:
     run_dir = os.path.join(cfg.output_directory, run_id)
     try:
         write_run_artifact(report, run_dir)
+        for failure in failures:
+            method_dir = os.path.join(run_dir, failure.method_id)
+            os.makedirs(method_dir, exist_ok=True)
+            with open(os.path.join(method_dir, "error.txt"), "w", encoding="utf-8") as handle:
+                handle.write(failure.traceback)
     except OSError as exc:
         print(f"report: {exc}", file=sys.stderr)
         return 3
     print(_summary_table(report))
     print(f"\nartifacts: {run_dir}")
-    for method_id, message in failures:
-        print(f"training: {method_id} failed: {message}", file=sys.stderr)
+    for failure in failures:
+        print(f"training: {failure.method_id} failed: {failure.message}", file=sys.stderr)
     return 4 if failures else 0
 
 

@@ -167,6 +167,12 @@ def minimize(
     line_search_failed, and on a NaN or inf objective or gradient at a trial
     point with status non_finite; hitting the iteration cap reports
     max_iterations.
+
+    Each line search starts from the value and gradient already known at the
+    current iterate, so neither is computed there again.  At a trial point
+    the objective comes first and the gradient only if the line search asks
+    for the slope there: a step that fails the sufficient-decrease test
+    costs one objective call and no gradient call.
     """
     opts = options or OptimizerOptions()
     x = np.array(x0, dtype=float)
@@ -193,22 +199,31 @@ def minimize(
             slope = float(direction @ g)
             history.clear()
 
-        cache = {}
+        # alpha -> [point, value, gradient or None until the slope is asked for]
+        cache = {0.0: [x, f, g]}
 
-        def eval_at(alpha):
+        def value_at(alpha):
             if alpha not in cache:
                 point = x + alpha * direction
                 value = float(objective(point))
-                grad = np.asarray(gradient(point), dtype=float)
-                if not np.isfinite(value) or not np.all(np.isfinite(grad)):
+                if not np.isfinite(value):
                     raise _NonFiniteTrial
-                cache[alpha] = (value, grad)
+                cache[alpha] = [point, value, None]
             return cache[alpha]
+
+        def gradient_at(alpha):
+            entry = value_at(alpha)
+            if entry[2] is None:
+                grad = np.asarray(gradient(entry[0]), dtype=float)
+                if not np.all(np.isfinite(grad)):
+                    raise _NonFiniteTrial
+                entry[2] = grad
+            return entry[2]
 
         try:
             step = line_search_strong_wolfe(
-                lambda a: eval_at(a)[0],
-                lambda a: float(eval_at(a)[1] @ direction),
+                lambda a: value_at(a)[1],
+                lambda a: float(gradient_at(a) @ direction),
                 initial_step=1.0,
                 c1=opts.wolfe_c1,
                 c2=opts.wolfe_c2,
@@ -221,7 +236,8 @@ def minimize(
             status = STATUS_LINE_SEARCH_FAILED
             break
 
-        f_new, g_new = eval_at(step)
+        # the search returns a step only after asking for its slope
+        _, f_new, g_new = cache[step]
         s = step * direction
         y = g_new - g
         sy = float(s @ y)

@@ -4,51 +4,59 @@ A model pairs a composed feature-map + ansatz template with a parameter
 vector and (optionally) the dataset scaler.  The twelve benchmark configs
 pair each feature map (Z, ZZ) with each of the six entanglement layouts.
 
-Training exploits the template split.  The feature-encoding prefix does not
-depend on the parameters, so the state psi_s of every training row after the
-prefix is computed once per dataset.  The trainable suffix acts on those
-states as one 2**n x 2**n unitary U(theta), so the parity readout collapses
-into one Hermitian observable per parameter vector:
+Training exploits the template split.  The feature-encoding prefix has no
+parameters and the trainable suffix has no features, so with psi_s the
+state of row s after the prefix and U(theta) the suffix unitary, the parity
+readout is linear in the encoded density matrix (Schuld 2021,
+arXiv:2101.11020):
 
-    f_s(theta) = Re(psi_s^H M(theta) psi_s),   M = U^H diag(parity) U.
+    f_s(theta) = Re(psi_s^H M(theta) psi_s) = phi_s . m(theta),
+    M = U^H diag(parity) U,
 
-M is built by running the suffix gates over an identity stack, which costs
-as much as running them over 2**n rows instead of every training row.
+where m holds the 2**(2n) real coordinates of the Hermitian M (real parts
+on and above the diagonal, imaginary parts below) and phi_s those of
+psi_s psi_s^H, with the off-diagonal ones doubled.  The MSE is then a
+quadratic form in m,
 
-The gradient uses the parameter-shift rule (Mitarai et al. 2018,
-arXiv:1803.00745; Schuld et al. 2019, arXiv:1811.11184): for a rotation
-angle theta_k, df_s/dtheta_k = (f_s(theta + pi/2 e_k) - f_s(theta - pi/2 e_k)) / 2.
-With residuals r_s = f_s - y_s, the MSE chain rule sums over the rows only
-through rho_r = sum_s r_s psi_s psi_s^H, so
+    L(theta) = m^T G m - 2 h^T m + c,  G = Phi^T Phi / N, h = Phi^T y / N,
+    c = y^T y / N,
 
-    dL/dtheta_k = Re tr(rho_r (M(theta + pi/2 e_k) - M(theta - pi/2 e_k))) / N.
+and the parameter-shift rule (Mitarai et al. 2018, arXiv:1803.00745;
+Schuld et al. 2019, arXiv:1811.11184) gives the exact gradient
 
-One gradient is therefore one batched suffix pass over the 2P operators
-M(theta +- pi/2 e_k), plus the residuals at theta and one contraction of the
-rows into rho_r.  Templates with a feature gate after a parameterized gate
-cannot be split; they run every shifted parameter vector through the full
-circuit instead, still in one batched pass.
+    dL/dtheta_k = (G m - h) . (m(theta + pi/2 e_k) - m(theta - pi/2 e_k)).
 
-Each piece of that work runs once.  The prefix states depend only on the
-feature map and the rows, so ``encode`` is public: a caller that trains
-several models of one feature map on the same rows encodes them once and
-hands the states to ``train`` and ``predict_scaled``.  L-BFGS asks for the
-objective and then the gradient at every trial point, so the cache keeps
-the readout of the last theta it saw (matched by value, not identity), and
-the gradient at that theta takes its residuals from it instead of reading
-every row out again.  Test predictions read out through the same collapsed
-observable; ``evaluate_batch`` stays the gate-level reference that
-``loss_mse`` and the tests use.
+So the work splits three ways.
+
+* Once per feature map and row set: ``encode`` runs the prefix over the
+  rows, and ``gram_form`` folds the training rows into (G, h, c) in row
+  chunks.  ``windqnn run`` does both once for the six QNNs of a map.
+* Once per theta: M(theta) and the 2P shifted M come from dense
+  2**n x 2**n products.  RY_q(t) = cos(t/2) I + sin(t/2) RY_q(pi) and every
+  other suffix gate is constant, so U(theta) is a product of P factors
+  cos(t_j/2) K_j + sin(t_j/2) L_j; prefix and suffix products of those
+  factors give every shifted U at once.  The objective keeps m and G m - h
+  of the last theta, so the gradient at a point the objective has just
+  seen builds no M(theta) again.  No step of training touches a row.
+* Per row: only the test predictions, read out through M(theta) by
+  ``predict_scaled``.
+
+A template with a feature gate after a parameterized gate has no such
+split; ``encode`` rejects it, and with it ``train``, ``predict_scaled`` and
+the gradients.  ``evaluate_batch`` and ``loss_mse`` still run any template
+gate by gate; they are the reference the tests hold the fast path to.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .circuit import (
     CircuitTemplate,
+    ConstAngle,
+    ParamAngle,
     build_ansatz,
     build_z_feature_map,
     build_zz_feature_map,
@@ -59,7 +67,7 @@ from .circuit import (
 )
 from .data import ScalingSpec, invert_target, scale_features
 from .optimizer import OptimizeResult, OptimizerOptions, minimize
-from .statevector import _parity_signs, expect_z_all_array
+from .statevector import expect_z_all_array
 
 N_QUBITS = 4  # one qubit per input feature
 
@@ -151,7 +159,10 @@ def predict_scaled(model: QnnModel, features_scaled,
     features = np.asarray(features_scaled, dtype=float)
     if features.ndim == 1:
         return predict_scaled(model, features[None, :])[0]
-    return _ObservableCache(model.template, features, states).predict(model.parameters)
+    if states is None:
+        states = encode(model.template, features)
+    observable = _DenseSuffix(model.template).observables(model.parameters[None])[0]
+    return np.sum((states @ observable.T) * states.conj(), axis=1).real
 
 
 def predict_physical(model: QnnModel, features_physical) -> np.ndarray:
@@ -162,93 +173,185 @@ def predict_physical(model: QnnModel, features_physical) -> np.ndarray:
     return invert_target(model.scaling, predict_scaled(model, scaled))
 
 
-def encode(template: CircuitTemplate, features: np.ndarray) -> Optional[np.ndarray]:
-    """State of every row after the feature prefix, shape (N, 2**n).
-
-    None when a parameterized gate comes before a feature gate, so the
-    template cannot be split.
-    """
+def _split(template: CircuitTemplate) -> int:
     split = feature_prefix_length(template)
     if split is None:
-        return None
+        raise ValueError(
+            "a feature gate follows a parameterized gate, so the template has no "
+            "parameter-free prefix to encode"
+        )
+    return split
+
+
+def encode(template: CircuitTemplate, features: np.ndarray) -> np.ndarray:
+    """State of every row after the feature prefix, shape (N, 2**n).
+
+    Raises ValueError when a feature gate follows a parameterized gate, so
+    the template cannot be split.
+    """
+    split = _split(template)
     states = _zero_states(features.shape[:1], template.n_qubits)
     run_gates(states, template.gates[:split], template.n_qubits, features, np.zeros(0))
     return states
 
 
-class _ObservableCache:
-    """Rows encoded once by the feature prefix, read out through the suffix
-    observable M(theta).
+def _coordinates(hermitian: np.ndarray) -> np.ndarray:
+    """Real coordinates of Hermitian matrices (..., d, d), shape (..., d*d):
+    real parts on and above the diagonal, imaginary parts below it."""
+    d = hermitian.shape[-1]
+    upper = np.triu(np.ones((d, d), dtype=bool))
+    packed = np.where(upper, hermitian.real, hermitian.imag)
+    return packed.reshape(hermitian.shape[:-2] + (d * d,))
 
-    Valid only for templates whose parameterized gates all come after the
-    feature gates (true for every composed model here).  Otherwise
-    ``states`` is None and every evaluation runs the full circuit.  The
-    readout of the last theta is kept, so an objective and a gradient at the
-    same point read the rows out once.
+
+class Gram(NamedTuple):
+    """The MSE over a fixed set of rows as a quadratic form in the real
+    coordinates m of the observable: L = m^T g m - 2 h^T m + c."""
+
+    g: np.ndarray
+    h: np.ndarray
+    c: float
+
+
+GRAM_CHUNK_ROWS = 64  # rows per Phi block; bounds the temporaries, not the result
+
+
+def gram_form(states: np.ndarray, targets: np.ndarray) -> Gram:
+    """(G, h, c) of the encoded rows ``states`` and their scaled targets.
+
+    Row s contributes phi_s, the real coordinates of psi_s psi_s^H with the
+    off-diagonal ones doubled, so that phi_s . m = Re(psi_s^H M psi_s).
+    """
+    n, d = states.shape
+    weights = (2.0 - np.eye(d)).reshape(-1)
+    g = np.zeros((d * d, d * d))
+    h = np.zeros(d * d)
+    for start in range(0, n, GRAM_CHUNK_ROWS):
+        psi = states[start:start + GRAM_CHUNK_ROWS]
+        phi = _coordinates(psi[:, :, None] * psi.conj()[:, None, :]) * weights
+        g += phi.T @ phi
+        h += phi.T @ targets[start:start + GRAM_CHUNK_ROWS]
+    return Gram(g / n, h / n, float(targets @ targets) / n)
+
+
+class _DenseSuffix:
+    """U(theta) of a template's trainable suffix as P dense factors.
+
+    With t_j the angle of the j-th parameterized RY and C_j the constant
+    gates between it and the next one, U = F_P ... F_1 C_0 where
+    F_j = C_j RY(t_j) = cos(t_j/2) K_j + sin(t_j/2) L_j, K_j = C_j and
+    L_j = C_j RY(pi), since RY(t) = cos(t/2) I + sin(t/2) RY(pi).  The
+    constant matrices are built once per template by running the gates over
+    the identity.
     """
 
-    def __init__(self, template: CircuitTemplate, features: np.ndarray,
-                 states: Optional[np.ndarray] = None):
-        self.template = template
-        self.features = features
-        split = feature_prefix_length(template)
-        self.suffix = None if split is None else template.gates[split:]
-        self.states = encode(template, features) if states is None else states
-        self._theta = None
-        self._predictions = None
+    def __init__(self, template: CircuitTemplate):
+        n_qubits = template.n_qubits
+        self._n_qubits = n_qubits
+        runs, turns, slots = [[]], [], []
+        for g in template.gates[_split(template):]:
+            if not isinstance(g.angle, ParamAngle):
+                runs[-1].append(g)
+                continue
+            if g.kind != "RY":
+                raise ValueError(f"only RY gates may carry a trainable angle, got {g.kind}")
+            turns.append(replace(g, angle=ConstAngle(np.pi)))
+            slots.append(g.angle.index)
+            runs.append([])
+        dim = 2**n_qubits
+        self._lead = self._matrix(runs[0])
+        self._cos = np.array([self._matrix(run) for run in runs[1:]]).reshape(-1, dim, dim)
+        self._sin = self._cos @ np.array([self._matrix([t]) for t in turns]).reshape(-1, dim, dim)
+        self.slots = np.array(slots, dtype=int)
+        self.n_slots = template.n_parameter_slots
+        # parity readout of each basis state: the diagonal of Z x ... x Z
+        self._signs = expect_z_all_array(np.eye(dim))
+
+    def _matrix(self, gates) -> np.ndarray:
+        columns = np.eye(2**self._n_qubits, dtype=complex)  # row j becomes U e_j
+        run_gates(columns, gates, self._n_qubits, np.zeros(0), np.zeros(0))
+        return columns.T
+
+    def _factors(self, angles: np.ndarray) -> np.ndarray:
+        """F_j for angles (..., P) of the parameterized gates, shape (..., P, d, d)."""
+        half = angles[..., None, None] / 2.0
+        return np.cos(half) * self._cos + np.sin(half) * self._sin
+
+    def _observe(self, unitaries: np.ndarray) -> np.ndarray:
+        return np.swapaxes(unitaries.conj(), -1, -2) @ (self._signs[:, None] * unitaries)
 
     def observables(self, thetas: np.ndarray) -> np.ndarray:
-        """M(theta) for each row of a (B, P) parameter stack, shape (B, d, d)."""
-        n_qubits = self.template.n_qubits
-        dim = 2**n_qubits
-        # columns[b, j] = U_b e_j, so columns[b] is the transpose of U_b
-        columns = np.repeat(np.eye(dim, dtype=complex)[None], thetas.shape[0], axis=0)
-        run_gates(columns, self.suffix, n_qubits, self.features, thetas[:, None, :])
-        return (columns.conj() * _parity_signs(n_qubits)) @ np.swapaxes(columns, 1, 2)
+        """M(theta) for each row of a (B, n_slots) parameter stack, shape (B, d, d)."""
+        factors = self._factors(thetas[:, self.slots])
+        u = np.broadcast_to(self._lead, factors.shape[:1] + self._lead.shape)
+        for j in range(self.slots.shape[0]):
+            u = factors[:, j] @ u
+        return self._observe(u)
 
-    def predictions(self, thetas: np.ndarray) -> np.ndarray:
-        """Readouts of every row for each of a (B, P) parameter stack, shape (B, N)."""
-        if self.states is None:
-            amps = _zero_states((thetas.shape[0],) + self.features.shape[:1],
-                                self.template.n_qubits)
-            run_gates(amps, self.template.gates, self.template.n_qubits,
-                      self.features, thetas[:, None, :])
-            return expect_z_all_array(amps)
-        return np.array([self._readout(m) for m in self.observables(thetas)])
+    def shifted_observables(self, theta: np.ndarray) -> np.ndarray:
+        """M with the angle of parameterized gate j moved by +pi/2 (row 0)
+        and -pi/2 (row 1), shape (2, P, d, d).
 
-    def _readout(self, observable: np.ndarray) -> np.ndarray:
-        return np.sum((self.states @ observable.T) * self.states.conj(), axis=1).real
+        before[j] is the product of every factor ahead of F_j and after[j]
+        of every factor behind it, so each shifted U is after @ F_j' @ before.
+        """
+        angles = theta[self.slots]
+        factors = self._factors(angles)
+        before = np.empty_like(factors)
+        after = np.empty_like(factors)
+        u = self._lead
+        for j in range(factors.shape[0]):
+            before[j] = u
+            u = factors[j] @ u
+        u = np.eye(self._lead.shape[0])
+        for j in reversed(range(factors.shape[0])):
+            after[j] = u
+            u = u @ factors[j]
+        shifted = self._factors(angles + np.array([[np.pi / 2], [-np.pi / 2]]))
+        return self._observe(after @ shifted @ before)
 
-    def predict(self, theta: np.ndarray) -> np.ndarray:
-        """Readouts of every row at theta, reused while theta is unchanged."""
+
+class _GramObjective:
+    """Training loss and gradients from a Gram form; no step reads a row.
+
+    The real coordinates m of the last theta and the vector G m - h are
+    kept, so a gradient at the point the objective has just seen reuses
+    them.  Thetas are matched by value, not identity.
+    """
+
+    def __init__(self, template: CircuitTemplate, gram: Gram):
+        self.suffix = _DenseSuffix(template)
+        self.gram = gram
+        self._theta = None
+
+    def _loss(self, m: np.ndarray, r: np.ndarray):
+        # m^T G m - 2 h^T m + c written through r = G m - h
+        return np.sum(m * (r - self.gram.h), axis=-1) + self.gram.c
+
+    def _at(self, theta: np.ndarray):
         if not np.array_equal(theta, self._theta):
-            self._predictions = self.predictions(theta[None])[0]
+            m = _coordinates(self.suffix.observables(theta[None])[0])
+            self._m, self._r = m, self.gram.g @ m - self.gram.h
             self._theta = np.array(theta, dtype=float)
-        return self._predictions
+        return self._m, self._r
 
-    def shift_gradient(self, theta: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        """Exact dL/dtheta from the readout at theta and the 2P shifted
-        parameter vectors, all shifts in one batch."""
-        p = theta.shape[0]
-        shift = np.pi / 2 * np.eye(p)
-        thetas = theta + np.concatenate([shift, -shift])
-        residuals = self.predict(theta) - targets
-        n = targets.shape[0]
-        if self.states is None:
-            f = self.predictions(thetas)
-            return (f[:p] - f[p:]) @ residuals / n
-        m = self.observables(thetas)
-        rho = self.states.T @ (residuals[:, None] * self.states.conj())
-        return np.einsum("kij,ji->k", m[:p] - m[p:], rho).real / n
+    def loss(self, theta: np.ndarray) -> float:
+        return float(self._loss(*self._at(theta)))
 
-    def difference_gradient(self, theta: np.ndarray, targets: np.ndarray,
-                            step: float) -> np.ndarray:
-        """Forward-difference dL/dtheta from the readout at theta and the P
-        stepped parameter vectors, all steps in one batch."""
-        base = _loss_from_predictions(self.predict(theta), targets)
+    def shift_gradient(self, theta: np.ndarray) -> np.ndarray:
+        """Exact dL/dtheta: (G m - h) . (m_+k - m_-k), every shift in one batch."""
+        _, r = self._at(theta)
+        plus, minus = self.suffix.shifted_observables(theta)
+        per_gate = _coordinates(plus - minus) @ r
+        return np.bincount(self.suffix.slots, weights=per_gate,
+                           minlength=self.suffix.n_slots)
+
+    def difference_gradient(self, theta: np.ndarray, step: float) -> np.ndarray:
+        """Forward-difference dL/dtheta, the P stepped losses in one batch."""
+        base = self._loss(*self._at(theta))
         thetas = theta + step * np.eye(theta.shape[0])
-        stepped = np.array([_loss_from_predictions(f, targets)
-                            for f in self.predictions(thetas)])
+        m = _coordinates(self.suffix.observables(thetas))
+        stepped = self._loss(m, m @ self.gram.g - self.gram.h)
         return (stepped - base) / step
 
 
@@ -275,12 +378,7 @@ def _check_batch(features_scaled, targets_scaled):
 def loss_mse(model: QnnModel, features_scaled, targets_scaled) -> float:
     """Mean squared error in scaled target space, fixed sample order."""
     features, targets = _check_batch(features_scaled, targets_scaled)
-    return _loss_from_predictions(
-        evaluate_batch(model.template, features, model.parameters), targets
-    )
-
-
-def _loss_from_predictions(predictions: np.ndarray, targets: np.ndarray) -> float:
+    predictions = evaluate_batch(model.template, features, model.parameters)
     return float(np.mean((predictions - targets) ** 2))
 
 
@@ -291,8 +389,8 @@ def gradient_parameter_shift(model: QnnModel, features_scaled, targets_scaled) -
     the MSE chain rule then gives (2/N) sum_s (f_s - y_s) * df_s/dtheta_k.
     """
     features, targets = _check_batch(features_scaled, targets_scaled)
-    cache = _ObservableCache(model.template, features)
-    return cache.shift_gradient(model.parameters, targets)
+    gram = gram_form(encode(model.template, features), targets)
+    return _GramObjective(model.template, gram).shift_gradient(model.parameters)
 
 
 def gradient_finite_difference(
@@ -302,8 +400,8 @@ def gradient_finite_difference(
     if step <= 0:
         raise ValueError(f"step must be > 0, got {step}")
     features, targets = _check_batch(features_scaled, targets_scaled)
-    cache = _ObservableCache(model.template, features)
-    return cache.difference_gradient(model.parameters, targets, step)
+    gram = gram_form(encode(model.template, features), targets)
+    return _GramObjective(model.template, gram).difference_gradient(model.parameters, step)
 
 
 def train(
@@ -313,14 +411,14 @@ def train(
     options: Optional[OptimizerOptions] = None,
     gradient_mode: str = "parameter_shift",
     finite_difference_step: float = 1e-8,
-    states: Optional[np.ndarray] = None,
+    gram: Optional[Gram] = None,
 ) -> TrainedResult:
     """Minimize the MSE over the model parameters; the model is not mutated.
 
     gradient_mode selects the exact parameter-shift gradient (default) or
-    the forward finite-difference gradient with the given step.  ``states``
-    optionally gives the rows already run through the feature prefix, as
-    returned by ``encode``.
+    the forward finite-difference gradient with the given step.  ``gram``
+    optionally gives ``gram_form`` of the encoded training rows, so models
+    that share a feature map and rows build it once.
     """
     if gradient_mode not in ("parameter_shift", "finite_difference"):
         raise ValueError(
@@ -328,19 +426,16 @@ def train(
             f"got {gradient_mode!r}"
         )
     features, targets = _check_batch(features_scaled, targets_scaled)
-    cache = _ObservableCache(model.template, features, states)
-
-    def objective(theta):
-        return _loss_from_predictions(cache.predict(theta), targets)
+    if gram is None:
+        gram = gram_form(encode(model.template, features), targets)
+    objective = _GramObjective(model.template, gram)
 
     if gradient_mode == "parameter_shift":
-        gradient = lambda theta: cache.shift_gradient(theta, targets)
+        gradient = objective.shift_gradient
     else:
-        gradient = lambda theta: cache.difference_gradient(
-            theta, targets, finite_difference_step
-        )
+        gradient = lambda theta: objective.difference_gradient(theta, finite_difference_step)
 
-    result: OptimizeResult = minimize(objective, gradient, model.parameters, options)
+    result: OptimizeResult = minimize(objective.loss, gradient, model.parameters, options)
     return TrainedResult(
         parameters=result.best_point, trace=result.trace, status=result.status
     )

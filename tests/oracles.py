@@ -2,7 +2,8 @@
 
 These build full 2**n x 2**n operators with Kronecker products and apply
 them by plain matrix-vector multiplication.  Deliberately slow and memory
-hungry: they exist only to validate the stride-based kernels at small n.
+hungry: they exist only to validate the stride-based kernels at small n,
+and the QNN's Gram-form loss and gradient against a row-by-row reading.
 
 The kNN and CART oracles at the end are the plain forms of the baselines:
 a full stable sort of every distance row, and a split scan one feature at
@@ -122,6 +123,36 @@ def dense_template_matrix(template, features, params) -> np.ndarray:
             raise ValueError(f"unknown gate kind {g.kind!r}")
         op = m @ op
     return op
+
+
+def dense_suffix_observable(suffix, params) -> np.ndarray:
+    """M = U^H (Z x ... x Z) U of a feature-free template, by dense products."""
+    u = dense_template_matrix(suffix, np.zeros(0), params)
+    return u.conj().T @ dense_z_all_operator(suffix.n_qubits) @ u
+
+
+def rowwise_loss_and_shift_gradient(prefix, suffix, features, params, targets):
+    """MSE and parameter-shift gradient of prefix + suffix, row by row.
+
+    Every row's state psi_s after the prefix and every observable come from
+    dense matrices.  The gradient sums the rows through the residual-weighted
+    density matrix rho_r = sum_s r_s psi_s psi_s^H:
+
+        dL/dtheta_k = Re tr(rho_r (M(theta + pi/2 e_k) - M(theta - pi/2 e_k))) / N.
+    """
+    states = np.array([dense_template_matrix(prefix, x, np.zeros(0))[:, 0] for x in features])
+    readouts = np.einsum("si,ij,sj->s", states.conj(), dense_suffix_observable(suffix, params),
+                         states).real
+    residuals = readouts - targets
+    rho = states.T @ (residuals[:, None] * states.conj())
+    gradient = np.empty(params.shape[0])
+    for k in range(params.shape[0]):
+        shift = np.zeros_like(params)
+        shift[k] = np.pi / 2
+        difference = (dense_suffix_observable(suffix, params + shift)
+                      - dense_suffix_observable(suffix, params - shift))
+        gradient[k] = np.trace(rho @ difference).real / targets.shape[0]
+    return float(np.mean(residuals**2)), gradient
 
 
 def knn_predict_oracle(features, targets, k: int, queries) -> np.ndarray:

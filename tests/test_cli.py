@@ -132,6 +132,30 @@ parallelism: 2
         with pytest.raises(ConfigError, match="YAML"):
             load_config(write_config(tmp_path, "data: [unclosed"))
 
+    @pytest.mark.parametrize("text, key", [
+        ("data: {n_rows: many}", "data.n_rows"),
+        ("data: {n_rows: 2.5}", "data.n_rows"),
+        ("data: {seed: [1]}", "data.seed"),
+        ("parallelism: two", "parallelism"),
+        ("split: {fraction: half}", "split.fraction"),
+        ("qnn: {ansatz_reps: {a: 1}}", "qnn.ansatz_reps"),
+        ("optimizer: {max_iterations: many}", "optimizer.max_iterations"),
+        ("optimizer: {max_iterations: 2.5}", "optimizer.max_iterations"),
+        ("baselines: {knn_k: five}", "baselines.knn_k"),
+        ("data: {source: csv, csv_path: 5}", "data.csv_path"),
+        ("data: {columns: [a, b]}", "data.columns"),
+        ("data: {columns: {power: [PWR]}}", "data.columns.power"),
+        ("data: {columns: {speed: WS}}", "data.columns.speed"),
+        ("output: {directory: [1]}", "output.directory"),
+        ("output: {run_id: {a: 1}}", "output.run_id"),
+    ])
+    def test_value_of_the_wrong_type_exits_2(self, tmp_path, capsys, text, key):
+        # rejected while the config loads, before any method trains
+        path = write_config(tmp_path, f"selection: [ols]\n{text}")
+        assert main(["run", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config:") and key in err
+
 
 class TestArgparseSurface:
     def test_version_flag(self, capsys):
@@ -299,29 +323,36 @@ parallelism: {degree}
         assert failures == [] and len(report.methods) == 6
         # one train-row and one test-row encoding per feature map (Z, ZZ)
         assert sorted(encoded) == [12, 12, 48, 48]
-        assert len(created) == 1 and created[0].states == {}
+        assert len(created) == 1 and created[0].slots == {}
 
     def test_shared_encodings_survive_contention(self, monkeypatch):
         encoded = []
+        grams = []
 
         def counting_encode(template, features):
             encoded.append(template)
             return object()
 
+        def counting_gram_form(states, targets):
+            grams.append(states)
+            return object()
+
         monkeypatch.setattr(cli, "encode", counting_encode)
+        monkeypatch.setattr(cli, "gram_form", counting_gram_form)
         selection = list(cli.CONFIG_IDS) * 4
         shared = cli._SharedEncodings(selection)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(shared.take, cli.CONFIG_TABLE[m][0], m, None, None)
+                futures = [pool.submit(shared.take, cli.CONFIG_TABLE[m][0], m, None, None, None)
                            for m in selection]
                 taken = [f.result(timeout=30) for f in futures]
         finally:
             sys.setswitchinterval(interval)
-        # one train and one test encoding per feature map, then released
-        assert len(encoded) == 4 and shared.states == {}
+        # one train and one test encoding and one Gram form per feature map,
+        # then released
+        assert len(encoded) == 4 and len(grams) == 2 and shared.slots == {}
         for family in ("z", "zz"):
             pairs = {id(t) for m, t in zip(selection, taken)
                      if cli.CONFIG_TABLE[m][0] == family}
@@ -370,6 +401,24 @@ output: {{directory: "{out_dir}", run_id: partial}}
         assert "training: knn failed" in captured.err
         rows = read_rows(out_dir / "partial" / "results.csv")
         assert [r["config_id"] for r in rows] == ["dt", "ols"]
+
+    def test_failed_method_keeps_its_traceback(self, tmp_path, capsys, monkeypatch):
+        def exploding_fit_ols(*args, **kwargs):
+            raise RuntimeError("singular design")
+
+        monkeypatch.setattr(cli, "fit_ols", exploding_fit_ols)
+        out_dir = tmp_path / "runs"
+        path = write_config(tmp_path, f"""
+data: {{n_rows: 20, seed: 42}}
+selection: [dt, ols]
+output: {{directory: "{out_dir}", run_id: broken}}
+""")
+        assert main(["run", "--config", path]) == 4
+        assert "training: ols failed: RuntimeError: singular design" in capsys.readouterr().err
+        error = (out_dir / "broken" / "ols" / "error.txt").read_text(encoding="utf-8")
+        assert error.startswith("Traceback")
+        assert "exploding_fit_ols" in error and "_train_method" in error
+        assert not (out_dir / "broken" / "dt" / "error.txt").exists()
 
 
 class TestReportCommand:

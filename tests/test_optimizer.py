@@ -142,6 +142,47 @@ def test_trace_strictly_decreases():
     assert result.best_value == pytest.approx(min(values), abs=1e-12)
 
 
+def test_minimize_asks_for_no_gradient_it_does_not_use():
+    # f = 1.5 x^2 from x0 = 1: the first trial step (alpha = 1 along -g)
+    # lands on x = -2 and fails the sufficient-decrease test; the zoom then
+    # interpolates to the minimizer x = 0.
+    calls = []
+
+    def objective(x):
+        calls.append(("objective", float(x[0])))
+        return float(1.5 * x @ x)
+
+    def gradient(x):
+        calls.append(("gradient", float(x[0])))
+        return 3.0 * x
+
+    result = minimize(objective, gradient, np.array([1.0]), OptimizerOptions(max_iterations=5))
+    assert result.status == STATUS_CONVERGED and result.best_value == 0.0
+    assert calls == [("objective", 1.0), ("gradient", 1.0),  # x0
+                     ("objective", -2.0),  # fails Armijo: no gradient there
+                     ("objective", 0.0), ("gradient", 0.0)]  # accepted step
+
+
+def test_minimize_never_recomputes_at_the_current_iterate():
+    objective_points, gradient_points = [], []
+
+    def objective(x):
+        objective_points.append(tuple(x))
+        return _rosenbrock(x)
+
+    def gradient(x):
+        gradient_points.append(tuple(x))
+        return _rosenbrock_grad(x)
+
+    result = minimize(objective, gradient, np.array([-1.2, 1.0]),
+                      OptimizerOptions(max_iterations=40))
+    assert len(result.trace) > 10
+    assert len(set(objective_points)) == len(objective_points)
+    assert len(set(gradient_points)) == len(gradient_points)
+    # a gradient only ever follows the objective at the same trial point
+    assert set(gradient_points) <= set(objective_points)
+
+
 def test_minimize_rejects_non_finite_start():
     with pytest.raises(ValueError, match="non-finite"):
         minimize(lambda x: float("nan"), lambda x: x, np.zeros(2))

@@ -15,6 +15,7 @@ from windqnn.circuit import (
     build_zz_feature_map,
     compose,
     evaluate_batch,
+    feature_prefix_length,
 )
 from windqnn.data import ScalingSpec
 from windqnn.optimizer import OptimizerOptions
@@ -22,11 +23,13 @@ from windqnn.qnn import (
     CONFIG_IDS,
     CONFIG_TABLE,
     QnnModel,
-    _ObservableCache,
+    _DenseSuffix,
+    _GramObjective,
     build_model,
     encode,
     gradient_finite_difference,
     gradient_parameter_shift,
+    gram_form,
     initial_parameters,
     loss_mse,
     predict_physical,
@@ -35,7 +38,12 @@ from windqnn.qnn import (
     with_parameters,
 )
 
-from oracles import dense_template_matrix, dense_z_all_operator
+from oracles import (
+    dense_suffix_observable,
+    dense_template_matrix,
+    dense_z_all_operator,
+    rowwise_loss_and_shift_gradient,
+)
 
 
 def _scaling():
@@ -235,17 +243,20 @@ def test_observable_cache_matches_full_evaluation():
     rng = np.random.default_rng(73)
     model = build_model("QNN-11", init_seed=29)
     xs = rng.uniform(0, np.pi, size=(5, 4))
-    cache = _ObservableCache(model.template, xs)
-    assert cache.states is not None
+    states = encode(model.template, xs)
 
     for _ in range(3):
         theta = rng.uniform(-np.pi, np.pi, size=16)
         np.testing.assert_allclose(
-            cache.predict(theta), evaluate_batch(model.template, xs, theta), atol=1e-12
+            predict_scaled(with_parameters(model, theta), xs, states),
+            evaluate_batch(model.template, xs, theta), atol=1e-12,
         )
 
 
-def test_observable_cache_falls_back_when_gates_interleave():
+def test_template_without_a_feature_prefix_is_rejected():
+    # A feature gate after a parameterized gate leaves no parameter-free
+    # prefix to encode, so the fast path refuses the template; the
+    # gate-level reference still evaluates it.
     template = CircuitTemplate(
         1,
         (GateSpec("RY", (0,), ParamAngle(0)), GateSpec("P", (0,), FeatureAngle(0)),
@@ -254,18 +265,39 @@ def test_observable_cache_falls_back_when_gates_interleave():
         n_parameter_slots=2,
     )
     xs = np.array([[0.4], [1.1]])
-    cache = _ObservableCache(template, xs)
-    assert cache.states is None
-
-    theta = np.array([0.7, -0.3])
-    np.testing.assert_allclose(
-        cache.predict(theta), evaluate_batch(template, xs, theta), atol=1e-12
-    )
-    model = QnnModel(template=template, parameters=theta)
     ys = np.array([0.2, -0.5])
+    model = QnnModel(template=template, parameters=np.array([0.7, -0.3]))
+    for call in (lambda: encode(template, xs),
+                 lambda: predict_scaled(model, xs),
+                 lambda: train(model, xs, ys),
+                 lambda: gradient_parameter_shift(model, xs, ys)):
+        with pytest.raises(ValueError, match="feature gate follows a parameterized gate"):
+            call()
+    assert evaluate_batch(template, xs, model.parameters).shape == (2,)
+    assert loss_mse(model, xs, ys) >= 0.0
+
+
+def test_only_rotations_carry_trainable_angles():
+    template = CircuitTemplate(1, (GateSpec("P", (0,), ParamAngle(0)),), n_parameter_slots=1)
+    with pytest.raises(ValueError, match="only RY"):
+        _DenseSuffix(template)
+
+
+def test_a_slot_shared_by_two_gates_sums_their_shifts():
+    template = CircuitTemplate(
+        2,
+        (GateSpec("H", (0,)), GateSpec("P", (1,), FeatureAngle(0)),
+         GateSpec("RY", (0,), ParamAngle(0)), GateSpec("CX", (0, 1)),
+         GateSpec("RY", (1,), ParamAngle(0)), GateSpec("RY", (0,), ParamAngle(1))),
+        n_feature_slots=1,
+        n_parameter_slots=2,
+    )
+    xs = np.array([[0.4], [1.1], [2.5]])
+    ys = np.array([0.2, -0.5, 0.1])
+    model = QnnModel(template=template, parameters=np.array([0.7, -0.3]))
     np.testing.assert_allclose(
         gradient_parameter_shift(model, xs, ys), _central_difference(model, xs, ys),
-        atol=1e-7,
+        rtol=0, atol=1e-8,
     )
 
 
@@ -273,9 +305,8 @@ def test_full_and_reverse_linear_ansatz_share_one_observable():
     # Both CX layers permute the basis identically, which is why QNN-2 and
     # QNN-5 (and QNN-8 and QNN-11) report identical metrics.
     rng = np.random.default_rng(74)
-    no_features = np.zeros((1, 0))
-    full = _ObservableCache(build_ansatz(4, 3, "full"), no_features)
-    reverse = _ObservableCache(build_ansatz(4, 3, "reverse_linear"), no_features)
+    full = _DenseSuffix(build_ansatz(4, 3, "full"))
+    reverse = _DenseSuffix(build_ansatz(4, 3, "reverse_linear"))
     thetas = rng.uniform(-np.pi, np.pi, size=(8, 16))
     np.testing.assert_allclose(
         full.observables(thetas), reverse.observables(thetas), rtol=0, atol=1e-12
@@ -339,14 +370,47 @@ def bound_models(draw):
 @given(bound_models())
 def test_collapsed_predict_matches_dense_observable(case):
     prefix, suffix, xs, theta, _ = case
-    cache = _ObservableCache(compose(prefix, suffix), xs)
-    u = dense_template_matrix(suffix, np.zeros(0), theta)
-    observable = u.conj().T @ dense_z_all_operator(4) @ u
+    model = QnnModel(template=compose(prefix, suffix), parameters=theta)
+    observable = dense_suffix_observable(suffix, theta)
     want = []
     for x in xs:
         psi = dense_template_matrix(prefix, x, np.zeros(0))[:, 0]
         want.append(np.real(psi.conj() @ observable @ psi))
-    np.testing.assert_allclose(cache.predict(theta), want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(predict_scaled(model, xs), want, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bound_models())
+def test_dense_products_match_dense_template_matrix(case):
+    # M(theta) and every M with one gate's angle moved by +-pi/2; each RY of
+    # these suffixes owns its slot, so gate j shifts slot j.  The split puts
+    # the suffix's leading constant gates into the encoded prefix.
+    prefix, suffix, _, theta, _ = case
+    template = compose(prefix, suffix)
+    rest = CircuitTemplate(4, template.gates[feature_prefix_length(template):],
+                           n_parameter_slots=suffix.n_parameter_slots)
+    dense = _DenseSuffix(template)
+    np.testing.assert_allclose(dense.observables(theta[None])[0],
+                               dense_suffix_observable(rest, theta), rtol=0, atol=1e-12)
+    plus, minus = dense.shifted_observables(theta)
+    for k, slot in enumerate(dense.slots):
+        shift = np.zeros_like(theta)
+        shift[slot] = np.pi / 2
+        np.testing.assert_allclose(plus[k], dense_suffix_observable(rest, theta + shift),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(minus[k], dense_suffix_observable(rest, theta - shift),
+                                   rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bound_models())
+def test_gram_loss_and_gradient_match_rowwise_oracle(case):
+    prefix, suffix, xs, theta, ys = case
+    template = compose(prefix, suffix)
+    objective = _GramObjective(template, gram_form(encode(template, xs), ys))
+    loss, gradient = rowwise_loss_and_shift_gradient(prefix, suffix, xs, theta, ys)
+    assert objective.loss(theta) == pytest.approx(loss, rel=0, abs=1e-12)
+    np.testing.assert_allclose(objective.shift_gradient(theta), gradient, rtol=0, atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -364,41 +428,42 @@ def test_batched_shift_gradient_matches_central_difference(case):
 @given(bound_models(), st.floats(0.1, np.pi))
 def test_gradient_after_objective_equals_fresh_gradient(case, offset):
     # L-BFGS asks for the objective, then the gradient, at each trial point;
-    # the gradient must reuse that readout only when theta is unchanged.
+    # the gradient must reuse the objective's m and G m - h only when theta
+    # is unchanged.
     prefix, suffix, xs, theta, ys = case
     template = compose(prefix, suffix)
+    gram = gram_form(encode(template, xs), ys)
     other = theta + offset
     for mode in ("shift", "difference"):
-        def gradient(cache, at):
+        def gradient(objective, at):
             if mode == "shift":
-                return cache.shift_gradient(at, ys)
-            return cache.difference_gradient(at, ys, 1e-6)
+                return objective.shift_gradient(at)
+            return objective.difference_gradient(at, 1e-6)
 
-        fresh = gradient(_ObservableCache(template, xs), theta)
-        same = _ObservableCache(template, xs)
-        same.predict(theta.copy())
-        moved = _ObservableCache(template, xs)
-        moved.predict(other)
+        fresh = gradient(_GramObjective(template, gram), theta)
+        same = _GramObjective(template, gram)
+        same.loss(theta.copy())
+        moved = _GramObjective(template, gram)
+        moved.loss(other)
         assert np.array_equal(gradient(same, theta), fresh)
         assert np.array_equal(gradient(moved, theta), fresh)
-        assert np.array_equal(moved.predict(theta),
-                              _ObservableCache(template, xs).predict(theta))
+        assert moved.loss(theta) == _GramObjective(template, gram).loss(theta)
 
 
-def test_gradient_reads_rows_out_only_at_a_new_theta():
+def test_gradient_builds_the_observable_only_at_a_new_theta():
     rng = np.random.default_rng(76)
     model = build_model("QNN-8", init_seed=5)
     xs = rng.uniform(0, np.pi, size=(7, 4))
     ys = rng.uniform(-1, 1, size=7)
-    cache = _ObservableCache(model.template, xs)
-    readouts = []
-    read = cache._readout
-    cache._readout = lambda observable: readouts.append(1) or read(observable)
-    cache.predict(model.parameters.copy())
-    cache.shift_gradient(model.parameters.copy(), ys)
-    assert len(readouts) == 1  # an equal theta in a new array is a hit
-    cache.shift_gradient(model.parameters + 0.5, ys)
-    assert len(readouts) == 2
+    objective = _GramObjective(model.template, gram_form(encode(model.template, xs), ys))
+    built = []
+    observables = objective.suffix.observables
+    objective.suffix.observables = lambda thetas: built.append(1) or observables(thetas)
+    objective.loss(model.parameters.copy())
+    objective.shift_gradient(model.parameters.copy())
+    assert len(built) == 1  # an equal theta in a new array is a hit
+    objective.shift_gradient(model.parameters + 0.5)
+    assert len(built) == 2
 
 
 @pytest.mark.parametrize("config_id", CONFIG_IDS)
@@ -423,7 +488,7 @@ def test_train_with_shared_states_matches_own_encoding(config_id):
     ys = rng.uniform(-1, 1, size=10)
     options = OptimizerOptions(max_iterations=3)
     own = train(model, xs, ys, options)
-    shared = train(model, xs, ys, options, states=encode(model.template, xs))
+    shared = train(model, xs, ys, options, gram=gram_form(encode(model.template, xs), ys))
     np.testing.assert_array_equal(shared.parameters, own.parameters)
     assert shared.trace == own.trace and shared.status == own.status
 
