@@ -4,12 +4,14 @@ Subcommands: run (full benchmark over selected methods), gen-data (synthetic
 CSV), inspect-circuit (gate listing per config id), report (re-render
 markdown/SVG from existing CSV artifacts).
 
-Exit codes: 0 success, 2 config or usage error, 3 data error, 4 at least one
-method failed to train (partial artifacts are still written).
+Exit codes: 0 success, 2 config or usage error, 3 data error (for report: a
+missing, malformed or unwritable run directory), 4 at least one method
+failed to train (partial artifacts are still written).
 """
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import threading
@@ -17,7 +19,7 @@ import time
 import traceback
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from typing import List, NamedTuple, Optional, Tuple
 
@@ -114,33 +116,80 @@ class ExperimentConfig:
     parallelism: Optional[int] = None
 
 
-def _section(raw: dict, name: str, allowed: set) -> dict:
-    value = raw.get(name) or {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"{name} must be a mapping")
-    for key in value:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {name}.{key}")
-    return value
+def _one_of(choices) -> tuple:
+    """(rule text, rule) for a key whose value must be one of choices."""
+    return " or ".join(repr(c) for c in choices), lambda v: v in choices
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ConfigError(message)
+# yaml key -> (ExperimentConfig field, type, rule text, rule).  The only list
+# of config keys: a key missing here is unknown.  Defaults live in
+# ExperimentConfig; the optimizer.* keys feed OptimizerOptions, which checks
+# its own values.
+CONFIG_KEYS = {
+    "data.source": ("data_source", str, *_one_of(("synthetic", "csv"))),
+    "data.csv_path": ("csv_path", str, "", None),
+    "data.columns": ("columns", dict, "", None),
+    "data.n_rows": ("n_rows", int, ">= 1", lambda v: v >= 1),
+    "data.seed": ("data_seed", int, "", None),
+    "split.fraction": ("split_fraction", float, "in (0, 1)", lambda v: 0.0 < v < 1.0),
+    "split.mode": ("split_mode", str, *_one_of(("shuffled", "chronological"))),
+    "split.seed": ("split_seed", int, "", None),
+    "qnn.feature_map_reps": ("feature_map_reps", int, ">= 1", lambda v: v >= 1),
+    "qnn.ansatz_reps": ("ansatz_reps", int, ">= 1", lambda v: v >= 1),
+    "qnn.zz_entanglement": ("zz_entanglement", str, f"one of {ENTANGLEMENTS}",
+                            lambda v: v in ENTANGLEMENTS),
+    "qnn.init_seed": ("init_seed", int, "", None),
+    "qnn.gradient_mode": ("gradient_mode", str,
+                          *_one_of(("parameter_shift", "finite_difference"))),
+    "qnn.finite_difference_step": ("finite_difference_step", float, "> 0", lambda v: v > 0),
+    **{f"optimizer.{f.name}": ("optimizer", type(f.default), "", None)
+       for f in fields(OptimizerOptions)},
+    "baselines.knn_k": ("knn_k", int, ">= 1", lambda v: v >= 1),
+    "baselines.cart_max_depth": ("cart_max_depth", int, ">= 1 or null", lambda v: v >= 1),
+    "baselines.cart_min_samples_split": ("cart_min_samples_split", int, ">= 2",
+                                         lambda v: v >= 2),
+    "output.directory": ("output_directory", str, "", None),
+    "output.run_id": ("run_id", str, "", None),
+    "parallelism": ("parallelism", int, ">= 1", lambda v: v >= 1),
+}
+_SECTIONS = {key.partition(".")[0] for key in CONFIG_KEYS if "." in key}
+_NOUNS = {int: "an integer", float: "a number", str: "a string", dict: "a mapping"}
 
 
-def _number(value, kind, key: str):
-    """kind(value), or a ConfigError naming the key when YAML gave a value
-    of the wrong type: a word, a list or a mapping where a number belongs,
-    or a fraction where a count belongs."""
-    try:
-        number = kind(value)
-    except (TypeError, ValueError, OverflowError):
-        number = None
-    if number is None or (kind is int and isinstance(value, float) and number != value):
-        noun = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{key} must be {noun}, got {value!r}")
-    return number
+def _typed(value, kind, key: str):
+    """value as kind, or a ConfigError naming the key when YAML gave a value
+    of the wrong type: a word, a list or a mapping where a number belongs, a
+    boolean, an infinity or a NaN where a number belongs, or a fraction
+    where a count belongs."""
+    if kind in (str, dict):
+        if isinstance(value, kind):
+            return value
+    elif not isinstance(value, bool):
+        try:
+            number = kind(value)
+        except (TypeError, ValueError, OverflowError):
+            number = None
+        if kind is float and number is not None and math.isfinite(number):
+            return number
+        if kind is int and number is not None and not (
+                isinstance(value, float) and number != value):
+            return number
+    raise ConfigError(f"{key} must be {_NOUNS[kind]}, got {value!r}")
+
+
+def _entries(raw: dict):
+    """(yaml key, value) for every config entry but prng and selection."""
+    for top, value in raw.items():
+        if top in ("prng", "selection"):
+            continue
+        if top not in _SECTIONS:
+            yield top, value
+            continue
+        section = value or {}
+        if not isinstance(section, dict):
+            raise ConfigError(f"{top} must be a mapping")
+        for key, item in section.items():
+            yield f"{top}.{key}", item
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -155,122 +204,53 @@ def load_config(path: str) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
 
-    known_top = {"prng", "data", "split", "qnn", "optimizer", "baselines",
-                 "selection", "output", "parallelism"}
-    for key in raw:
-        _require(key in known_top, f"unknown key {key}")
-
     prng = raw.get("prng", "pcg64")
-    _require(prng == "pcg64", f"prng must be 'pcg64', got {prng!r}")
+    if prng != "pcg64":
+        raise ConfigError(f"prng must be 'pcg64', got {prng!r}")
 
-    cfg = ExperimentConfig()
+    defaults = ExperimentConfig()
+    values, options = {}, {}
+    for key, value in _entries(raw):
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"unknown key {key}")
+        name, kind, text, rule = CONFIG_KEYS[key]
+        # null keeps the default: the optimizer's own, or None where that is
+        # the default; elsewhere it is a value of the wrong type
+        if value is None and (name == "optimizer" or getattr(defaults, name) is None):
+            continue
+        value = _typed(value, kind, key)
+        if rule is not None and not rule(value):
+            raise ConfigError(f"{key} must be {text}, got {value!r}")
+        if name == "optimizer":
+            options[key.partition(".")[2]] = value
+        else:
+            values[name] = value
 
-    data = _section(raw, "data", {"source", "csv_path", "columns", "n_rows", "seed"})
-    cfg.data_source = data.get("source", cfg.data_source)
-    _require(cfg.data_source in ("synthetic", "csv"),
-             f"data.source must be 'synthetic' or 'csv', got {cfg.data_source!r}")
-    cfg.csv_path = data.get("csv_path", cfg.csv_path)
-    _require(cfg.data_source != "csv" or bool(cfg.csv_path),
-             "data.csv_path is required when data.source is 'csv'")
-    _require(cfg.csv_path is None or isinstance(cfg.csv_path, str),
-             f"data.csv_path must be a string, got {cfg.csv_path!r}")
-    cfg.columns = data.get("columns", cfg.columns)
-    _require(cfg.columns is None or isinstance(cfg.columns, dict),
-             f"data.columns must be a mapping, got {cfg.columns!r}")
-    for canonical, header in (cfg.columns or {}).items():
-        _require(canonical in FEATURE_COLUMNS + (TARGET_COLUMN,),
-                 f"unknown key data.columns.{canonical}")
-        _require(isinstance(header, str),
-                 f"data.columns.{canonical} must be a string, got {header!r}")
-    cfg.n_rows = _number(data.get("n_rows", cfg.n_rows), int, "data.n_rows")
-    _require(cfg.n_rows >= 1, f"data.n_rows must be >= 1, got {cfg.n_rows}")
-    cfg.data_seed = _number(data.get("seed", cfg.data_seed), int, "data.seed")
-
-    sp = _section(raw, "split", {"fraction", "mode", "seed"})
-    cfg.split_fraction = _number(sp.get("fraction", cfg.split_fraction), float,
-                                 "split.fraction")
-    _require(0.0 < cfg.split_fraction < 1.0,
-             f"split.fraction must be in (0, 1), got {cfg.split_fraction}")
-    cfg.split_mode = sp.get("mode", cfg.split_mode)
-    _require(cfg.split_mode in ("shuffled", "chronological"),
-             f"split.mode must be 'shuffled' or 'chronological', got {cfg.split_mode!r}")
-    cfg.split_seed = _number(sp.get("seed", cfg.split_seed), int, "split.seed")
-
-    q = _section(raw, "qnn", {"feature_map_reps", "ansatz_reps", "zz_entanglement",
-                              "init_seed", "gradient_mode", "finite_difference_step"})
-    cfg.feature_map_reps = _number(q.get("feature_map_reps", cfg.feature_map_reps), int,
-                                   "qnn.feature_map_reps")
-    _require(cfg.feature_map_reps >= 1,
-             f"qnn.feature_map_reps must be >= 1, got {cfg.feature_map_reps}")
-    cfg.ansatz_reps = _number(q.get("ansatz_reps", cfg.ansatz_reps), int, "qnn.ansatz_reps")
-    _require(cfg.ansatz_reps >= 1, f"qnn.ansatz_reps must be >= 1, got {cfg.ansatz_reps}")
-    cfg.zz_entanglement = q.get("zz_entanglement", cfg.zz_entanglement)
-    _require(cfg.zz_entanglement in ENTANGLEMENTS,
-             f"qnn.zz_entanglement must be one of {ENTANGLEMENTS}, "
-             f"got {cfg.zz_entanglement!r}")
-    cfg.init_seed = _number(q.get("init_seed", cfg.init_seed), int, "qnn.init_seed")
-    cfg.gradient_mode = q.get("gradient_mode", cfg.gradient_mode)
-    _require(cfg.gradient_mode in ("parameter_shift", "finite_difference"),
-             f"qnn.gradient_mode must be 'parameter_shift' or 'finite_difference', "
-             f"got {cfg.gradient_mode!r}")
-    cfg.finite_difference_step = _number(
-        q.get("finite_difference_step", cfg.finite_difference_step), float,
-        "qnn.finite_difference_step"
-    )
-    _require(cfg.finite_difference_step > 0,
-             f"qnn.finite_difference_step must be > 0, got {cfg.finite_difference_step}")
-
-    opt = _section(raw, "optimizer", {"max_iterations", "memory", "gradient_tolerance",
-                                      "relative_f_tolerance", "wolfe_c1", "wolfe_c2",
-                                      "max_line_search_steps"})
-    counts = {"max_iterations", "memory", "max_line_search_steps"}
-    kwargs = {k: _number(v, int if k in counts else float, f"optimizer.{k}")
-              for k, v in opt.items() if v is not None}
-    try:
-        cfg.optimizer = OptimizerOptions(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"optimizer: {exc}") from exc
-
-    base = _section(raw, "baselines", {"knn_k", "cart_max_depth", "cart_min_samples_split"})
-    cfg.knn_k = _number(base.get("knn_k", cfg.knn_k), int, "baselines.knn_k")
-    _require(cfg.knn_k >= 1, f"baselines.knn_k must be >= 1, got {cfg.knn_k}")
-    depth = base.get("cart_max_depth", cfg.cart_max_depth)
-    cfg.cart_max_depth = None if depth is None else _number(depth, int,
-                                                            "baselines.cart_max_depth")
-    _require(cfg.cart_max_depth is None or cfg.cart_max_depth >= 1,
-             f"baselines.cart_max_depth must be >= 1 or null, got {cfg.cart_max_depth}")
-    cfg.cart_min_samples_split = _number(
-        base.get("cart_min_samples_split", cfg.cart_min_samples_split), int,
-        "baselines.cart_min_samples_split"
-    )
-    _require(cfg.cart_min_samples_split >= 2,
-             f"baselines.cart_min_samples_split must be >= 2, "
-             f"got {cfg.cart_min_samples_split}")
+    for canonical, header in values.get("columns", {}).items():
+        if canonical not in FEATURE_COLUMNS + (TARGET_COLUMN,):
+            raise ConfigError(f"unknown key data.columns.{canonical}")
+        if not isinstance(header, str):
+            raise ConfigError(f"data.columns.{canonical} must be a string, got {header!r}")
+    if values.get("data_source") == "csv" and not values.get("csv_path"):
+        raise ConfigError("data.csv_path is required when data.source is 'csv'")
 
     selection = raw.get("selection")
     if selection is not None:
-        _require(isinstance(selection, list) and selection,
-                 "selection must be a non-empty list")
-        for method in selection:
-            _require(method in METHOD_ORDER,
-                     f"selection contains unknown method {method!r}; valid: "
-                     f"{', '.join(METHOD_ORDER)}")
-        cfg.selection = tuple(selection)
+        if not isinstance(selection, list) or not selection:
+            raise ConfigError("selection must be a non-empty list")
+        for i, method in enumerate(selection):
+            if method not in METHOD_ORDER:
+                raise ConfigError(f"selection contains unknown method {method!r}; valid: "
+                                  f"{', '.join(METHOD_ORDER)}")
+            if method in selection[:i]:
+                raise ConfigError(f"selection lists {method!r} more than once")
+        values["selection"] = tuple(selection)
 
-    out = _section(raw, "output", {"directory", "run_id"})
-    cfg.output_directory = out.get("directory", cfg.output_directory)
-    _require(isinstance(cfg.output_directory, str),
-             f"output.directory must be a string, got {cfg.output_directory!r}")
-    cfg.run_id = out.get("run_id", cfg.run_id)
-    _require(cfg.run_id is None or isinstance(cfg.run_id, str),
-             f"output.run_id must be a string, got {cfg.run_id!r}")
-
-    par = raw.get("parallelism")
-    if par is not None:
-        cfg.parallelism = _number(par, int, "parallelism")
-        _require(cfg.parallelism >= 1, f"parallelism must be >= 1, got {cfg.parallelism}")
-
-    return cfg
+    try:
+        values["optimizer"] = OptimizerOptions(**options)
+    except ValueError as exc:
+        raise ConfigError(f"optimizer: {exc}") from exc
+    return ExperimentConfig(**values)
 
 
 def _load_dataset(cfg: ExperimentConfig) -> Tuple[Dataset, int]:
@@ -497,7 +477,7 @@ def cmd_inspect_circuit(config_id: str) -> int:
 def cmd_report(run_dir: str) -> int:
     try:
         written = render_from_artifacts(run_dir)
-    except FileNotFoundError as exc:
+    except (OSError, DataError) as exc:
         print(f"report: {exc}", file=sys.stderr)
         return 3
     for path in written:

@@ -30,7 +30,7 @@ class OptimizerOptions:
     max_iterations: int = 25
     memory: int = 10
     gradient_tolerance: float = 1e-5
-    relative_f_tolerance: float = 1e7 * np.finfo(float).eps
+    relative_f_tolerance: float = 1e7 * float(np.finfo(float).eps)
     wolfe_c1: float = 1e-4
     wolfe_c2: float = 0.9
     max_line_search_steps: int = 20

@@ -14,6 +14,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from .data import DataError
 from .qnn import CONFIG_IDS, CONFIG_TABLE
 
 BASELINE_IDS = ("dt", "knn", "ols")
@@ -111,26 +112,45 @@ def write_results_csv(report: ExperimentReport, path: str) -> None:
             )
 
 
+def _read_csv(path: str, columns: Sequence[str], parse) -> list:
+    """parse(row) for every data row of a CSV artifact.
+
+    A missing column, or a row that parse rejects (a bad number, an unknown
+    method id), raises DataError naming the file, and the line for a row.
+    """
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.DictReader(handle)
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        if missing:
+            raise DataError(f"{path}: missing column {missing[0]!r}")
+        parsed = []
+        for row in reader:
+            try:
+                parsed.append(parse(row))
+            except (TypeError, ValueError) as exc:
+                raise DataError(f"{path} line {reader.line_num}: {exc}") from exc
+    return parsed
+
+
 def read_results_csv(path: str) -> ExperimentReport:
     """Parse a results.csv back into a report (without traces/predictions).
 
     Files written before the status column existed read with empty status.
     """
-    methods = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        for row in csv.DictReader(handle):
-            methods.append(
-                MethodResult(
-                    method_id=row["config_id"],
-                    feature_map=row["feature_map"],
-                    ansatz=row["ansatz"],
-                    r2=float(row["r2"]),
-                    mae=float(row["mae"]),
-                    wall_time_s=float(row["wall_time_s"]),
-                    seed=int(row["seed"]),
-                    status=row.get("status", ""),
-                )
-            )
+    methods = _read_csv(
+        path,
+        ("config_id", "feature_map", "ansatz", "r2", "mae", "wall_time_s", "seed"),
+        lambda row: MethodResult(
+            method_id=row["config_id"],
+            feature_map=row["feature_map"],
+            ansatz=row["ansatz"],
+            r2=float(row["r2"]),
+            mae=float(row["mae"]),
+            wall_time_s=float(row["wall_time_s"]),
+            seed=int(row["seed"]),
+            status=row.get("status", ""),
+        ),
+    )
     return ExperimentReport(methods=methods)
 
 
@@ -164,11 +184,8 @@ def write_trace_csv(trace: Sequence[Tuple[int, float]], path: str) -> None:
 
 
 def read_trace_csv(path: str) -> List[Tuple[int, float]]:
-    with open(path, newline="", encoding="utf-8") as handle:
-        return [
-            (int(row["iteration"]), float(row["objective"]))
-            for row in csv.DictReader(handle)
-        ]
+    return _read_csv(path, ("iteration", "objective"),
+                     lambda row: (int(row["iteration"]), float(row["objective"])))
 
 
 def write_predictions_csv(actual, predicted, path: str) -> None:
@@ -180,12 +197,9 @@ def write_predictions_csv(actual, predicted, path: str) -> None:
 
 
 def read_predictions_csv(path: str) -> Tuple[np.ndarray, np.ndarray]:
-    actual, predicted = [], []
-    with open(path, newline="", encoding="utf-8") as handle:
-        for row in csv.DictReader(handle):
-            actual.append(float(row["actual_kW"]))
-            predicted.append(float(row["predicted_kW"]))
-    return np.array(actual), np.array(predicted)
+    pairs = _read_csv(path, ("actual_kW", "predicted_kW"),
+                      lambda row: (float(row["actual_kW"]), float(row["predicted_kW"])))
+    return np.array([a for a, _ in pairs]), np.array([p for _, p in pairs])
 
 
 # --- SVG rendering -----------------------------------------------------------
@@ -317,80 +331,12 @@ def emit_trace_svg(traces: Dict[str, Sequence[Tuple[int, float]]], path: str,
 
 # --- run directory -----------------------------------------------------------
 
-def write_run_artifact(report: ExperimentReport, directory: str) -> List[str]:
-    """Write the full artifact set; returns the written paths.
-
-    Layout: results.csv and results.md at the top, traces_z.svg/traces_zz.svg
-    for whichever feature-map families ran, then per method a subdirectory
-    with trace.csv (iterative methods only), predictions.csv, scatter.svg.
-    """
-    os.makedirs(directory, exist_ok=True)
-    written = []
-
-    def _target(name: str) -> str:
-        return os.path.join(directory, name)
-
-    try:
-        path = _target("results.csv")
-        write_results_csv(report, path)
-        written.append(path)
-        path = _target("results.md")
-        write_results_markdown(report, path)
-        written.append(path)
-
-        for family, suffix in (("Z", "traces_z.svg"), ("ZZ", "traces_zz.svg")):
-            traces = {
-                m.method_id: m.trace
-                for m in report.ordered()
-                if m.feature_map == family and m.trace
-            }
-            if traces:
-                path = _target(suffix)
-                emit_trace_svg(
-                    traces, path, title=f"{family} feature map: objective per iteration"
-                )
-                written.append(path)
-
-        for m in report.ordered():
-            method_dir = _target(m.method_id)
-            os.makedirs(method_dir, exist_ok=True)
-            if m.trace:
-                path = os.path.join(method_dir, "trace.csv")
-                write_trace_csv(m.trace, path)
-                written.append(path)
-            if m.actual.size:
-                path = os.path.join(method_dir, "predictions.csv")
-                write_predictions_csv(m.actual, m.predicted, path)
-                written.append(path)
-                path = os.path.join(method_dir, "scatter.svg")
-                emit_scatter_svg(
-                    m.actual, m.predicted, path,
-                    title=f"{m.display_name}: actual vs predicted",
-                )
-                written.append(path)
-    except OSError as exc:
-        raise OSError(f"failed writing run artifact under {directory}: {exc}") from exc
-    return written
-
-
-def render_from_artifacts(directory: str) -> List[str]:
-    """Rebuild results.md and all SVGs from the CSV artifacts in a run directory."""
-    results_path = os.path.join(directory, "results.csv")
-    if not os.path.exists(results_path):
-        raise FileNotFoundError(f"no results.csv under {directory}")
-    report = read_results_csv(results_path)
-    for m in report.methods:
-        method_dir = os.path.join(directory, m.method_id)
-        trace_path = os.path.join(method_dir, "trace.csv")
-        if os.path.exists(trace_path):
-            m.trace = read_trace_csv(trace_path)
-        pred_path = os.path.join(method_dir, "predictions.csv")
-        if os.path.exists(pred_path):
-            m.actual, m.predicted = read_predictions_csv(pred_path)
-    written = []
-    md_path = os.path.join(directory, "results.md")
-    write_results_markdown(report, md_path)
-    written.append(md_path)
+def _render(report: ExperimentReport, directory: str) -> List[str]:
+    """Write results.md, the per-family trace plots and every method's
+    scatter.svg from an in-memory report; returns the written paths."""
+    path = os.path.join(directory, "results.md")
+    write_results_markdown(report, path)
+    written = [path]
     for family, suffix in (("Z", "traces_z.svg"), ("ZZ", "traces_zz.svg")):
         traces = {
             m.method_id: m.trace
@@ -412,3 +358,51 @@ def render_from_artifacts(directory: str) -> List[str]:
             )
             written.append(path)
     return written
+
+
+def write_run_artifact(report: ExperimentReport, directory: str) -> List[str]:
+    """Write the full artifact set; returns the written paths.
+
+    Layout: results.csv and results.md at the top, traces_z.svg/traces_zz.svg
+    for whichever feature-map families ran, then per method a subdirectory
+    with trace.csv (iterative methods only), predictions.csv, scatter.svg.
+    """
+    os.makedirs(directory, exist_ok=True)
+    try:
+        path = os.path.join(directory, "results.csv")
+        write_results_csv(report, path)
+        written = [path]
+        for m in report.ordered():
+            method_dir = os.path.join(directory, m.method_id)
+            os.makedirs(method_dir, exist_ok=True)
+            if m.trace:
+                path = os.path.join(method_dir, "trace.csv")
+                write_trace_csv(m.trace, path)
+                written.append(path)
+            if m.actual.size:
+                path = os.path.join(method_dir, "predictions.csv")
+                write_predictions_csv(m.actual, m.predicted, path)
+                written.append(path)
+        return written + _render(report, directory)
+    except OSError as exc:
+        raise OSError(f"failed writing run artifact under {directory}: {exc}") from exc
+
+
+def render_from_artifacts(directory: str) -> List[str]:
+    """Rebuild results.md and all SVGs from the CSV artifacts in a run directory.
+
+    A malformed CSV raises DataError naming the file.
+    """
+    results_path = os.path.join(directory, "results.csv")
+    if not os.path.exists(results_path):
+        raise FileNotFoundError(f"no results.csv under {directory}")
+    report = read_results_csv(results_path)
+    for m in report.methods:
+        method_dir = os.path.join(directory, m.method_id)
+        trace_path = os.path.join(method_dir, "trace.csv")
+        if os.path.exists(trace_path):
+            m.trace = read_trace_csv(trace_path)
+        pred_path = os.path.join(method_dir, "predictions.csv")
+        if os.path.exists(pred_path):
+            m.actual, m.predicted = read_predictions_csv(pred_path)
+    return _render(report, directory)

@@ -2,7 +2,9 @@
 import csv
 import os
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ import pytest
 from windqnn import __version__, cli
 from windqnn.cli import ConfigError, load_config, main, run_experiment
 from windqnn.data import load_csv
+from windqnn.optimizer import OptimizerOptions
 from windqnn.report import METHOD_ORDER
 
 
@@ -101,6 +104,20 @@ parallelism: 2
         with pytest.raises(ConfigError, match="QNN-99"):
             load_config(path)
 
+    def test_duplicate_selection_entry(self, tmp_path):
+        path = write_config(tmp_path, "selection: [ols, ols, dt]")
+        with pytest.raises(ConfigError, match="'ols' more than once"):
+            load_config(path)
+
+    def test_key_table_matches_the_config_dataclass(self):
+        keys_per_field = Counter(name for name, *_ in cli.CONFIG_KEYS.values())
+        assert set(keys_per_field) <= {f.name for f in fields(cli.ExperimentConfig)}
+        for f in fields(cli.ExperimentConfig):
+            if f.name not in ("optimizer", "selection"):
+                assert keys_per_field[f.name] == 1, f.name
+        for f in fields(OptimizerOptions):
+            assert cli.CONFIG_KEYS[f"optimizer.{f.name}"][0] == "optimizer"
+
     def test_unsupported_prng(self, tmp_path):
         with pytest.raises(ConfigError, match="pcg64"):
             load_config(write_config(tmp_path, "prng: mt19937"))
@@ -148,6 +165,11 @@ parallelism: 2
         ("data: {columns: {speed: WS}}", "data.columns.speed"),
         ("output: {directory: [1]}", "output.directory"),
         ("output: {run_id: {a: 1}}", "output.run_id"),
+        ("data: {n_rows: yes}", "data.n_rows"),
+        ("parallelism: on", "parallelism"),
+        ("optimizer: {max_iterations: true}", "optimizer.max_iterations"),
+        ("qnn: {finite_difference_step: .inf}", "qnn.finite_difference_step"),
+        ("optimizer: {gradient_tolerance: .nan}", "optimizer.gradient_tolerance"),
     ])
     def test_value_of_the_wrong_type_exits_2(self, tmp_path, capsys, text, key):
         # rejected while the config loads, before any method trains
@@ -438,3 +460,41 @@ class TestReportCommand:
     def test_missing_run_dir_exits_3(self, tmp_path, capsys):
         assert main(["report", "--run-dir", str(tmp_path / "nope")]) == 3
         assert capsys.readouterr().err.startswith("report:")
+
+    def _run_dir(self, tmp_path):
+        path = write_config(tmp_path, SMALL_RUN % (tmp_path / "runs"))
+        assert main(["run", "--config", path]) == 0
+        return tmp_path / "runs" / "fixed"
+
+    def test_results_without_a_column_exits_3(self, tmp_path, capsys):
+        run_dir = self._run_dir(tmp_path)
+        results = run_dir / "results.csv"
+        rows = read_rows(results)
+        with open(results, "w", newline="", encoding="utf-8") as handle:
+            names = [n for n in rows[0] if n != "feature_map"]
+            writer = csv.DictWriter(handle, names, extrasaction="ignore")
+            writer.writeheader()
+            writer.writerows(rows)
+        capsys.readouterr()
+        assert main(["report", "--run-dir", str(run_dir)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("report:") and "results.csv" in err and "feature_map" in err
+
+    def test_unknown_method_id_exits_3(self, tmp_path, capsys):
+        run_dir = self._run_dir(tmp_path)
+        results = run_dir / "results.csv"
+        results.write_text(results.read_text(encoding="utf-8").replace("ols,", "lasso,"),
+                           encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", "--run-dir", str(run_dir)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("report:") and "results.csv" in err and "lasso" in err
+
+    def test_unwritable_output_exits_3(self, tmp_path, capsys):
+        run_dir = self._run_dir(tmp_path)
+        (run_dir / "results.md").unlink()
+        (run_dir / "results.md").mkdir()
+        capsys.readouterr()
+        assert main(["report", "--run-dir", str(run_dir)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("report:") and "results.md" in err

@@ -5,6 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from windqnn.data import DataError
 from windqnn.qnn import CONFIG_IDS, CONFIG_TABLE
 from windqnn.report import (
     BASELINE_IDS,
@@ -244,15 +245,24 @@ def test_write_run_artifact_layout(tmp_path):
 def test_render_from_artifacts_rebuilds_outputs(tmp_path):
     run_dir = str(tmp_path / "run-2")
     write_run_artifact(_full_report(), run_dir)
-    md_path = os.path.join(run_dir, "results.md")
-    original_md = open(md_path, "rb").read()
-    os.remove(md_path)
-    os.remove(os.path.join(run_dir, "traces_z.svg"))
-    os.remove(os.path.join(run_dir, "QNN-3", "scatter.svg"))
+    rendered = ["results.md", "traces_z.svg", "traces_zz.svg"] + [
+        os.path.join(m.method_id, "scatter.svg") for m in _full_report().methods
+    ]
+    originals = {}
+    for name in rendered:
+        path = os.path.join(run_dir, name)
+        originals[name] = open(path, "rb").read()
+        os.remove(path)
     render_from_artifacts(run_dir)
-    assert open(md_path, "rb").read() == original_md
-    assert os.path.exists(os.path.join(run_dir, "traces_z.svg"))
-    assert os.path.exists(os.path.join(run_dir, "QNN-3", "scatter.svg"))
+    for name in rendered:
+        assert open(os.path.join(run_dir, name), "rb").read() == originals[name], name
+
+
+def test_bad_artifact_cell_names_file_and_line(tmp_path):
+    path = tmp_path / "predictions.csv"
+    path.write_text("actual_kW,predicted_kW\n1.0,2.0\n3.0,oops\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"predictions\.csv line 3: .*'oops'"):
+        read_predictions_csv(str(path))
 
 
 def test_render_from_artifacts_requires_results(tmp_path):
