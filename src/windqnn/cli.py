@@ -14,10 +14,8 @@ import argparse
 import math
 import os
 import sys
-import threading
 import time
 import traceback
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
@@ -121,6 +119,9 @@ def _one_of(choices) -> tuple:
     return " or ".join(repr(c) for c in choices), lambda v: v in choices
 
 
+# (rule text, rule) for a row count: sys.maxsize is numpy's largest array dimension
+_ROW_COUNT = (f"in [1, {sys.maxsize}]", lambda v: 1 <= v <= sys.maxsize)
+
 # yaml key -> (ExperimentConfig field, type, rule text, rule).  The only list
 # of config keys: a key missing here is unknown.  Defaults live in
 # ExperimentConfig; the optimizer.* keys feed OptimizerOptions, which checks
@@ -129,7 +130,7 @@ CONFIG_KEYS = {
     "data.source": ("data_source", str, *_one_of(("synthetic", "csv"))),
     "data.csv_path": ("csv_path", str, "", None),
     "data.columns": ("columns", dict, "", None),
-    "data.n_rows": ("n_rows", int, ">= 1", lambda v: v >= 1),
+    "data.n_rows": ("n_rows", int, *_ROW_COUNT),
     "data.seed": ("data_seed", int, "", None),
     "split.fraction": ("split_fraction", float, "in (0, 1)", lambda v: 0.0 < v < 1.0),
     "split.mode": ("split_mode", str, *_one_of(("shuffled", "chronological"))),
@@ -185,10 +186,11 @@ def _entries(raw: dict):
         if top not in _SECTIONS:
             yield top, value
             continue
-        section = value or {}
-        if not isinstance(section, dict):
+        if value is None:  # an empty section keeps every default
+            continue
+        if not isinstance(value, dict):
             raise ConfigError(f"{top} must be a mapping")
-        for key, item in section.items():
+        for key, item in value.items():
             yield f"{top}.{key}", item
 
 
@@ -259,104 +261,88 @@ def _load_dataset(cfg: ExperimentConfig) -> Tuple[Dataset, int]:
     return generate_synthetic(cfg.n_rows, cfg.data_seed), 0
 
 
-class _SharedEncodings:
-    """Per feature map and run: the Gram form of the training rows and the
-    test-row states.
-
-    The six QNNs of one feature map share its parameter-free encoding, so
-    the first to ask encodes the rows and folds the training rows into
-    ``gram_form``; the others reuse both.  The training-row states are not
-    kept: training needs only the Gram form.  The entry is dropped once the
-    last selected QNN of that map has taken it, which keeps at most the maps
-    still in use alive.
-    """
-
-    def __init__(self, selection):
-        self._lock = threading.Lock()
-        self._uses = Counter(CONFIG_TABLE[m][0] for m in selection if m in CONFIG_TABLE)
-        self.slots = {}
-
-    def take(self, family: str, template, x_train, y_train, x_test):
-        with self._lock:
-            if family not in self.slots:
-                gram = gram_form(encode(template, x_train), y_train)
-                self.slots[family] = (gram, encode(template, x_test))
-            shared = self.slots[family]
-            self._uses[family] -= 1
-            if self._uses[family] == 0:
-                del self.slots[family]
-        return shared
-
-
-def _train_method(method_id: str, cfg: ExperimentConfig, bundle,
-                  encodings: _SharedEncodings) -> MethodResult:
-    """Fit one method end to end and measure its wall time."""
-    scaling, x_train, y_train_scaled, train_power, x_test, test_power = bundle
-    started = time.perf_counter()
-    if method_id in CONFIG_TABLE:
-        family, entanglement = CONFIG_TABLE[method_id]
-        model = build_model(
-            method_id,
-            feature_map_reps=cfg.feature_map_reps,
-            ansatz_reps=cfg.ansatz_reps,
-            zz_entanglement=cfg.zz_entanglement,
-            init_seed=cfg.init_seed,
-            scaling=scaling,
-        )
-        gram, test_states = encodings.take(family, model.template, x_train,
-                                           y_train_scaled, x_test)
-        result = train(
-            model, x_train, y_train_scaled, cfg.optimizer,
-            gradient_mode=cfg.gradient_mode,
-            finite_difference_step=cfg.finite_difference_step,
-            gram=gram,
-        )
-        fitted = with_parameters(model, result.parameters)
-        predictions = invert_target(scaling, predict_scaled(fitted, x_test, test_states))
-        elapsed = time.perf_counter() - started
-        return MethodResult(
-            method_id=method_id,
-            feature_map=family.upper(),
-            ansatz=entanglement,
-            r2=r2(test_power, predictions),
-            mae=mae(test_power, predictions),
-            wall_time_s=elapsed,
-            seed=cfg.init_seed,
-            status=result.status,
-            trace=result.trace,
-            actual=test_power,
-            predicted=predictions,
-        )
-
+def _train_method(method_id: str, cfg: ExperimentConfig, bundle, shared: dict):
+    """Fit one method and predict the test rows: (predictions in kW, trace,
+    status); a baseline has no trace or status.  The QNNs of one feature map
+    share its encoding through ``shared``, which the first of them fills."""
+    scaling, x_train, y_train_scaled, train_power, x_test, _ = bundle
     if method_id == "dt":
         model = fit_cart(x_train, train_power, max_depth=cfg.cart_max_depth,
                          min_samples_split=cfg.cart_min_samples_split)
-        predictions = predict_cart(model, x_test)
-    elif method_id == "knn":
+        return predict_cart(model, x_test), [], ""
+    if method_id == "knn":
         model = fit_knn(x_train, train_power, k=cfg.knn_k)
-        predictions = predict_knn(model, x_test)
-    else:  # ols
+        return predict_knn(model, x_test), [], ""
+    if method_id == "ols":
         model = fit_ols(x_train, train_power, column_names=list(FEATURE_COLUMNS))
-        predictions = predict_ols(model, x_test)
-    elapsed = time.perf_counter() - started
-    return MethodResult(
-        method_id=method_id,
-        feature_map="",
-        ansatz=BASELINE_SLUGS[method_id],
-        r2=r2(test_power, predictions),
-        mae=mae(test_power, predictions),
-        wall_time_s=elapsed,
-        seed=cfg.split_seed,
-        actual=test_power,
-        predicted=predictions,
+        return predict_ols(model, x_test), [], ""
+
+    family = CONFIG_TABLE[method_id][0]
+    model = build_model(
+        method_id,
+        feature_map_reps=cfg.feature_map_reps,
+        ansatz_reps=cfg.ansatz_reps,
+        zz_entanglement=cfg.zz_entanglement,
+        init_seed=cfg.init_seed,
+        scaling=scaling,
     )
+    if family not in shared:
+        shared[family] = (gram_form(encode(model.template, x_train), y_train_scaled),
+                          encode(model.template, x_test))
+    gram, test_states = shared[family]
+    result = train(
+        model, x_train, y_train_scaled, cfg.optimizer,
+        gradient_mode=cfg.gradient_mode,
+        finite_difference_step=cfg.finite_difference_step,
+        gram=gram,
+    )
+    fitted = with_parameters(model, result.parameters)
+    predictions = invert_target(scaling, predict_scaled(fitted, x_test, test_states))
+    return predictions, result.trace, result.status
+
+
+def _run_group(method_ids, cfg: ExperimentConfig, bundle) -> list:
+    """Train one group's methods in order, each timed on its own: one
+    MethodResult or MethodFailure per method.  A failure does not stop the
+    methods after it."""
+    test_power = bundle[5]
+    shared = {}
+    outcomes = []
+    for method_id in method_ids:
+        started = time.perf_counter()
+        try:
+            predictions, trace, status = _train_method(method_id, cfg, bundle, shared)
+            elapsed = time.perf_counter() - started
+            if method_id in CONFIG_TABLE:
+                family, ansatz = CONFIG_TABLE[method_id]
+                feature_map, seed = family.upper(), cfg.init_seed
+            else:
+                feature_map, ansatz, seed = "", BASELINE_SLUGS[method_id], cfg.split_seed
+            outcomes.append(MethodResult(
+                method_id=method_id,
+                feature_map=feature_map,
+                ansatz=ansatz,
+                r2=r2(test_power, predictions),
+                mae=mae(test_power, predictions),
+                wall_time_s=elapsed,
+                seed=seed,
+                status=status,
+                trace=trace,
+                actual=test_power,
+                predicted=predictions,
+            ))
+        except Exception as exc:  # recorded, surfaced as exit 4 at the end
+            outcomes.append(MethodFailure(method_id, f"{type(exc).__name__}: {exc}",
+                                          traceback.format_exc()))
+    return outcomes
 
 
 def run_experiment(cfg: ExperimentConfig) -> Tuple[ExperimentReport, List[MethodFailure]]:
     """Load, split, scale, train every selected method, compute test metrics.
 
-    Returns the report plus one MethodFailure per method that raised.
-    Methods run independently: one failure does not abort the others.
+    Returns the report plus one MethodFailure per method that raised, in
+    selection order.  A group (the selected QNNs of one feature map, or one
+    baseline) runs on one thread; one failure does not abort the others.
     """
     dataset, dropped = _load_dataset(cfg)
     if dropped:
@@ -374,27 +360,22 @@ def run_experiment(cfg: ExperimentConfig) -> Tuple[ExperimentReport, List[Method
         scale_features(scaling, test_set.features),
         test_set.power,
     )
-    encodings = _SharedEncodings(cfg.selection)
+    groups = {}
+    for method_id in cfg.selection:
+        key = CONFIG_TABLE[method_id][0] if method_id in CONFIG_TABLE else method_id
+        groups.setdefault(key, []).append(method_id)
 
     workers = cfg.parallelism or os.cpu_count() or 1
     if workers == 1:
-        outcomes = [_run_safely(m, cfg, bundle, encodings) for m in cfg.selection]
+        outcomes = [o for group in groups.values() for o in _run_group(group, cfg, bundle)]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_safely, m, cfg, bundle, encodings)
-                       for m in cfg.selection]
-            outcomes = [f.result() for f in futures]
+            futures = [pool.submit(_run_group, group, cfg, bundle) for group in groups.values()]
+            outcomes = [o for future in futures for o in future.result()]
+    outcomes.sort(key=lambda o: cfg.selection.index(o.method_id))
     methods = [o for o in outcomes if isinstance(o, MethodResult)]
     failures = [o for o in outcomes if isinstance(o, MethodFailure)]
     return ExperimentReport(methods=methods), failures
-
-
-def _run_safely(method_id: str, cfg: ExperimentConfig, bundle, encodings: _SharedEncodings):
-    try:
-        return _train_method(method_id, cfg, bundle, encodings)
-    except Exception as exc:  # recorded, surfaced as exit 4 at the end
-        return MethodFailure(method_id, f"{type(exc).__name__}: {exc}",
-                             traceback.format_exc())
 
 
 def _summary_table(report: ExperimentReport) -> str:
@@ -445,8 +426,9 @@ def cmd_run(config_path: str) -> int:
 
 
 def cmd_gen_data(rows: int, seed: int, out_path: str) -> int:
-    if rows < 1:
-        print(f"config: --rows must be >= 1, got {rows}", file=sys.stderr)
+    text, rule = _ROW_COUNT
+    if not rule(rows):
+        print(f"config: --rows must be {text}, got {rows}", file=sys.stderr)
         return 2
     try:
         write_csv(out_path, generate_synthetic(rows, seed))

@@ -1,19 +1,11 @@
 """Regression metrics in physical units: coefficient of determination and MAE."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
 class UndefinedMetricError(ValueError):
     """Raised when a metric has no defined value, e.g. R^2 of a constant target."""
-
-
-@dataclass(frozen=True)
-class MetricPair:
-    r2: float
-    mae: float
 
 
 def _check_pair(actual, predicted):
@@ -42,7 +34,3 @@ def mae(actual, predicted) -> float:
     """Mean absolute error."""
     actual, predicted = _check_pair(actual, predicted)
     return float(np.mean(np.abs(actual - predicted)))
-
-
-def metric_pair(actual, predicted) -> MetricPair:
-    return MetricPair(r2=r2(actual, predicted), mae=mae(actual, predicted))

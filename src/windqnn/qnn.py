@@ -93,7 +93,6 @@ CONFIG_IDS = tuple(CONFIG_TABLE)
 class QnnModel:
     template: CircuitTemplate
     parameters: np.ndarray
-    config_id: str = ""
     scaling: Optional[ScalingSpec] = None
 
     def __post_init__(self):
@@ -141,8 +140,7 @@ def build_model(
         fm = build_zz_feature_map(N_QUBITS, feature_map_reps, zz_entanglement)
     template = compose(fm, build_ansatz(N_QUBITS, ansatz_reps, entanglement))
     params = initial_parameters(template.n_parameter_slots, init_seed)
-    return QnnModel(template=template, parameters=params,
-                    config_id=config_id, scaling=scaling)
+    return QnnModel(template=template, parameters=params, scaling=scaling)
 
 
 def with_parameters(model: QnnModel, parameters: np.ndarray) -> QnnModel:

@@ -1,9 +1,7 @@
 """Tests for config parsing, the argparse surface, and the run pipeline."""
 import csv
 import os
-import sys
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 
 import numpy as np
@@ -53,6 +51,10 @@ class TestLoadConfig:
         assert cfg.optimizer.max_iterations == 25
         assert cfg.selection == METHOD_ORDER
         assert cfg.parallelism is None
+
+    def test_empty_section_gives_defaults(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, "data:\nqnn:\noptimizer:\n"))
+        assert cfg == cli.ExperimentConfig()
 
     def test_values_are_read(self, tmp_path):
         cfg = load_config(write_config(tmp_path, """
@@ -170,6 +172,9 @@ parallelism: 2
         ("optimizer: {max_iterations: true}", "optimizer.max_iterations"),
         ("qnn: {finite_difference_step: .inf}", "qnn.finite_difference_step"),
         ("optimizer: {gradient_tolerance: .nan}", "optimizer.gradient_tolerance"),
+        ("data: []", "data"),
+        ("qnn: false", "qnn"),
+        ("data: {n_rows: 1000000000000000000000000000000}", "data.n_rows"),
     ])
     def test_value_of_the_wrong_type_exits_2(self, tmp_path, capsys, text, key):
         # rejected while the config loads, before any method trains
@@ -218,6 +223,14 @@ class TestGenData:
         out = str(tmp_path / "data.csv")
         assert main(["gen-data", "--rows", "0", "--out", out]) == 2
         assert "--rows" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_rows_beyond_the_largest_array_is_usage_error(self, tmp_path, capsys):
+        out = str(tmp_path / "data.csv")
+        rows = "1000000000000000000000000000000"
+        assert main(["gen-data", "--rows", rows, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config:") and "--rows" in err and rows in err
         assert not os.path.exists(out)
 
     def test_unwritable_path_is_data_error(self, capsys):
@@ -318,23 +331,16 @@ parallelism: {degree}
             assert one.r2 == many.r2 and one.mae == many.mae
             assert np.array_equal(one.predicted, many.predicted)
 
-    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("degree", [1, 2, 3])
     def test_each_feature_map_is_encoded_once_per_run(self, tmp_path, monkeypatch, degree):
         encoded = []
-        created = []
         encode = cli.encode
 
         def counting_encode(template, features):
             encoded.append(features.shape[0])
             return encode(template, features)
 
-        class Recorded(cli._SharedEncodings):
-            def __init__(self, selection):
-                super().__init__(selection)
-                created.append(self)
-
         monkeypatch.setattr(cli, "encode", counting_encode)
-        monkeypatch.setattr(cli, "_SharedEncodings", Recorded)
         cfg = load_config(write_config(tmp_path, f"""
 data: {{n_rows: 60, seed: 42}}
 optimizer: {{max_iterations: 1}}
@@ -345,40 +351,50 @@ parallelism: {degree}
         assert failures == [] and len(report.methods) == 6
         # one train-row and one test-row encoding per feature map (Z, ZZ)
         assert sorted(encoded) == [12, 12, 48, 48]
-        assert len(created) == 1 and created[0].slots == {}
 
-    def test_shared_encodings_survive_contention(self, monkeypatch):
-        encoded = []
-        grams = []
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_failures_keep_selection_order_and_spare_the_group(
+            self, tmp_path, capsys, monkeypatch, degree):
+        # train sees only the model, so remember which config each one is
+        failing = {"QNN-2", "QNN-8"}
+        build_model, train = cli.build_model, cli.train
+        built = {}
+        outcomes = []
 
-        def counting_encode(template, features):
-            encoded.append(template)
-            return object()
+        def recording_build_model(method_id, **kwargs):
+            model = build_model(method_id, **kwargs)
+            built[id(model)] = method_id
+            return model
 
-        def counting_gram_form(states, targets):
-            grams.append(states)
-            return object()
+        def exploding_train(model, *args, **kwargs):
+            if built[id(model)] in failing:
+                raise RuntimeError(f"{built[id(model)]} diverged")
+            return train(model, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "encode", counting_encode)
-        monkeypatch.setattr(cli, "gram_form", counting_gram_form)
-        selection = list(cli.CONFIG_IDS) * 4
-        shared = cli._SharedEncodings(selection)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(shared.take, cli.CONFIG_TABLE[m][0], m, None, None, None)
-                           for m in selection]
-                taken = [f.result(timeout=30) for f in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        # one train and one test encoding and one Gram form per feature map,
-        # then released
-        assert len(encoded) == 4 and len(grams) == 2 and shared.slots == {}
-        for family in ("z", "zz"):
-            pairs = {id(t) for m, t in zip(selection, taken)
-                     if cli.CONFIG_TABLE[m][0] == family}
-            assert len(pairs) == 1
+        def recording_run_experiment(cfg):
+            outcomes.append(run_experiment(cfg))
+            return outcomes[-1]
+
+        monkeypatch.setattr(cli, "build_model", recording_build_model)
+        monkeypatch.setattr(cli, "train", exploding_train)
+        monkeypatch.setattr(cli, "run_experiment", recording_run_experiment)
+        out_dir = tmp_path / "runs"
+        path = write_config(tmp_path, f"""
+data: {{n_rows: 60, seed: 42}}
+optimizer: {{max_iterations: 1}}
+selection: [QNN-7, QNN-1, QNN-2, QNN-3, QNN-8]
+output: {{directory: "{out_dir}", run_id: mixed}}
+parallelism: {degree}
+""")
+        assert main(["run", "--config", path]) == 4
+        report, failures = outcomes[0]
+        assert [f.method_id for f in failures] == ["QNN-2", "QNN-8"]
+        assert [m.method_id for m in report.methods] == ["QNN-7", "QNN-1", "QNN-3"]
+        err = capsys.readouterr().err
+        assert err.index("training: QNN-2 failed") < err.index("training: QNN-8 failed")
+        for method_id in ("QNN-7", "QNN-1", "QNN-2", "QNN-3", "QNN-8"):
+            error = out_dir / "mixed" / method_id / "error.txt"
+            assert error.exists() == (method_id in failing), method_id
 
     def test_dropped_csv_rows_are_reported_on_stderr(self, tmp_path, capsys):
         csv_path = str(tmp_path / "data.csv")

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from windqnn.evaluate import UndefinedMetricError, mae, metric_pair, r2
+from windqnn.evaluate import UndefinedMetricError, mae, r2
 
 
 def test_r2_perfect_prediction():
@@ -63,9 +63,3 @@ def test_shift_invariance():
     p = rng.normal(size=20)
     assert r2(y + 10, p + 10) == pytest.approx(r2(y, p), abs=1e-9)
     assert mae(y + 10, p + 10) == pytest.approx(mae(y, p), abs=1e-12)
-
-
-def test_metric_pair_bundles_both():
-    pair = metric_pair([0, 1, 2], [0, 0, 2])
-    assert pair.r2 == pytest.approx(0.5)
-    assert pair.mae == pytest.approx(1.0 / 3.0)
