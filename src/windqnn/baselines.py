@@ -6,7 +6,7 @@ models use) and predict power in kW directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -70,7 +70,7 @@ def predict_knn(model: KnnModel, queries: np.ndarray) -> np.ndarray:
 
 # --- CART regression tree ----------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class TreeNode:
     value: float
     feature: Optional[int] = None
@@ -89,39 +89,31 @@ class CartModel:
     n_features: int
 
 
-def _best_split(features: np.ndarray, targets: np.ndarray):
-    """Exhaustive scan over (feature, midpoint threshold) pairs by SSE.
-
-    One stable sort per column and prefix sums give the child SSEs of every
-    cut at once; a position between equal values is no cut and scores +inf.
-    Ties resolve to the lowest feature (the first column holding the smallest
-    minimum), then to the lowest threshold (the first minimum in that column).
-    """
-    n, d = features.shape
-    order = np.argsort(features, axis=0, kind="stable")
-    values = features[order, np.arange(d)]
-    t = targets[order]
-    s1 = np.cumsum(t, axis=0)
-    s2 = np.cumsum(t * t, axis=0)
-    left1, left2 = s1[:-1], s2[:-1]  # row i: split before sorted index i + 1
-    n_left = np.arange(1.0, n)[:, None]
-    sse = (left2 - left1**2 / n_left) + ((s2[-1] - left2) - (s1[-1] - left1) ** 2 / (n - n_left))
-    sse[values[1:] <= values[:-1]] = np.inf
-    best = sse.min(axis=0)
-    f = int(np.argmin(best))
-    if not np.isfinite(best[f]):
-        return None
-    i = int(np.argmin(sse[:, f]))
-    return f, 0.5 * (values[i, f] + values[i + 1, f]), order[:, f], i + 1
-
-
 def fit_cart(
     features: np.ndarray,
     targets: np.ndarray,
     max_depth: Optional[int] = None,
     min_samples_split: int = 2,
 ) -> CartModel:
-    """Greedy variance-reduction tree; leaves predict their training mean."""
+    """Greedy variance-reduction tree; leaves predict their training mean.
+
+    A split scans every (feature, midpoint threshold) pair by child SSE: one
+    stable sort per column and prefix sums score every cut at once, and a
+    position between equal values is no cut (+inf).  Ties go to the lowest
+    feature, then to the lowest threshold.  A split node's rows pass to its
+    children in the split feature's sorted order, left part first.
+
+    The tree grows by node size, not depth first.  ``rows`` is one
+    permutation of the training rows, and every pending node owns a
+    contiguous segment of it.  The largest pending row count n is taken
+    next, and all its b nodes are split in one numpy pass over a (b, n)
+    block; a child is smaller than its parent, so each n comes up once, and
+    the segments are disjoint, so b * n never exceeds the training rows.
+    The tree equals a node-by-node build bit for bit: each block row goes
+    through the same elementwise operations, ``cumsum`` adds sequentially
+    along any axis, the stable sort is taken per row, and the mean of a row
+    of a C-contiguous block equals the 1-D mean of that row.
+    """
     features = np.asarray(features, dtype=float)
     targets = np.asarray(targets, dtype=float)
     if targets.shape[0] == 0:
@@ -129,28 +121,70 @@ def fit_cart(
     if min_samples_split < 2:
         raise ValueError(f"min_samples_split must be >= 2, got {min_samples_split}")
 
-    root = TreeNode(value=float(targets.mean()))
-    stack: List[tuple] = [(root, np.arange(targets.shape[0]), 0)]
-    while stack:
-        node, idx, depth = stack.pop()
-        t = targets[idx]
-        node.value = float(t.mean())
-        if idx.shape[0] < min_samples_split:
+    root = TreeNode(value=0.0)
+    rows = np.arange(targets.shape[0])
+    # row count -> the pending nodes of that size, their segment starts and depths
+    pending: Dict[int, Tuple[List[TreeNode], List[int], List[int]]] = {
+        targets.shape[0]: ([root], [0], [0])}
+
+    def push(node: TreeNode, start: int, n: int, depth: int) -> None:
+        nodes, starts, depths = pending.setdefault(n, ([], [], []))
+        nodes.append(node)
+        starts.append(start)
+        depths.append(depth)
+
+    while pending:
+        n = max(pending)
+        nodes, starts, depths = pending.pop(n)
+        starts = np.array(starts)
+        block = rows[starts[:, None] + np.arange(n)]
+        t = targets[block]
+        for node, value in zip(nodes, t.mean(axis=1).tolist()):
+            node.value = value
+        if n < min_samples_split:
             continue
-        if np.all(t == t[0]):
+        live = np.any(t != t[:, :1], axis=1)  # constant targets make a leaf
+        if max_depth is not None:
+            live &= np.array(depths) < max_depth
+        live = np.flatnonzero(live)
+        if live.size == 0:
             continue
-        if max_depth is not None and depth >= max_depth:
-            continue
-        found = _best_split(features[idx], t)
-        if found is None:
-            continue
-        f, thr, order, pos = found
-        node.feature = f
-        node.threshold = thr
-        node.left = TreeNode(value=0.0)
-        node.right = TreeNode(value=0.0)
-        stack.append((node.left, idx[order[:pos]], depth + 1))
-        stack.append((node.right, idx[order[pos:]], depth + 1))
+
+        block = block[live]
+        x = features[block]  # (b, n, d)
+        order = np.argsort(x, axis=1, kind="stable")
+        x = np.take_along_axis(x, order, axis=1)
+        tied = x[:, 1:] <= x[:, :-1]  # [:, i]: no cut between sorted rows i and i + 1
+        ranked = np.take_along_axis(block[:, :, None], order, axis=1)
+        del x, order  # each (b, n, d) array goes once spent, to keep the peak low
+        t = targets[ranked]  # the targets in each column's sorted order
+        s1 = np.cumsum(t, axis=1)
+        t *= t
+        s2 = np.cumsum(t, axis=1)
+        del t
+        left1, left2 = s1[:, :-1], s2[:, :-1]
+        n_left = np.arange(1.0, n)[:, None]
+        sse = (left2 - left1**2 / n_left) + (
+            (s2[:, -1:] - left2) - (s1[:, -1:] - left1) ** 2 / (n - n_left))
+        del s1, s2, left1, left2
+        sse[tied] = np.inf
+        best = sse.min(axis=1)
+        k = np.flatnonzero(np.isfinite(best.min(axis=1)))  # the nodes with a cut
+        f = best[k].argmin(axis=1)  # the first feature holding the smallest minimum
+        cut = sse[k, :, f].argmin(axis=1)  # the first minimum: the lowest threshold
+        thresholds = 0.5 * (features[ranked[k, cut, f], f] + features[ranked[k, cut + 1, f], f])
+        split = live[k]
+        starts = starts[split]
+        rows[starts[:, None] + np.arange(n)] = ranked[k, :, f]
+
+        for i, start, feature, threshold, pos in zip(
+                split.tolist(), starts.tolist(), f.tolist(), thresholds.tolist(),
+                (cut + 1).tolist()):
+            node = nodes[i]
+            node.feature, node.threshold = feature, threshold
+            node.left, node.right = TreeNode(value=0.0), TreeNode(value=0.0)
+            push(node.left, start, pos, depths[i] + 1)
+            push(node.right, start + pos, n - pos, depths[i] + 1)
     return CartModel(root=root, n_features=features.shape[1])
 
 

@@ -432,6 +432,9 @@ def cmd_gen_data(rows: int, seed: int, out_path: str) -> int:
         return 2
     try:
         write_csv(out_path, generate_synthetic(rows, seed))
+    except DataError as exc:
+        print(f"data: {exc}", file=sys.stderr)
+        return 3
     except OSError as exc:
         print(f"data: cannot write {out_path}: {exc}", file=sys.stderr)
         return 3

@@ -205,14 +205,22 @@ def generate_synthetic(n_rows: int, seed: int) -> Dataset:
     """
     if n_rows < 1:
         raise ValueError(f"n_rows must be >= 1, got {n_rows}")
+    # the largest array is the (n_rows, 4) feature table
+    table_bytes = n_rows * len(FEATURE_COLUMNS) * np.dtype(float).itemsize
+    if table_bytes > np.iinfo(np.intp).max:
+        raise DataError(f"n_rows {n_rows} needs a {table_bytes}-byte feature table, "
+                        "beyond what numpy can index")
     rng = np.random.Generator(np.random.PCG64(seed))
-    speed = rng.weibull(2.0, size=n_rows) * 8.0
-    direction = rng.uniform(0.0, 360.0, size=n_rows)
-    pressure = rng.normal(1013.0, 5.0, size=n_rows)
-    temperature = rng.normal(12.0, 5.0, size=n_rows)
-    noise = rng.normal(0.0, 30.0, size=n_rows)
-    power = np.maximum(0.0, ideal_power_curve(speed) + noise)
-    features = np.column_stack([speed, direction, pressure, temperature])
+    try:
+        speed = rng.weibull(2.0, size=n_rows) * 8.0
+        direction = rng.uniform(0.0, 360.0, size=n_rows)
+        pressure = rng.normal(1013.0, 5.0, size=n_rows)
+        temperature = rng.normal(12.0, 5.0, size=n_rows)
+        noise = rng.normal(0.0, 30.0, size=n_rows)
+        power = np.maximum(0.0, ideal_power_curve(speed) + noise)
+        features = np.column_stack([speed, direction, pressure, temperature])
+    except MemoryError as exc:
+        raise DataError(f"n_rows {n_rows} does not fit in memory: {exc}") from exc
     return Dataset(features=features, power=power)
 
 

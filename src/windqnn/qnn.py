@@ -31,6 +31,8 @@ So the work splits three ways.
 * Once per feature map and row set: ``encode`` runs the prefix over the
   rows, and ``gram_form`` folds the training rows into (G, h, c) in row
   chunks.  ``windqnn run`` does both once for the six QNNs of a map.
+* Once per model: the constant blocks K_j and L_j below, which
+  ``build_model`` makes and the model's training and predictions share.
 * Once per theta: M(theta) and the 2P shifted M come from dense
   2**n x 2**n products.  RY_q(t) = cos(t/2) I + sin(t/2) RY_q(pi) and every
   other suffix gate is constant, so U(theta) is a product of P factors
@@ -48,7 +50,7 @@ gate by gate; they are the reference the tests hold the fast path to.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -94,6 +96,8 @@ class QnnModel:
     template: CircuitTemplate
     parameters: np.ndarray
     scaling: Optional[ScalingSpec] = None
+    # the template's constant suffix blocks; with_parameters keeps them
+    suffix: Optional[_DenseSuffix] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.parameters.shape != (self.template.n_parameter_slots,):
@@ -140,7 +144,8 @@ def build_model(
         fm = build_zz_feature_map(N_QUBITS, feature_map_reps, zz_entanglement)
     template = compose(fm, build_ansatz(N_QUBITS, ansatz_reps, entanglement))
     params = initial_parameters(template.n_parameter_slots, init_seed)
-    return QnnModel(template=template, parameters=params, scaling=scaling)
+    return QnnModel(template=template, parameters=params, scaling=scaling,
+                    suffix=_DenseSuffix(template))
 
 
 def with_parameters(model: QnnModel, parameters: np.ndarray) -> QnnModel:
@@ -159,7 +164,8 @@ def predict_scaled(model: QnnModel, features_scaled,
         return predict_scaled(model, features[None, :])[0]
     if states is None:
         states = encode(model.template, features)
-    observable = _DenseSuffix(model.template).observables(model.parameters[None])[0]
+    suffix = model.suffix or _DenseSuffix(model.template)
+    observable = suffix.observables(model.parameters[None])[0]
     return np.sum((states @ observable.T) * states.conj(), axis=1).real
 
 
@@ -317,8 +323,9 @@ class _GramObjective:
     them.  Thetas are matched by value, not identity.
     """
 
-    def __init__(self, template: CircuitTemplate, gram: Gram):
-        self.suffix = _DenseSuffix(template)
+    def __init__(self, template: CircuitTemplate, gram: Gram,
+                 suffix: Optional[_DenseSuffix] = None):
+        self.suffix = suffix or _DenseSuffix(template)
         self.gram = gram
         self._theta = None
 
@@ -388,7 +395,7 @@ def gradient_parameter_shift(model: QnnModel, features_scaled, targets_scaled) -
     """
     features, targets = _check_batch(features_scaled, targets_scaled)
     gram = gram_form(encode(model.template, features), targets)
-    return _GramObjective(model.template, gram).shift_gradient(model.parameters)
+    return _GramObjective(model.template, gram, model.suffix).shift_gradient(model.parameters)
 
 
 def gradient_finite_difference(
@@ -399,7 +406,8 @@ def gradient_finite_difference(
         raise ValueError(f"step must be > 0, got {step}")
     features, targets = _check_batch(features_scaled, targets_scaled)
     gram = gram_form(encode(model.template, features), targets)
-    return _GramObjective(model.template, gram).difference_gradient(model.parameters, step)
+    objective = _GramObjective(model.template, gram, model.suffix)
+    return objective.difference_gradient(model.parameters, step)
 
 
 def train(
@@ -426,7 +434,7 @@ def train(
     features, targets = _check_batch(features_scaled, targets_scaled)
     if gram is None:
         gram = gram_form(encode(model.template, features), targets)
-    objective = _GramObjective(model.template, gram)
+    objective = _GramObjective(model.template, gram, model.suffix)
 
     if gradient_mode == "parameter_shift":
         gradient = objective.shift_gradient

@@ -6,8 +6,9 @@ hungry: they exist only to validate the stride-based kernels at small n,
 and the QNN's Gram-form loss and gradient against a row-by-row reading.
 
 The kNN and CART oracles at the end are the plain forms of the baselines:
-a full stable sort of every distance row, and a split scan one feature at
-a time.  The fast baselines must match them bit for bit.
+a full stable sort of every distance row, and a tree grown depth first,
+one node and one feature at a time.  The fast baselines must match them
+bit for bit.
 """
 from __future__ import annotations
 
@@ -204,11 +205,12 @@ def cart_split_oracle(features, targets):
 
 
 def cart_tree_oracle(features, targets, max_depth=None, min_samples_split=2, depth=0):
-    """Recursive CART built on cart_split_oracle, as nested tuples.
+    """Depth-first CART built node by node on cart_split_oracle, as nested tuples.
 
-    A leaf is its training mean; a split is (feature, threshold, left, right).
-    Children keep the rows in the split feature's sorted order, as fit_cart
-    does, so each leaf mean sums in the same order.
+    A leaf is its training mean; a split is (mean, feature, threshold, left,
+    right), so every node's value is there to compare.  Children keep the
+    rows in the split feature's sorted order, as fit_cart does, so each
+    mean sums in the same order.
     """
     value = float(targets.mean())
     if (
@@ -223,6 +225,7 @@ def cart_tree_oracle(features, targets, max_depth=None, min_samples_split=2, dep
     _, f, thr, order, pos = found
     left, right = order[:pos], order[pos:]
     return (
+        value,
         f,
         thr,
         cart_tree_oracle(features[left], targets[left], max_depth, min_samples_split, depth + 1),

@@ -173,6 +173,14 @@ def _as_tuple(node):
     return (node.feature, node.threshold, _as_tuple(node.left), _as_tuple(node.right))
 
 
+def _with_values(node):
+    # the shape cart_tree_oracle builds: every split node keeps its mean too
+    if node.is_leaf:
+        return node.value
+    return (node.value, node.feature, node.threshold,
+            _with_values(node.left), _with_values(node.right))
+
+
 def test_cart_matches_exhaustive_oracle_on_hand_dataset():
     features = np.array([
         [0.0, 0.0], [1.0, 0.0], [2.0, 1.0], [3.0, 1.0],
@@ -210,7 +218,47 @@ def test_cart_matches_per_feature_scan_oracle(case):
     features, targets, max_depth, min_samples_split = case
     model = fit_cart(features, targets, max_depth, min_samples_split)
     want = cart_tree_oracle(features, targets, max_depth, min_samples_split)
-    assert _as_tuple(model.root) == want
+    assert _with_values(model.root) == want
+
+
+@st.composite
+def size_batched_cart_cases(draw):
+    # Enough rows that one row count holds many sibling nodes, so a batch
+    # splits many nodes at once.  Coarse cases draw 2-4 levels per column
+    # and repeat rows outright; continuous cases have almost no ties.
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = draw(st.integers(50, 400))
+    width = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        levels = draw(st.integers(2, 4))
+        distinct = draw(st.integers(1, rows))
+        pick = rng.integers(0, distinct, size=rows)
+        features = rng.integers(0, levels, size=(distinct, width)).astype(float)[pick]
+        targets = rng.integers(0, 5, size=distinct).astype(float)[pick]
+        targets[rng.random(rows) < 0.2] += 1.0  # duplicated rows need not agree
+    else:
+        features = rng.normal(size=(rows, width))
+        targets = rng.normal(scale=100.0, size=rows)
+    max_depth = draw(st.none() | st.integers(0, 8))
+    min_samples_split = draw(st.integers(2, 8))
+    return features, targets, max_depth, min_samples_split
+
+
+@settings(max_examples=60, deadline=None)
+@given(size_batched_cart_cases())
+def test_cart_batches_match_depth_first_reference(case):
+    features, targets, max_depth, min_samples_split = case
+    model = fit_cart(features, targets, max_depth, min_samples_split)
+    want = cart_tree_oracle(features, targets, max_depth, min_samples_split)
+    assert _with_values(model.root) == want
+
+
+def test_cart_matches_depth_first_reference_on_3000_rows():
+    rng = np.random.default_rng(35)
+    features = rng.uniform(size=(3000, 4))
+    targets = 2000.0 * features[:, 0] ** 3 + rng.normal(scale=30.0, size=3000)
+    model = fit_cart(features, targets)
+    assert _with_values(model.root) == cart_tree_oracle(features, targets)
 
 
 def test_cart_memorizes_distinct_features():

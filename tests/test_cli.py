@@ -1,13 +1,14 @@
 """Tests for config parsing, the argparse surface, and the run pipeline."""
 import csv
 import os
+import sys
 from collections import Counter
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from windqnn import __version__, cli
+from windqnn import __version__, cli, qnn
 from windqnn.cli import ConfigError, load_config, main, run_experiment
 from windqnn.data import load_csv
 from windqnn.optimizer import OptimizerOptions
@@ -27,6 +28,10 @@ selection: [QNN-1, dt, ols]
 output: {directory: "%s", run_id: "fixed"}
 parallelism: 1
 """
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 7.28 TiB for an array")
 
 
 def read_rows(path):
@@ -237,6 +242,22 @@ class TestGenData:
         assert main(["gen-data", "--rows", "5", "--out", "/no_dir/data.csv"]) == 3
         assert "data:" in capsys.readouterr().err
 
+    def test_rows_beyond_numpy_indexing_is_data_error(self, tmp_path, capsys):
+        # passes the --rows check; the byte count is refused before any draw
+        out = str(tmp_path / "data.csv")
+        assert main(["gen-data", "--rows", str(sys.maxsize), "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data:") and "n_rows" in err
+        assert not os.path.exists(out)
+
+    def test_allocation_failure_is_data_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("windqnn.data.ideal_power_curve", _out_of_memory)
+        out = str(tmp_path / "data.csv")
+        assert main(["gen-data", "--rows", "50", "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data:") and "n_rows 50" in err
+        assert not os.path.exists(out)
+
 
 class TestInspectCircuit:
     def test_prints_gate_listing(self, capsys):
@@ -281,6 +302,17 @@ class TestRun:
         assert main(["run", "--config", path]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data:") and "empty side" in err
+
+    @pytest.mark.parametrize("huge", [False, True])
+    def test_unallocatable_synthetic_rows_exit_3(self, tmp_path, capsys, monkeypatch, huge):
+        if huge:  # refused by its byte count before any draw
+            path = write_config(tmp_path, f"data: {{n_rows: {sys.maxsize}}}")
+        else:
+            monkeypatch.setattr("windqnn.data.ideal_power_curve", _out_of_memory)
+            path = write_config(tmp_path, SMALL_RUN % (tmp_path / "runs"))
+        assert main(["run", "--config", path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data:") and "n_rows" in err
 
     def test_program_error_is_not_reported_as_data_error(self, tmp_path, monkeypatch):
         def broken(*args, **kwargs):
@@ -351,6 +383,26 @@ parallelism: {degree}
         assert failures == [] and len(report.methods) == 6
         # one train-row and one test-row encoding per feature map (Z, ZZ)
         assert sorted(encoded) == [12, 12, 48, 48]
+
+    def test_each_model_builds_its_dense_suffix_once(self, tmp_path, monkeypatch):
+        built = []
+        dense_suffix = qnn._DenseSuffix
+
+        def counting_suffix(template):
+            built.append(template)
+            return dense_suffix(template)
+
+        monkeypatch.setattr(qnn, "_DenseSuffix", counting_suffix)
+        cfg = load_config(write_config(tmp_path, """
+data: {n_rows: 60, seed: 42}
+optimizer: {max_iterations: 1}
+selection: [QNN-1, QNN-7, QNN-2]
+parallelism: 1
+"""))
+        report, failures = run_experiment(cfg)
+        assert failures == [] and len(report.methods) == 3
+        # one build per model, shared by its training and its test predictions
+        assert len(built) == 3
 
     @pytest.mark.parametrize("degree", [1, 2])
     def test_failures_keep_selection_order_and_spare_the_group(

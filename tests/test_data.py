@@ -1,7 +1,10 @@
 """Dataset ingestion, splitting, scaling, and synthetic generation tests."""
+import sys
+
 import numpy as np
 import pytest
 
+from windqnn import data
 from windqnn.data import (
     DataError,
     Dataset,
@@ -250,3 +253,19 @@ def test_generate_synthetic_physical_ranges():
 def test_generate_synthetic_rejects_zero_rows():
     with pytest.raises(ValueError, match="n_rows"):
         generate_synthetic(0, seed=1)
+
+
+def test_generate_synthetic_refuses_rows_beyond_numpy_indexing():
+    # the byte count is checked before any draw, so nothing huge is requested
+    with pytest.raises(DataError, match=f"n_rows {sys.maxsize}"):
+        generate_synthetic(sys.maxsize, seed=1)
+
+
+def test_generate_synthetic_reports_allocation_failure(monkeypatch):
+    def out_of_memory(speed):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(data, "ideal_power_curve", out_of_memory)
+    with pytest.raises(DataError, match="n_rows 10 does not fit in memory") as info:
+        generate_synthetic(10, seed=1)
+    assert isinstance(info.value.__cause__, MemoryError)
