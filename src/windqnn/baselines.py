@@ -24,6 +24,9 @@ def _check_width(queries: np.ndarray, width: int) -> np.ndarray:
 
 # --- k-nearest neighbors -----------------------------------------------------
 
+# distances per query block of predict_knn: 2**16 float64 are 512 KB a buffer
+KNN_BLOCK_DISTANCES = 2**16
+
 @dataclass(frozen=True)
 class KnnModel:
     k: int
@@ -47,17 +50,28 @@ def predict_knn(model: KnnModel, queries: np.ndarray) -> np.ndarray:
     ordered by (distance, index); a query where an unselected row ties the
     k-th distance falls back to a stable sort of its whole row, so the
     neighbours and their order in the mean match a full stable sort.
+
+    Queries go in blocks of about ``KNN_BLOCK_DISTANCES`` distances, so the
+    two (block, n_train) buffers, allocated once and refilled in place,
+    stay in cache; a block holds at least one query.
     """
     queries = _check_width(queries, model.features.shape[1])
     n_train, k = model.features.shape[0], model.k
+    columns = np.ascontiguousarray(model.features.T)  # (d, n_train)
     out = np.empty(queries.shape[0])
-    chunk = max(1, 10**6 // n_train)  # keeps each (chunk, n_train) block small
+    chunk = max(1, KNN_BLOCK_DISTANCES // n_train)
+    d2_block = np.empty((min(chunk, queries.shape[0]), n_train))
+    term_block = np.empty_like(d2_block)
     for start in range(0, queries.shape[0], chunk):
         q = queries[start : start + chunk]
-        # feature by feature in order: numpy sums a row of under 8 terms alike
-        d2 = np.zeros((q.shape[0], n_train))
-        for f in range(q.shape[1]):
-            d2 += (q[:, f, None] - model.features[:, f]) ** 2
+        d2, term = d2_block[: q.shape[0]], term_block[: q.shape[0]]
+        # feature by feature in order, as a sum from zero would add them
+        np.subtract(q[:, 0, None], columns[0], out=d2)
+        np.square(d2, out=d2)
+        for f in range(1, q.shape[1]):
+            np.subtract(q[:, f, None], columns[f], out=term)
+            np.square(term, out=term)
+            d2 += term
         part = np.argpartition(d2, k - 1, axis=1)[:, :k]
         part_d2 = np.take_along_axis(d2, part, axis=1)
         nearest = np.take_along_axis(part, np.lexsort((part, part_d2), axis=1), axis=1)

@@ -121,6 +121,8 @@ def _one_of(choices) -> tuple:
 
 # (rule text, rule) for a row count: sys.maxsize is numpy's largest array dimension
 _ROW_COUNT = (f"in [1, {sys.maxsize}]", lambda v: 1 <= v <= sys.maxsize)
+# (rule text, rule) for a seed: PCG64 takes any non-negative integer
+_SEED = (">= 0", lambda v: v >= 0)
 
 # yaml key -> (ExperimentConfig field, type, rule text, rule).  The only list
 # of config keys: a key missing here is unknown.  Defaults live in
@@ -131,15 +133,15 @@ CONFIG_KEYS = {
     "data.csv_path": ("csv_path", str, "", None),
     "data.columns": ("columns", dict, "", None),
     "data.n_rows": ("n_rows", int, *_ROW_COUNT),
-    "data.seed": ("data_seed", int, "", None),
+    "data.seed": ("data_seed", int, *_SEED),
     "split.fraction": ("split_fraction", float, "in (0, 1)", lambda v: 0.0 < v < 1.0),
     "split.mode": ("split_mode", str, *_one_of(("shuffled", "chronological"))),
-    "split.seed": ("split_seed", int, "", None),
+    "split.seed": ("split_seed", int, *_SEED),
     "qnn.feature_map_reps": ("feature_map_reps", int, ">= 1", lambda v: v >= 1),
     "qnn.ansatz_reps": ("ansatz_reps", int, ">= 1", lambda v: v >= 1),
     "qnn.zz_entanglement": ("zz_entanglement", str, f"one of {ENTANGLEMENTS}",
                             lambda v: v in ENTANGLEMENTS),
-    "qnn.init_seed": ("init_seed", int, "", None),
+    "qnn.init_seed": ("init_seed", int, *_SEED),
     "qnn.gradient_mode": ("gradient_mode", str,
                           *_one_of(("parameter_shift", "finite_difference"))),
     "qnn.finite_difference_step": ("finite_difference_step", float, "> 0", lambda v: v > 0),
@@ -426,10 +428,10 @@ def cmd_run(config_path: str) -> int:
 
 
 def cmd_gen_data(rows: int, seed: int, out_path: str) -> int:
-    text, rule = _ROW_COUNT
-    if not rule(rows):
-        print(f"config: --rows must be {text}, got {rows}", file=sys.stderr)
-        return 2
+    for flag, value, (text, rule) in (("--rows", rows, _ROW_COUNT), ("--seed", seed, _SEED)):
+        if not rule(value):
+            print(f"config: {flag} must be {text}, got {value}", file=sys.stderr)
+            return 2
     try:
         write_csv(out_path, generate_synthetic(rows, seed))
     except DataError as exc:

@@ -9,6 +9,7 @@ nonnegative; the target scales to [-1, 1] to match the parity-readout span.
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -69,7 +70,9 @@ def load_csv(path: str, column_names: Optional[dict] = None) -> Tuple[Dataset, i
 
     column_names optionally remaps canonical names to file headers.  Rows
     with a missing, unparseable, or non-finite cell are dropped and counted,
-    as are rows with negative power (physically impossible readings).
+    as are rows with negative power (physically impossible readings).  Blank
+    lines are skipped, and a header that appears twice names its last
+    column, as with ``csv.DictReader``.
     """
     names = {c: c for c in FEATURE_COLUMNS + (TARGET_COLUMN,)}
     if column_names:
@@ -79,41 +82,45 @@ def load_csv(path: str, column_names: Optional[dict] = None) -> Tuple[Dataset, i
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     with handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
+        reader = csv.reader(handle)
+        position = {name: i for i, name in enumerate(next(reader, []))}
         for canonical in FEATURE_COLUMNS + (TARGET_COLUMN,):
-            if names[canonical] not in header:
+            if names[canonical] not in position:
                 raise SchemaError(
                     f"missing column {names[canonical]!r} (for {canonical})"
                 )
+        cells = operator.itemgetter(
+            *(position[names[c]] for c in FEATURE_COLUMNS + (TARGET_COLUMN,))
+        )
         rows = []
         dropped = 0
-        wanted = [names[c] for c in FEATURE_COLUMNS + (TARGET_COLUMN,)]
         for record in reader:
+            if not record:
+                continue
             try:
-                values = [float(record[c]) for c in wanted]
-            except (TypeError, ValueError, KeyError):
+                rows.append(list(map(float, cells(record))))
+            except (IndexError, ValueError):
                 dropped += 1
-                continue
-            if not all(np.isfinite(values)) or values[-1] < 0:
-                dropped += 1
-                continue
-            rows.append(values)
-    if not rows:
+    table = np.array(rows, dtype=float).reshape(-1, 5)
+    keep = np.isfinite(table).all(axis=1) & (table[:, 4] >= 0)
+    dropped += int(np.count_nonzero(~keep))
+    table = table[keep]
+    if not table.shape[0]:
         raise EmptyDataError(f"no valid rows in {path} ({dropped} dropped)")
-    table = np.array(rows, dtype=float)
     return Dataset(features=table[:, :4], power=table[:, 4]), dropped
 
 
 def _fisher_yates(n: int, seed: int) -> np.ndarray:
     # Explicit Fisher-Yates shuffle driven by PCG64, so the permutation is
     # pinned to a named algorithm rather than a library's shuffle internals.
+    # One broadcast draw gives the swap index of i = n-1, ..., 1 from [0, i],
+    # the same PCG64 stream as one scalar draw per i.
     rng = np.random.Generator(np.random.PCG64(seed))
-    order = np.arange(n)
-    for i in range(n - 1, 0, -1):
-        j = int(rng.integers(0, i + 1))
+    order = list(range(n))
+    swaps = rng.integers(0, np.arange(n, 1, -1)).tolist()
+    for i, j in zip(range(n - 1, 0, -1), swaps):
         order[i], order[j] = order[j], order[i]
-    return order
+    return np.array(order, dtype=np.int64)
 
 
 def split(

@@ -5,12 +5,15 @@ them by plain matrix-vector multiplication.  Deliberately slow and memory
 hungry: they exist only to validate the stride-based kernels at small n,
 and the QNN's Gram-form loss and gradient against a row-by-row reading.
 
-The kNN and CART oracles at the end are the plain forms of the baselines:
-a full stable sort of every distance row, and a tree grown depth first,
-one node and one feature at a time.  The fast baselines must match them
-bit for bit.
+The kNN and CART oracles are the plain forms of the baselines: a full
+stable sort of every distance row, and a tree grown depth first, one node
+and one feature at a time.  The ingest and shuffle oracles at the end read
+a CSV through ``csv.DictReader`` one row at a time, and draw one swap index
+per step.  The fast forms must match them bit for bit.
 """
 from __future__ import annotations
+
+import csv
 
 import numpy as np
 
@@ -231,3 +234,49 @@ def cart_tree_oracle(features, targets, max_depth=None, min_samples_split=2, dep
         cart_tree_oracle(features[left], targets[left], max_depth, min_samples_split, depth + 1),
         cart_tree_oracle(features[right], targets[right], max_depth, min_samples_split, depth + 1),
     )
+
+
+def load_csv_oracle(path: str, column_names=None):
+    """(dataset, dropped) of a CSV read row by row through csv.DictReader.
+
+    Every row is parsed and filtered on its own: a missing, unparseable or
+    non-finite cell, or a negative power, drops it.
+    """
+    from windqnn.data import (FEATURE_COLUMNS, TARGET_COLUMN, Dataset,
+                              EmptyDataError, SchemaError)
+
+    columns = FEATURE_COLUMNS + (TARGET_COLUMN,)
+    names = {c: c for c in columns}
+    names.update(column_names or {})
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.DictReader(handle)
+        header = reader.fieldnames or []
+        for canonical in columns:
+            if names[canonical] not in header:
+                raise SchemaError(f"missing column {names[canonical]!r} (for {canonical})")
+        rows = []
+        dropped = 0
+        for record in reader:
+            try:
+                values = [float(record[names[c]]) for c in columns]
+            except (TypeError, ValueError, KeyError):
+                dropped += 1
+                continue
+            if not all(np.isfinite(values)) or values[-1] < 0:
+                dropped += 1
+                continue
+            rows.append(values)
+    if not rows:
+        raise EmptyDataError(f"no valid rows in {path} ({dropped} dropped)")
+    table = np.array(rows, dtype=float)
+    return Dataset(features=table[:, :4], power=table[:, 4]), dropped
+
+
+def fisher_yates_oracle(n: int, seed: int) -> np.ndarray:
+    """Fisher-Yates permutation of range(n), one scalar PCG64 draw per swap."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    order = np.arange(n)
+    for i in range(n - 1, 0, -1):
+        j = int(rng.integers(0, i + 1))
+        order[i], order[j] = order[j], order[i]
+    return order

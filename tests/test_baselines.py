@@ -1,10 +1,13 @@
 """Baseline regressor tests against brute-force oracles and fixed cases."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from windqnn.baselines import (
+    KNN_BLOCK_DISTANCES,
     SingularMatrixError,
     fit_cart,
     fit_knn,
@@ -74,14 +77,58 @@ def test_knn_tie_block_straddling_kth_takes_lower_indices():
 
 
 def test_knn_spanning_several_chunks_matches_oracle():
-    # 20000 training rows give 50 queries per distance block, so 120 queries
-    # take three blocks, the last one partial
+    # 5000 training rows give 13 queries per distance block, so 40 queries
+    # take four blocks, the last one partial
+    per_block = KNN_BLOCK_DISTANCES // 5000
+    assert 1 < per_block and 40 > 2 * per_block and 40 % per_block
     rng = np.random.default_rng(24)
-    features = np.round(rng.uniform(size=(20000, 4)), 2)
-    targets = rng.normal(size=20000)
-    queries = np.round(rng.uniform(size=(120, 4)), 2)
+    features = np.round(rng.uniform(size=(5000, 4)), 2)
+    targets = rng.normal(size=5000)
+    queries = np.round(rng.uniform(size=(40, 4)), 2)
     got = predict_knn(fit_knn(features, targets, k=5), queries)
     np.testing.assert_array_equal(got, knn_predict_oracle(features, targets, 5, queries))
+
+
+def test_knn_training_set_beyond_one_block_takes_one_query_per_block():
+    n_train = KNN_BLOCK_DISTANCES + 4464
+    rng = np.random.default_rng(26)
+    features = np.round(rng.uniform(size=(n_train, 4)), 1)
+    targets = rng.normal(size=n_train)
+    queries = np.round(rng.uniform(size=(3, 4)), 1)
+    got = predict_knn(fit_knn(features, targets, k=5), queries)
+    np.testing.assert_array_equal(got, knn_predict_oracle(features, targets, 5, queries))
+
+
+def test_knn_ties_straddling_a_block_boundary_match_oracle():
+    # a 3 x 3 grid of 4096 duplicated rows puts hundreds of rows at every
+    # distance; queries 10-25 are one point, so its tie block crosses the
+    # boundary between the first two blocks of 16 queries
+    n_train = 4096
+    per_block = KNN_BLOCK_DISTANCES // n_train
+    assert 10 < per_block < 25
+    rng = np.random.default_rng(27)
+    features = rng.integers(0, 3, size=(n_train, 2)) / 2
+    targets = rng.normal(size=n_train)
+    queries = rng.integers(0, 5, size=(40, 2)) / 4
+    queries[10:26] = [0.25, 0.5]
+    got = predict_knn(fit_knn(features, targets, k=7), queries)
+    np.testing.assert_array_equal(got, knn_predict_oracle(features, targets, 7, queries))
+    assert np.all(got[10:26] == got[10])
+
+
+def test_knn_predict_holds_its_distance_blocks_in_a_few_megabytes():
+    # the two (block, n_train) buffers are reused; per-block temporaries are
+    # the size of one block, not of the whole distance matrix
+    rng = np.random.default_rng(28)
+    model = fit_knn(rng.uniform(size=(12800, 4)), rng.normal(size=12800), k=5)
+    queries = rng.uniform(size=(800, 4))
+    tracemalloc.start()
+    try:
+        predict_knn(model, queries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 @st.composite

@@ -188,6 +188,23 @@ parallelism: 2
         err = capsys.readouterr().err
         assert err.startswith("config:") and key in err
 
+    @pytest.mark.parametrize("text, key", [
+        ("data: {seed: -1}", "data.seed"),
+        ("split: {seed: -1}", "split.seed"),
+        ("qnn: {init_seed: -1}", "qnn.init_seed"),
+    ])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, text, key):
+        # PCG64 refuses a negative seed; the config names the key instead
+        path = write_config(tmp_path, f"selection: [ols, QNN-1]\n{text}")
+        assert main(["run", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config:") and key in err and ">= 0" in err
+
+    def test_zero_seeds_load(self, tmp_path):
+        cfg = load_config(write_config(
+            tmp_path, "data: {seed: 0}\nsplit: {seed: 0}\nqnn: {init_seed: 0}"))
+        assert (cfg.data_seed, cfg.split_seed, cfg.init_seed) == (0, 0, 0)
+
 
 class TestArgparseSurface:
     def test_version_flag(self, capsys):
@@ -236,6 +253,13 @@ class TestGenData:
         assert main(["gen-data", "--rows", rows, "--out", out]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config:") and "--rows" in err and rows in err
+        assert not os.path.exists(out)
+
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        out = str(tmp_path / "data.csv")
+        assert main(["gen-data", "--rows", "5", "--seed", "-1", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config:") and "--seed" in err
         assert not os.path.exists(out)
 
     def test_unwritable_path_is_data_error(self, capsys):

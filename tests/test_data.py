@@ -3,9 +3,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from windqnn import data
 from windqnn.data import (
+    FEATURE_COLUMNS,
+    TARGET_COLUMN,
     DataError,
     Dataset,
     EmptyDataError,
@@ -22,6 +26,8 @@ from windqnn.data import (
     split,
     write_csv,
 )
+
+from oracles import fisher_yates_oracle, load_csv_oracle
 
 HEADER = "timestamp,wind_speed,wind_direction,pressure,temperature,power\n"
 
@@ -101,7 +107,113 @@ def test_write_then_load_round_trip(tmp_path):
     np.testing.assert_array_equal(loaded.power, dataset.power)
 
 
+def _same_load(path, column_names=None):
+    """load_csv agrees with the DictReader oracle: the same error, or the
+    same dropped count and the same bytes.  Returns the dataset and count."""
+    try:
+        want = load_csv_oracle(path, column_names)
+    except DataError as exc:
+        with pytest.raises(DataError) as info:
+            load_csv(path, column_names)
+        assert type(info.value) is type(exc) and str(info.value) == str(exc)
+        return None
+    got = load_csv(path, column_names)
+    assert got[1] == want[1]
+    for a, b in ((got[0].features, want[0].features), (got[0].power, want[0].power)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    return got
+
+
+def test_awkward_rows_match_the_dictreader_oracle(tmp_path):
+    # power appears twice: the last column counts
+    header = "timestamp,wind_speed,power,wind_direction,pressure,temperature,power\n"
+    body = (
+        "t,5,1,10,1010,12,100\n"
+        "\n"  # blank line: skipped, not dropped
+        "t,6,1,20,1011,13\n"  # short: the last power cell is missing
+        "t,7,-1,30,1012,14,200,x,y\n"  # extra cells; the first power is not read
+        "t,-0.0,1,40,1013,15,-0.0\n"  # -0.0 is not negative
+        "t,inf,1,40,1013,15,5\n"
+        "t,8,1,40,1013,15,-5\n"
+        "t,9,1,,1013,15,5\n"
+    )
+    dataset, dropped = _same_load(_write(tmp_path, body, header=header))
+    assert dropped == 4
+    assert dataset.power.tolist() == [100.0, 200.0, 0.0]
+    assert np.signbit(dataset.power[2]) and np.signbit(dataset.features[2, 0])
+
+
+def test_header_only_file_is_empty_data_error(tmp_path):
+    path = _write(tmp_path, "")
+    assert _same_load(path) is None
+    with pytest.raises(EmptyDataError, match="0 dropped"):
+        load_csv(path)
+
+
+_CELLS = st.one_of(
+    st.sampled_from(["", "nan", "NaN", "inf", "-inf", "1e400", "oops", "-0.0", "-5", " 7 ",
+                     "0"]),
+    st.floats().map(repr),
+    st.integers(-5, 3000).map(str),
+)
+_ALIASES = {"wind_speed": "ws", "power": "kw"}
+
+
+@st.composite
+def csv_files(draw):
+    """(text, column_names): a header with repeats, extras and now and then
+    a missing column, then rows of any length, blank ones included."""
+    remap = draw(st.booleans())
+    required = [_ALIASES.get(c, c) if remap else c for c in FEATURE_COLUMNS + (TARGET_COLUMN,)]
+    if draw(st.integers(0, 9)) == 0:
+        required.remove(draw(st.sampled_from(required)))
+    extras = draw(st.lists(st.sampled_from(required + ["timestamp", "ws", "kw", "power"]),
+                           max_size=3))
+    header = draw(st.permutations(required + extras))
+    good = st.lists(st.floats(0.0, 1e4).map(repr), min_size=len(header), max_size=len(header))
+    row = st.lists(_CELLS, min_size=len(header) - 1, max_size=len(header) + 2)
+    rows = draw(st.lists(st.one_of(good, row, st.just([]), st.lists(_CELLS, max_size=3)),
+                         max_size=25))
+    text = "\n".join([",".join(header)] + [",".join(cells) for cells in rows]) + "\n"
+    return text, (dict(_ALIASES) if remap else None)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(csv_files())
+def test_load_matches_the_dictreader_oracle(tmp_path, case):
+    text, column_names = case
+    path = tmp_path / "data.csv"
+    path.write_text(text, encoding="utf-8")
+    _same_load(str(path), column_names)
+
+
 # --- split -------------------------------------------------------------------
+
+def _split_order(n: int, seed: int) -> np.ndarray:
+    """The row order split puts the train rows, then the test rows, in."""
+    rows = Dataset(np.zeros((n, 4)), np.arange(float(n)))
+    train, test = split(rows, 0.5, seed=seed)
+    return np.concatenate([train.power, test.power]).astype(np.int64)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 240, 3571, 4464, 16000])
+@pytest.mark.parametrize("seed", [0, 42, 2**63 + 5])
+def test_shuffle_matches_the_scalar_fisher_yates(n, seed):
+    # one broadcast integers call takes the PCG64 stream as n - 1 scalar calls do
+    want = fisher_yates_oracle(n, seed)
+    got = data._fisher_yates(n, seed)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+    if n > 1:
+        np.testing.assert_array_equal(_split_order(n, seed), want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 300), st.integers(0, 2**128))
+def test_split_permutation_matches_the_oracle(n, seed):
+    np.testing.assert_array_equal(_split_order(n, seed), fisher_yates_oracle(n, seed))
+
 
 def test_split_sizes_match_floor_rule():
     dataset = generate_synthetic(4464, seed=1)
