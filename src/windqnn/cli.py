@@ -103,7 +103,6 @@ class ExperimentConfig:
     zz_entanglement: str = "full"
     init_seed: int = 42
     gradient_mode: str = "parameter_shift"
-    finite_difference_step: float = 1e-8
     optimizer: OptimizerOptions = field(default_factory=OptimizerOptions)
     knn_k: int = 5
     cart_max_depth: Optional[int] = None
@@ -142,9 +141,7 @@ CONFIG_KEYS = {
     "qnn.zz_entanglement": ("zz_entanglement", str, f"one of {ENTANGLEMENTS}",
                             lambda v: v in ENTANGLEMENTS),
     "qnn.init_seed": ("init_seed", int, *_SEED),
-    "qnn.gradient_mode": ("gradient_mode", str,
-                          *_one_of(("parameter_shift", "finite_difference"))),
-    "qnn.finite_difference_step": ("finite_difference_step", float, "> 0", lambda v: v > 0),
+    "qnn.gradient_mode": ("gradient_mode", str, *_one_of(("parameter_shift",))),
     **{f"optimizer.{f.name}": ("optimizer", type(f.default), "", None)
        for f in fields(OptimizerOptions)},
     "baselines.knn_k": ("knn_k", int, ">= 1", lambda v: v >= 1),
@@ -292,12 +289,7 @@ def _train_method(method_id: str, cfg: ExperimentConfig, bundle, shared: dict):
         shared[family] = (gram_form(encode(model.template, x_train), y_train_scaled),
                           encode(model.template, x_test))
     gram, test_states = shared[family]
-    result = train(
-        model, x_train, y_train_scaled, cfg.optimizer,
-        gradient_mode=cfg.gradient_mode,
-        finite_difference_step=cfg.finite_difference_step,
-        gram=gram,
-    )
+    result = train(model, x_train, y_train_scaled, cfg.optimizer, gram=gram)
     fitted = with_parameters(model, result.parameters)
     predictions = invert_target(scaling, predict_scaled(fitted, x_test, test_states))
     return predictions, result.trace, result.status

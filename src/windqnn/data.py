@@ -72,7 +72,8 @@ def load_csv(path: str, column_names: Optional[dict] = None) -> Tuple[Dataset, i
     with a missing, unparseable, or non-finite cell are dropped and counted,
     as are rows with negative power (physically impossible readings).  Blank
     lines are skipped, and a header that appears twice names its last
-    column, as with ``csv.DictReader``.
+    column, as with ``csv.DictReader``.  A file that is not UTF-8 or not
+    parseable CSV raises a DataError naming the line.
     """
     names = {c: c for c in FEATURE_COLUMNS + (TARGET_COLUMN,)}
     if column_names:
@@ -83,24 +84,31 @@ def load_csv(path: str, column_names: Optional[dict] = None) -> Tuple[Dataset, i
         raise DataError(f"cannot read {path}: {exc}") from exc
     with handle:
         reader = csv.reader(handle)
-        position = {name: i for i, name in enumerate(next(reader, []))}
-        for canonical in FEATURE_COLUMNS + (TARGET_COLUMN,):
-            if names[canonical] not in position:
-                raise SchemaError(
-                    f"missing column {names[canonical]!r} (for {canonical})"
-                )
-        cells = operator.itemgetter(
-            *(position[names[c]] for c in FEATURE_COLUMNS + (TARGET_COLUMN,))
-        )
-        rows = []
-        dropped = 0
-        for record in reader:
-            if not record:
-                continue
-            try:
-                rows.append(list(map(float, cells(record))))
-            except (IndexError, ValueError):
-                dropped += 1
+        try:
+            position = {name: i for i, name in enumerate(next(reader, []))}
+            for canonical in FEATURE_COLUMNS + (TARGET_COLUMN,):
+                if names[canonical] not in position:
+                    raise SchemaError(
+                        f"missing column {names[canonical]!r} (for {canonical})"
+                    )
+            cells = operator.itemgetter(
+                *(position[names[c]] for c in FEATURE_COLUMNS + (TARGET_COLUMN,))
+            )
+            rows = []
+            dropped = 0
+            for record in reader:
+                if not record:
+                    continue
+                try:
+                    rows.append(list(map(float, cells(record))))
+                except (IndexError, ValueError):
+                    dropped += 1
+        except csv.Error as exc:
+            raise DataError(f"{path}, line {reader.line_num}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise DataError(
+                f"{path}, line {_undecodable_line(path)}: not UTF-8 ({exc.reason})"
+            ) from exc
     table = np.array(rows, dtype=float).reshape(-1, 5)
     keep = np.isfinite(table).all(axis=1) & (table[:, 4] >= 0)
     dropped += int(np.count_nonzero(~keep))
@@ -108,6 +116,17 @@ def load_csv(path: str, column_names: Optional[dict] = None) -> Tuple[Dataset, i
     if not table.shape[0]:
         raise EmptyDataError(f"no valid rows in {path} ({dropped} dropped)")
     return Dataset(features=table[:, :4], power=table[:, 4]), dropped
+
+
+def _undecodable_line(path: str) -> int:
+    """Number of the first line of path that is not valid UTF-8."""
+    with open(path, "rb") as handle:
+        for number, line in enumerate(handle, 1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return number
+    return 0
 
 
 def _fisher_yates(n: int, seed: int) -> np.ndarray:

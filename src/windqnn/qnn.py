@@ -11,12 +11,12 @@ readout is linear in the encoded density matrix (Schuld 2021,
 arXiv:2101.11020):
 
     f_s(theta) = Re(psi_s^H M(theta) psi_s) = phi_s . m(theta),
-    M = U^H diag(parity) U,
+    M = U^T diag(parity) U.
 
-where m holds the 2**(2n) real coordinates of the Hermitian M (real parts
-on and above the diagonal, imaginary parts below) and phi_s those of
-psi_s psi_s^H, with the off-diagonal ones doubled.  The MSE is then a
-quadratic form in m,
+The suffix holds only RY and real constant gates, so U is real orthogonal
+and M real symmetric: m holds the d(d+1)/2 entries of M on and above the
+diagonal (136 for d = 2**4), and phi_s those of Re(psi_s psi_s^H), with
+the off-diagonal ones doubled.  The MSE is then a quadratic form in m,
 
     L(theta) = m^T G m - 2 h^T m + c,  G = Phi^T Phi / N, h = Phi^T y / N,
     c = y^T y / N,
@@ -33,7 +33,7 @@ So the work splits three ways.
   chunks.  ``windqnn run`` does both once for the six QNNs of a map.
 * Once per model: the constant blocks K_j and L_j below, which
   ``build_model`` makes and the model's training and predictions share.
-* Once per theta: M(theta) and the 2P shifted M come from dense
+* Once per theta: M(theta) and the 2P shifted M come from dense real
   2**n x 2**n products.  RY_q(t) = cos(t/2) I + sin(t/2) RY_q(pi) and every
   other suffix gate is constant, so U(theta) is a product of P factors
   cos(t_j/2) K_j + sin(t_j/2) L_j; prefix and suffix products of those
@@ -199,13 +199,11 @@ def encode(template: CircuitTemplate, features: np.ndarray) -> np.ndarray:
     return states
 
 
-def _coordinates(hermitian: np.ndarray) -> np.ndarray:
-    """Real coordinates of Hermitian matrices (..., d, d), shape (..., d*d):
-    real parts on and above the diagonal, imaginary parts below it."""
-    d = hermitian.shape[-1]
-    upper = np.triu(np.ones((d, d), dtype=bool))
-    packed = np.where(upper, hermitian.real, hermitian.imag)
-    return packed.reshape(hermitian.shape[:-2] + (d * d,))
+def _coordinates(symmetric: np.ndarray) -> np.ndarray:
+    """Coordinates of real symmetric matrices (..., d, d), shape
+    (..., d(d+1)/2): the entries on and above the diagonal, row by row."""
+    rows, cols = np.triu_indices(symmetric.shape[-1])
+    return symmetric[..., rows, cols]
 
 
 class Gram(NamedTuple):
@@ -223,16 +221,17 @@ GRAM_CHUNK_ROWS = 64  # rows per Phi block; bounds the temporaries, not the resu
 def gram_form(states: np.ndarray, targets: np.ndarray) -> Gram:
     """(G, h, c) of the encoded rows ``states`` and their scaled targets.
 
-    Row s contributes phi_s, the real coordinates of psi_s psi_s^H with the
-    off-diagonal ones doubled, so that phi_s . m = Re(psi_s^H M psi_s).
+    Row s contributes phi_s, the coordinates of Re(psi_s psi_s^H) with the
+    off-diagonal ones doubled, so that phi_s . m = psi_s^H M psi_s for a
+    real symmetric M.
     """
     n, d = states.shape
-    weights = (2.0 - np.eye(d)).reshape(-1)
-    g = np.zeros((d * d, d * d))
-    h = np.zeros(d * d)
+    weights = _coordinates(2.0 - np.eye(d))
+    g = np.zeros((weights.shape[0],) * 2)
+    h = np.zeros(weights.shape[0])
     for start in range(0, n, GRAM_CHUNK_ROWS):
         psi = states[start:start + GRAM_CHUNK_ROWS]
-        phi = _coordinates(psi[:, :, None] * psi.conj()[:, None, :]) * weights
+        phi = _coordinates((psi[:, :, None] * psi.conj()[:, None, :]).real) * weights
         g += phi.T @ phi
         h += phi.T @ targets[start:start + GRAM_CHUNK_ROWS]
     return Gram(g / n, h / n, float(targets @ targets) / n)
@@ -246,7 +245,8 @@ class _DenseSuffix:
     F_j = C_j RY(t_j) = cos(t_j/2) K_j + sin(t_j/2) L_j, K_j = C_j and
     L_j = C_j RY(pi), since RY(t) = cos(t/2) I + sin(t/2) RY(pi).  The
     constant matrices are built once per template by running the gates over
-    the identity.
+    the identity, and kept real: a constant gate after the first trainable
+    RY must be real (H, CX, RY), so that M(theta) is real symmetric.
     """
 
     def __init__(self, template: CircuitTemplate):
@@ -274,7 +274,11 @@ class _DenseSuffix:
     def _matrix(self, gates) -> np.ndarray:
         columns = np.eye(2**self._n_qubits, dtype=complex)  # row j becomes U e_j
         run_gates(columns, gates, self._n_qubits, np.zeros(0), np.zeros(0))
-        return columns.T
+        if np.any(columns.imag):
+            kinds = ", ".join(sorted({g.kind for g in gates}))
+            raise ValueError(f"the trainable suffix must be real, but its constant "
+                             f"gates ({kinds}) give a complex matrix")
+        return columns.real.T
 
     def _factors(self, angles: np.ndarray) -> np.ndarray:
         """F_j for angles (..., P) of the parameterized gates, shape (..., P, d, d)."""
@@ -282,7 +286,7 @@ class _DenseSuffix:
         return np.cos(half) * self._cos + np.sin(half) * self._sin
 
     def _observe(self, unitaries: np.ndarray) -> np.ndarray:
-        return np.swapaxes(unitaries.conj(), -1, -2) @ (self._signs[:, None] * unitaries)
+        return np.swapaxes(unitaries, -1, -2) @ (self._signs[:, None] * unitaries)
 
     def observables(self, thetas: np.ndarray) -> np.ndarray:
         """M(theta) for each row of a (B, n_slots) parameter stack, shape (B, d, d)."""
@@ -329,9 +333,6 @@ class _GramObjective:
         self.gram = gram
         self._theta = None
 
-    def _loss(self, m: np.ndarray, r: np.ndarray):
-        # m^T G m - 2 h^T m + c written through r = G m - h
-        return np.sum(m * (r - self.gram.h), axis=-1) + self.gram.c
 
     def _at(self, theta: np.ndarray):
         if not np.array_equal(theta, self._theta):
@@ -341,7 +342,9 @@ class _GramObjective:
         return self._m, self._r
 
     def loss(self, theta: np.ndarray) -> float:
-        return float(self._loss(*self._at(theta)))
+        # m^T G m - 2 h^T m + c written through r = G m - h
+        m, r = self._at(theta)
+        return float(np.sum(m * (r - self.gram.h)) + self.gram.c)
 
     def shift_gradient(self, theta: np.ndarray) -> np.ndarray:
         """Exact dL/dtheta: (G m - h) . (m_+k - m_-k), every shift in one batch."""
@@ -350,14 +353,6 @@ class _GramObjective:
         per_gate = _coordinates(plus - minus) @ r
         return np.bincount(self.suffix.slots, weights=per_gate,
                            minlength=self.suffix.n_slots)
-
-    def difference_gradient(self, theta: np.ndarray, step: float) -> np.ndarray:
-        """Forward-difference dL/dtheta, the P stepped losses in one batch."""
-        base = self._loss(*self._at(theta))
-        thetas = theta + step * np.eye(theta.shape[0])
-        m = _coordinates(self.suffix.observables(thetas))
-        stepped = self._loss(m, m @ self.gram.g - self.gram.h)
-        return (stepped - base) / step
 
 
 def _zero_states(batch_shape: tuple, n_qubits: int) -> np.ndarray:
@@ -398,50 +393,25 @@ def gradient_parameter_shift(model: QnnModel, features_scaled, targets_scaled) -
     return _GramObjective(model.template, gram, model.suffix).shift_gradient(model.parameters)
 
 
-def gradient_finite_difference(
-    model: QnnModel, features_scaled, targets_scaled, step: float = 1e-8
-) -> np.ndarray:
-    """Forward-difference dL/dtheta with the given step."""
-    if step <= 0:
-        raise ValueError(f"step must be > 0, got {step}")
-    features, targets = _check_batch(features_scaled, targets_scaled)
-    gram = gram_form(encode(model.template, features), targets)
-    objective = _GramObjective(model.template, gram, model.suffix)
-    return objective.difference_gradient(model.parameters, step)
-
-
 def train(
     model: QnnModel,
     features_scaled,
     targets_scaled,
     options: Optional[OptimizerOptions] = None,
-    gradient_mode: str = "parameter_shift",
-    finite_difference_step: float = 1e-8,
     gram: Optional[Gram] = None,
 ) -> TrainedResult:
-    """Minimize the MSE over the model parameters; the model is not mutated.
+    """Minimize the MSE over the model parameters with the exact
+    parameter-shift gradient; the model is not mutated.
 
-    gradient_mode selects the exact parameter-shift gradient (default) or
-    the forward finite-difference gradient with the given step.  ``gram``
-    optionally gives ``gram_form`` of the encoded training rows, so models
-    that share a feature map and rows build it once.
+    ``gram`` optionally gives ``gram_form`` of the encoded training rows, so
+    models that share a feature map and rows build it once.
     """
-    if gradient_mode not in ("parameter_shift", "finite_difference"):
-        raise ValueError(
-            f"gradient_mode must be 'parameter_shift' or 'finite_difference', "
-            f"got {gradient_mode!r}"
-        )
     features, targets = _check_batch(features_scaled, targets_scaled)
     if gram is None:
         gram = gram_form(encode(model.template, features), targets)
     objective = _GramObjective(model.template, gram, model.suffix)
-
-    if gradient_mode == "parameter_shift":
-        gradient = objective.shift_gradient
-    else:
-        gradient = lambda theta: objective.difference_gradient(theta, finite_difference_step)
-
-    result: OptimizeResult = minimize(objective.loss, gradient, model.parameters, options)
+    result: OptimizeResult = minimize(objective.loss, objective.shift_gradient,
+                                      model.parameters, options)
     return TrainedResult(
         parameters=result.best_point, trace=result.trace, status=result.status
     )

@@ -67,7 +67,7 @@ prng: pcg64
 data: {source: synthetic, n_rows: 128, seed: 3}
 split: {fraction: 0.75, mode: chronological, seed: 9}
 qnn: {feature_map_reps: 1, ansatz_reps: 2, zz_entanglement: linear,
-      init_seed: 5, gradient_mode: finite_difference, finite_difference_step: 1.0e-6}
+      init_seed: 5, gradient_mode: parameter_shift}
 optimizer: {max_iterations: 7, memory: 4, wolfe_c2: 0.5}
 baselines: {knn_k: 3, cart_max_depth: 6, cart_min_samples_split: 4}
 selection: [QNN-2, knn]
@@ -78,8 +78,7 @@ parallelism: 2
         assert cfg.split_fraction == 0.75 and cfg.split_mode == "chronological"
         assert cfg.feature_map_reps == 1 and cfg.ansatz_reps == 2
         assert cfg.zz_entanglement == "linear"
-        assert cfg.gradient_mode == "finite_difference"
-        assert cfg.finite_difference_step == 1e-6
+        assert cfg.gradient_mode == "parameter_shift"
         assert cfg.optimizer.max_iterations == 7
         assert cfg.optimizer.memory == 4
         assert cfg.optimizer.wolfe_c2 == 0.5
@@ -144,6 +143,18 @@ parallelism: 2
         with pytest.raises(ConfigError, match="qnn.gradient_mode"):
             load_config(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("qnn: {finite_difference_step: 1.0e-6}", "unknown key qnn.finite_difference_step"),
+        ("qnn: {gradient_mode: finite_difference}", "qnn.gradient_mode"),
+    ])
+    def test_removed_finite_difference_mode_exits_2(self, tmp_path, capsys, text, message):
+        # parameter-shift is the only gradient; an old config that asks for
+        # finite differences is refused before any method trains
+        path = write_config(tmp_path, f"selection: [ols]\n{text}")
+        assert main(["run", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config:") and message in err
+
     def test_parallelism_must_be_positive(self, tmp_path):
         with pytest.raises(ConfigError, match="parallelism"):
             load_config(write_config(tmp_path, "parallelism: 0"))
@@ -175,7 +186,7 @@ parallelism: 2
         ("data: {n_rows: yes}", "data.n_rows"),
         ("parallelism: on", "parallelism"),
         ("optimizer: {max_iterations: true}", "optimizer.max_iterations"),
-        ("qnn: {finite_difference_step: .inf}", "qnn.finite_difference_step"),
+        ("split: {fraction: .inf}", "split.fraction"),
         ("optimizer: {gradient_tolerance: .nan}", "optimizer.gradient_tolerance"),
         ("data: []", "data"),
         ("qnn: false", "qnn"),
@@ -326,6 +337,20 @@ class TestRun:
         assert main(["run", "--config", path]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data:") and "empty side" in err
+
+    @pytest.mark.parametrize("bad_row, reason", [
+        (b"8.0,180.0,1013.0,12.0,5\xff0.0\n", "not UTF-8"),
+        (b"8.0,180.0,1013.0,12.0,\"" + b"9" * 131073 + b"\"\n", "field larger"),
+    ], ids=["undecodable_byte", "oversized_field"])
+    def test_unreadable_csv_exits_3(self, tmp_path, capsys, bad_row, reason):
+        csv_path = tmp_path / "bad.csv"
+        csv_path.write_bytes(b"wind_speed,wind_direction,pressure,temperature,power\n"
+                             b"8.0,180.0,1013.0,12.0,500.0\n" + bad_row)
+        path = write_config(tmp_path, f"data: {{source: csv, csv_path: {csv_path}}}")
+        assert main(["run", "--config", path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data: {csv_path}, line 3: ") and reason in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("huge", [False, True])
     def test_unallocatable_synthetic_rows_exit_3(self, tmp_path, capsys, monkeypatch, huge):

@@ -27,7 +27,6 @@ from windqnn.qnn import (
     _GramObjective,
     build_model,
     encode,
-    gradient_finite_difference,
     gradient_parameter_shift,
     gram_form,
     initial_parameters,
@@ -223,22 +222,6 @@ def test_parameter_shift_matches_central_difference(config_id):
     assert np.max(np.abs(grad - _central_difference(model, xs, ys))) < 1e-6
 
 
-def test_finite_difference_agrees_with_parameter_shift():
-    rng = np.random.default_rng(71)
-    model = build_model("QNN-6", init_seed=23)
-    xs = rng.uniform(0, np.pi, size=(6, 4))
-    ys = rng.uniform(-1, 1, size=6)
-    exact = gradient_parameter_shift(model, xs, ys)
-    forward = gradient_finite_difference(model, xs, ys, step=1e-8)
-    assert np.max(np.abs(exact - forward)) < 1e-5
-
-
-def test_finite_difference_rejects_bad_step():
-    model = build_model("QNN-1")
-    with pytest.raises(ValueError, match="step"):
-        gradient_finite_difference(model, np.zeros((1, 4)), np.zeros(1), step=0.0)
-
-
 def test_observable_cache_matches_full_evaluation():
     rng = np.random.default_rng(73)
     model = build_model("QNN-11", init_seed=29)
@@ -283,6 +266,33 @@ def test_only_rotations_carry_trainable_angles():
         _DenseSuffix(template)
 
 
+def test_a_complex_constant_gate_in_the_suffix_is_rejected():
+    # M(theta) is real symmetric only while every suffix gate is real; a
+    # constant P ahead of the first trainable RY belongs to the encoded
+    # prefix and stays allowed.
+    template = CircuitTemplate(
+        1,
+        (GateSpec("P", (0,), ConstAngle(0.3)), GateSpec("RY", (0,), ParamAngle(0)),
+         GateSpec("P", (0,), ConstAngle(0.3)), GateSpec("RY", (0,), ParamAngle(1))),
+        n_parameter_slots=2,
+    )
+    with pytest.raises(ValueError, match="suffix must be real"):
+        _DenseSuffix(template)
+    _DenseSuffix(CircuitTemplate(1, template.gates[:2], n_parameter_slots=1))
+
+
+@pytest.mark.parametrize("config_id", CONFIG_IDS)
+def test_benchmark_observables_are_real_symmetric(config_id):
+    # The premise of the real Gram form: RY and CX make U(theta) real, so
+    # the dense oracle's M has no imaginary part at all.
+    ansatz = build_ansatz(4, 3, CONFIG_TABLE[config_id][1])
+    thetas = np.random.default_rng(78).uniform(-np.pi, np.pi, size=(3, 16))
+    for theta, observable in zip(thetas, build_model(config_id).suffix.observables(thetas)):
+        oracle = dense_suffix_observable(ansatz, theta)
+        assert np.all(oracle.imag == 0.0)
+        np.testing.assert_allclose(observable, oracle.real, rtol=0, atol=1e-12)
+
+
 def test_a_slot_shared_by_two_gates_sums_their_shifts():
     template = CircuitTemplate(
         2,
@@ -323,9 +333,9 @@ QUBITS = st.integers(0, 3)
 def prefixed_templates(draw):
     """A Z or ZZ feature map followed by a random feature-free suffix.
 
-    The suffix always holds an H, P(const), RY run on one qubit, so its
-    observable is complex Hermitian rather than real symmetric; every RY
-    owns one parameter slot.
+    The suffix always holds an H, RY run on one qubit, so it does not
+    merely permute the basis; every RY owns one parameter slot.  Its gates
+    are real, as the dense suffix requires.
     """
     reps = draw(st.integers(1, 2))
     if draw(st.booleans()):
@@ -333,19 +343,17 @@ def prefixed_templates(draw):
     else:
         prefix = build_zz_feature_map(4, reps, draw(st.sampled_from(["full", "linear"])))
     placed = [(kind, draw(st.permutations(range(4)))[:2])
-              for kind in draw(st.lists(st.sampled_from(["RY", "H", "P", "CX"]),
+              for kind in draw(st.lists(st.sampled_from(["RY", "H", "CX"]),
                                         max_size=10))]
     qubit = draw(QUBITS)
     at = draw(st.integers(0, len(placed)))
-    placed[at:at] = [("H", [qubit]), ("P", [qubit]), ("RY", [qubit])]
+    placed[at:at] = [("H", [qubit]), ("RY", [qubit])]
     gates = []
     for kind, qubits in placed:
         if kind == "CX":
             gates.append(GateSpec("CX", tuple(qubits)))
         elif kind == "H":
             gates.append(GateSpec("H", (qubits[0],)))
-        elif kind == "P":
-            gates.append(GateSpec("P", (qubits[0],), ConstAngle(draw(ANGLES))))
         else:
             slot = sum(g.kind == "RY" for g in gates)
             gates.append(GateSpec("RY", (qubits[0],), ParamAngle(slot)))
@@ -433,21 +441,14 @@ def test_gradient_after_objective_equals_fresh_gradient(case, offset):
     prefix, suffix, xs, theta, ys = case
     template = compose(prefix, suffix)
     gram = gram_form(encode(template, xs), ys)
-    other = theta + offset
-    for mode in ("shift", "difference"):
-        def gradient(objective, at):
-            if mode == "shift":
-                return objective.shift_gradient(at)
-            return objective.difference_gradient(at, 1e-6)
-
-        fresh = gradient(_GramObjective(template, gram), theta)
-        same = _GramObjective(template, gram)
-        same.loss(theta.copy())
-        moved = _GramObjective(template, gram)
-        moved.loss(other)
-        assert np.array_equal(gradient(same, theta), fresh)
-        assert np.array_equal(gradient(moved, theta), fresh)
-        assert moved.loss(theta) == _GramObjective(template, gram).loss(theta)
+    fresh = _GramObjective(template, gram).shift_gradient(theta)
+    same = _GramObjective(template, gram)
+    same.loss(theta.copy())
+    moved = _GramObjective(template, gram)
+    moved.loss(theta + offset)
+    assert np.array_equal(same.shift_gradient(theta), fresh)
+    assert np.array_equal(moved.shift_gradient(theta), fresh)
+    assert moved.loss(theta) == _GramObjective(template, gram).loss(theta)
 
 
 def test_gradient_builds_the_observable_only_at_a_new_theta():
@@ -537,9 +538,3 @@ def test_train_deterministic():
     b = train(build_model("QNN-3", init_seed=7), xs, ys, options)
     np.testing.assert_array_equal(a.parameters, b.parameters)
     assert a.trace == b.trace
-
-
-def test_train_rejects_unknown_gradient_mode():
-    model = build_model("QNN-1")
-    with pytest.raises(ValueError, match="gradient_mode"):
-        train(model, np.zeros((1, 4)), np.zeros(1), gradient_mode="analytic")
