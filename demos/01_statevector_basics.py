@@ -4,19 +4,21 @@ Statevector simulation basics
 
 Build small quantum states, apply gates through the strided kernels, and
 read out parity expectations. Amplitudes are indexed little-endian: bit q
-of the basis index is the state of qubit q.
+of the basis index is the state of qubit q. Every kernel updates an
+amplitude array in place, and the same call runs one state of shape
+(2**n,) or a batch of shape (rows, 2**n).
 """
 import numpy as np
 
 from windqnn.statevector import (
     HADAMARD,
-    apply_1q,
-    apply_cx,
-    expect_z_all,
-    expect_z_single,
+    apply_1q_array,
+    apply_cx_array,
+    apply_phase_array,
+    apply_ry_array,
+    expect_z_all_array,
     new_zero_state,
-    phase_matrix,
-    ry_matrix,
+    zero_states,
 )
 
 # Two qubits start in |00>: amplitude 1 at index 0.
@@ -24,28 +26,34 @@ state = new_zero_state(2)
 print("initial amplitudes:", state.amplitudes)
 
 # A Hadamard on qubit 0 splits the amplitude between indices 0 and 1.
-apply_1q(state, HADAMARD, 0)
+apply_1q_array(state.amplitudes, HADAMARD, 0, 2)
 print("after H on q0:    ", np.round(state.amplitudes, 6))
 
 # CX with control q0 copies that superposition onto qubit 1: the Bell state
 # (|00> + |11>) / sqrt(2), nonzero at indices 0 and 3.
-apply_cx(state, 0, 1)
+apply_cx_array(state.amplitudes, 0, 1, 2)
 print("after CX q0,q1:   ", np.round(state.amplitudes, 6))
 print("norm:", state.norm())
 
-# Parity readout. Both Bell branches have even parity, so <Z x Z> is +1,
-# while each single qubit alone is maximally mixed and reads 0.
-print("<ZZ> =", expect_z_all(state))
-print("<Z_0> =", expect_z_single(state, 0))
+# Parity readout. Both Bell branches have even parity, so <Z x Z> is +1.
+print("<ZZ> =", expect_z_all_array(state.amplitudes))
 
 # Rotations: RY(pi) flips |0> to |1>; a phase gate leaves probabilities
 # unchanged but matters once interference happens.
 flip = new_zero_state(1)
-apply_1q(flip, ry_matrix(np.pi), 0)
-print("RY(pi)|0> ->", np.round(flip.amplitudes, 6), " <Z> =", expect_z_all(flip))
+apply_ry_array(flip.amplitudes, np.pi, 0, 1)
+print("RY(pi)|0> ->", np.round(flip.amplitudes, 6),
+      " <Z> =", expect_z_all_array(flip.amplitudes))
 
 phased = new_zero_state(1)
-apply_1q(phased, HADAMARD, 0)
-apply_1q(phased, phase_matrix(np.pi / 2), 0)
-apply_1q(phased, HADAMARD, 0)
+apply_1q_array(phased.amplitudes, HADAMARD, 0, 1)
+apply_phase_array(phased.amplitudes, np.pi / 2, 0, 1)
+apply_1q_array(phased.amplitudes, HADAMARD, 0, 1)
 print("H P(pi/2) H |0> ->", np.round(phased.amplitudes, 6))
+
+# A batch runs one angle per row in the same call: RY(t) on three copies of
+# |0> gives <Z> = cos(t) for each row.
+angles = np.array([0.0, np.pi / 2, np.pi])
+batch = zero_states((3,), 1)
+apply_ry_array(batch, angles, 0, 1)
+print("RY(t)|0> for t = 0, pi/2, pi -> <Z> =", np.round(expect_z_all_array(batch), 6))

@@ -22,6 +22,7 @@ from .statevector import (
     apply_ry_array,
     expect_z_all_array,
     new_zero_state,
+    zero_states,
 )
 
 ENTANGLEMENTS = ("linear", "reverse_linear", "full", "circular", "sca", "pairwise")
@@ -312,8 +313,7 @@ def evaluate_batch(template: CircuitTemplate, features, params) -> np.ndarray:
     if features.ndim != 2:
         raise ValueError(f"expected a 2-d feature matrix, got shape {features.shape}")
     features, params = _check_bindings(template, features, params)
-    amps = np.zeros((features.shape[0], 2**template.n_qubits), dtype=complex)
-    amps[:, 0] = 1.0
+    amps = zero_states(features.shape[:1], template.n_qubits)
     run_gates(amps, template.gates, template.n_qubits, features, params)
     return expect_z_all_array(amps)
 

@@ -44,6 +44,14 @@ class OptimizerOptions:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.memory < 1:
             raise ValueError(f"memory must be >= 1, got {self.memory}")
+        if self.max_line_search_steps < 1:
+            raise ValueError(
+                f"max_line_search_steps must be >= 1, got {self.max_line_search_steps}"
+            )
+        for name in ("gradient_tolerance", "relative_f_tolerance"):
+            value = getattr(self, name)
+            if not value >= 0:  # also refuses NaN
+                raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 @dataclass
@@ -255,7 +263,5 @@ def minimize(
             status = STATUS_CONVERGED
             break
 
-    best_iter = min(range(len(trace)), key=lambda i: trace[i][1])
-    best_value = trace[best_iter][1]
-    # iterates strictly decrease, so the final x is the argmin of the trace
-    return OptimizeResult(best_point=x, best_value=best_value, trace=trace, status=status)
+    # accepted steps never raise the objective, so (x, f) is the trace's minimum
+    return OptimizeResult(best_point=x, best_value=f, trace=trace, status=status)

@@ -69,7 +69,7 @@ from .circuit import (
 )
 from .data import ScalingSpec, invert_target, scale_features
 from .optimizer import OptimizeResult, OptimizerOptions, minimize
-from .statevector import expect_z_all_array
+from .statevector import expect_z_all_array, zero_states
 
 N_QUBITS = 4  # one qubit per input feature
 
@@ -194,7 +194,7 @@ def encode(template: CircuitTemplate, features: np.ndarray) -> np.ndarray:
     the template cannot be split.
     """
     split = _split(template)
-    states = _zero_states(features.shape[:1], template.n_qubits)
+    states = zero_states(features.shape[:1], template.n_qubits)
     run_gates(states, template.gates[:split], template.n_qubits, features, np.zeros(0))
     return states
 
@@ -353,12 +353,6 @@ class _GramObjective:
         per_gate = _coordinates(plus - minus) @ r
         return np.bincount(self.suffix.slots, weights=per_gate,
                            minlength=self.suffix.n_slots)
-
-
-def _zero_states(batch_shape: tuple, n_qubits: int) -> np.ndarray:
-    amps = np.zeros(batch_shape + (2**n_qubits,), dtype=complex)
-    amps[..., 0] = 1.0
-    return amps
 
 
 def _check_batch(features_scaled, targets_scaled):

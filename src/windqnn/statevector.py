@@ -18,25 +18,6 @@ SQRT2_INV = 1.0 / np.sqrt(2.0)
 HADAMARD = np.array([[SQRT2_INV, SQRT2_INV], [SQRT2_INV, -SQRT2_INV]], dtype=complex)
 
 
-def phase_matrix(theta: float) -> np.ndarray:
-    """2x2 phase gate P(theta) = diag(1, e^{i*theta})."""
-    return np.array([[1.0, 0.0], [0.0, np.exp(1j * theta)]], dtype=complex)
-
-
-def ry_matrix(theta: float) -> np.ndarray:
-    """2x2 Y-rotation RY(theta) = [[cos t/2, -sin t/2], [sin t/2, cos t/2]]."""
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def is_unitary_2x2(u: np.ndarray, tol: float = 1e-12) -> bool:
-    """True if u^dag u = I entrywise within tol."""
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2):
-        return False
-    return bool(np.all(np.abs(u.conj().T @ u - np.eye(2)) <= tol))
-
-
 @dataclass
 class Statevector:
     """Mutable state of an n-qubit register: 2**n complex amplitudes."""
@@ -48,13 +29,18 @@ class Statevector:
         return float(np.linalg.norm(self.amplitudes))
 
 
-def new_zero_state(n_qubits: int) -> Statevector:
-    """Allocate |0...0>: amplitude 1 at index 0, zeros elsewhere."""
+def zero_states(batch_shape: tuple, n_qubits: int) -> np.ndarray:
+    """|0...0> for every batch index: shape batch_shape + (2**n_qubits,)."""
     if not 1 <= n_qubits <= MAX_QUBITS:
         raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
-    amps = np.zeros(2**n_qubits, dtype=complex)
-    amps[0] = 1.0
-    return Statevector(n_qubits, amps)
+    amps = np.zeros(batch_shape + (2**n_qubits,), dtype=complex)
+    amps[..., 0] = 1.0
+    return amps
+
+
+def new_zero_state(n_qubits: int) -> Statevector:
+    """Allocate |0...0>: amplitude 1 at index 0, zeros elsewhere."""
+    return Statevector(n_qubits, zero_states((), n_qubits))
 
 
 def _qubit_view(amps: np.ndarray, n_qubits: int, qubit: int) -> np.ndarray:
@@ -122,45 +108,3 @@ def expect_z_all_array(amps: np.ndarray) -> np.ndarray:
     n_qubits = int(np.log2(amps.shape[-1]))
     probs = np.abs(amps) ** 2
     return probs @ _parity_signs(n_qubits)
-
-
-def expect_z_single_array(amps: np.ndarray, qubit: int) -> np.ndarray:
-    signs = 1.0 - 2.0 * ((np.arange(amps.shape[-1]) >> qubit) & 1)
-    probs = np.abs(amps) ** 2
-    return probs @ signs
-
-
-def _check_qubit(state: Statevector, qubit: int) -> None:
-    if not 0 <= qubit < state.n_qubits:
-        raise ValueError(f"qubit {qubit} out of range for {state.n_qubits}-qubit state")
-
-
-def apply_1q(state: Statevector, u: np.ndarray, qubit: int) -> Statevector:
-    """Apply a single-qubit unitary to the state, in place."""
-    _check_qubit(state, qubit)
-    u = np.asarray(u, dtype=complex)
-    if not is_unitary_2x2(u):
-        raise ValueError("u is not unitary within 1e-12")
-    apply_1q_array(state.amplitudes, u, qubit, state.n_qubits)
-    return state
-
-
-def apply_cx(state: Statevector, control: int, target: int) -> Statevector:
-    """Apply CX (CNOT) with the given control and target, in place."""
-    _check_qubit(state, control)
-    _check_qubit(state, target)
-    if control == target:
-        raise ValueError(f"control and target must differ, both are {control}")
-    apply_cx_array(state.amplitudes, control, target, state.n_qubits)
-    return state
-
-
-def expect_z_all(state: Statevector) -> float:
-    """Expectation of the parity observable Z on every qubit, in [-1, 1]."""
-    return float(expect_z_all_array(state.amplitudes))
-
-
-def expect_z_single(state: Statevector, qubit: int) -> float:
-    """Expectation of Z on a single qubit, in [-1, 1]."""
-    _check_qubit(state, qubit)
-    return float(expect_z_single_array(state.amplitudes, qubit))

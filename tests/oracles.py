@@ -48,11 +48,6 @@ def dense_z_all_operator(n_qubits: int) -> np.ndarray:
     return op
 
 
-def dense_z_single_operator(qubit: int, n_qubits: int) -> np.ndarray:
-    z = np.diag([1.0, -1.0]).astype(complex)
-    return dense_1q_operator(z, qubit, n_qubits)
-
-
 def random_state(n_qubits: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-ish random normalized state for property checks."""
     amps = rng.normal(size=2**n_qubits) + 1j * rng.normal(size=2**n_qubits)
@@ -86,6 +81,17 @@ def dense_lbfgs_direction(gradient: np.ndarray, history: list) -> np.ndarray:
 H2 = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 
 
+def phase_2x2(t: float) -> np.ndarray:
+    """P(t) = diag(1, e^{it})."""
+    return np.array([[1.0, 0.0], [0.0, np.exp(1j * t)]], dtype=complex)
+
+
+def ry_2x2(t: float) -> np.ndarray:
+    """RY(t) = [[cos t/2, -sin t/2], [sin t/2, cos t/2]]."""
+    c, s = np.cos(t / 2), np.sin(t / 2)
+    return np.array([[c, -s], [s, c]], dtype=complex)
+
+
 def _oracle_angle(angle, features, params) -> float:
     # Independent re-derivation of every angle-source formula.
     from windqnn.circuit import ConstAngle, FeatureAngle, PairProductAngle, ParamAngle
@@ -114,15 +120,10 @@ def dense_template_matrix(template, features, params) -> np.ndarray:
             m = dense_cx_operator(g.qubits[0], g.qubits[1], template.n_qubits)
         elif g.kind == "P":
             t = _oracle_angle(g.angle, features, params)
-            p = np.array([[1.0, 0.0], [0.0, np.exp(1j * t)]], dtype=complex)
-            m = dense_1q_operator(p, g.qubits[0], template.n_qubits)
+            m = dense_1q_operator(phase_2x2(t), g.qubits[0], template.n_qubits)
         elif g.kind == "RY":
             t = _oracle_angle(g.angle, features, params)
-            ry = np.array(
-                [[np.cos(t / 2), -np.sin(t / 2)], [np.sin(t / 2), np.cos(t / 2)]],
-                dtype=complex,
-            )
-            m = dense_1q_operator(ry, g.qubits[0], template.n_qubits)
+            m = dense_1q_operator(ry_2x2(t), g.qubits[0], template.n_qubits)
         else:
             raise ValueError(f"unknown gate kind {g.kind!r}")
         op = m @ op

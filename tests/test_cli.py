@@ -321,6 +321,13 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("config:") and "split.fraction" in err
 
+    def test_no_line_search_steps_exits_2(self, tmp_path, capsys):
+        # zero steps would stop every QNN at its initial parameters
+        path = write_config(tmp_path, "selection: [QNN-1]\noptimizer: {max_line_search_steps: 0}")
+        assert main(["run", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config: optimizer:") and "max_line_search_steps" in err
+
     def test_missing_csv_exits_3(self, tmp_path, capsys):
         path = write_config(
             tmp_path, "data: {source: csv, csv_path: /tmp/absent.csv}"

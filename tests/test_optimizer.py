@@ -242,6 +242,13 @@ def test_options_invariants():
         OptimizerOptions(max_iterations=0)
     with pytest.raises(ValueError, match="memory"):
         OptimizerOptions(memory=0)
+    with pytest.raises(ValueError, match="max_line_search_steps"):
+        OptimizerOptions(max_line_search_steps=0)
+    with pytest.raises(ValueError, match="gradient_tolerance"):
+        OptimizerOptions(gradient_tolerance=-1e-5)
+    with pytest.raises(ValueError, match="relative_f_tolerance"):
+        OptimizerOptions(relative_f_tolerance=-1.0)
+    OptimizerOptions(gradient_tolerance=0.0, relative_f_tolerance=0.0)
 
 
 def test_curvature_floor_filters_degenerate_pairs():

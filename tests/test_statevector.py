@@ -2,31 +2,26 @@
 import numpy as np
 import pytest
 
+from windqnn.circuit import CircuitTemplate, evaluate_batch
+from windqnn.qnn import encode
 from windqnn.statevector import (
     HADAMARD,
-    Statevector,
-    apply_1q,
     apply_1q_array,
-    apply_cx,
     apply_cx_array,
     apply_phase_array,
     apply_ry_array,
-    expect_z_all,
     expect_z_all_array,
-    expect_z_single,
-    is_unitary_2x2,
     new_zero_state,
-    phase_matrix,
-    ry_matrix,
 )
 
 from oracles import (
     dense_1q_operator,
     dense_cx_operator,
     dense_z_all_operator,
-    dense_z_single_operator,
+    phase_2x2,
     random_state,
     random_unitary_2x2,
+    ry_2x2,
 )
 
 RT2 = 1.0 / np.sqrt(2.0)
@@ -43,122 +38,113 @@ def test_new_zero_state_amplitudes():
 def test_new_zero_state_rejects_bad_qubit_count(bad_n):
     with pytest.raises(ValueError):
         new_zero_state(bad_n)
+    # the batch paths share the guard and raise before allocating: 2**20
+    # rows of 2**25 amplitudes could not be allocated at all
+    template = CircuitTemplate(bad_n, ())
+    rows = np.zeros((2**20, 0))
+    with pytest.raises(ValueError, match="n_qubits"):
+        evaluate_batch(template, rows, np.zeros(0))
+    with pytest.raises(ValueError, match="n_qubits"):
+        encode(template, rows)
 
 
 def test_hadamard_on_qubit0():
-    state = new_zero_state(2)
-    apply_1q(state, HADAMARD, 0)
-    np.testing.assert_allclose(state.amplitudes, [RT2, RT2, 0, 0], atol=1e-15)
+    amps = new_zero_state(2).amplitudes
+    apply_1q_array(amps, HADAMARD, 0, 2)
+    np.testing.assert_allclose(amps, [RT2, RT2, 0, 0], atol=1e-15)
 
 
 def test_bell_state_via_h_then_cx():
     # H on qubit 0 puts weight on indices 0 and 1; CX(control=0, target=1)
     # moves index 1 (qubit 0 set) to index 3.
-    state = new_zero_state(2)
-    apply_1q(state, HADAMARD, 0)
-    apply_cx(state, 0, 1)
-    np.testing.assert_allclose(state.amplitudes, [RT2, 0, 0, RT2], atol=1e-15)
-
-
-def test_apply_1q_rejects_non_unitary():
-    state = new_zero_state(1)
-    with pytest.raises(ValueError, match="unitary"):
-        apply_1q(state, np.array([[1.0, 1.0], [0.0, 1.0]]), 0)
-
-
-def test_apply_1q_rejects_out_of_range_qubit():
-    state = new_zero_state(2)
-    with pytest.raises(ValueError, match="out of range"):
-        apply_1q(state, HADAMARD, 2)
-
-
-def test_apply_cx_rejects_equal_control_target():
-    state = new_zero_state(2)
-    with pytest.raises(ValueError, match="differ"):
-        apply_cx(state, 1, 1)
+    amps = new_zero_state(2).amplitudes
+    apply_1q_array(amps, HADAMARD, 0, 2)
+    apply_cx_array(amps, 0, 1, 2)
+    np.testing.assert_allclose(amps, [RT2, 0, 0, RT2], atol=1e-15)
 
 
 def test_phase_gate_fixes_zero_state():
-    state = new_zero_state(1)
-    apply_1q(state, phase_matrix(1.234), 0)
-    np.testing.assert_allclose(state.amplitudes, [1, 0], atol=1e-15)
+    amps = new_zero_state(1).amplitudes
+    apply_phase_array(amps, 1.234, 0, 1)
+    np.testing.assert_allclose(amps, [1, 0], atol=1e-15)
 
 
 def test_phase_gate_rotates_one_component():
-    state = new_zero_state(1)
-    apply_1q(state, HADAMARD, 0)
-    apply_1q(state, phase_matrix(np.pi / 3), 0)
+    amps = new_zero_state(1).amplitudes
+    apply_1q_array(amps, HADAMARD, 0, 1)
+    apply_phase_array(amps, np.pi / 3, 0, 1)
     expected = [RT2, RT2 * np.exp(1j * np.pi / 3)]
-    np.testing.assert_allclose(state.amplitudes, expected, atol=1e-15)
-
-
-def test_ry_matrix_half_pi():
-    u = ry_matrix(np.pi / 2)
-    c = np.cos(np.pi / 4)
-    np.testing.assert_allclose(u, [[c, -c], [c, c]], atol=1e-15)
-    assert is_unitary_2x2(u)
+    np.testing.assert_allclose(amps, expected, atol=1e-15)
 
 
 def test_expect_z_all_basis_states():
-    assert expect_z_all(new_zero_state(2)) == pytest.approx(1.0)
-    state = new_zero_state(2)
-    state.amplitudes[:] = [0, 1, 0, 0]  # qubit 0 set: odd parity
-    assert expect_z_all(state) == pytest.approx(-1.0)
-    state.amplitudes[:] = [0, 0, 0, 1]  # both set: even parity
-    assert expect_z_all(state) == pytest.approx(1.0)
-
-
-def test_expect_z_single_addresses_correct_qubit():
-    state = new_zero_state(2)
-    state.amplitudes[:] = [0, 0, 1, 0]  # index 2: qubit 1 set, qubit 0 clear
-    assert expect_z_single(state, 1) == pytest.approx(-1.0)
-    assert expect_z_single(state, 0) == pytest.approx(1.0)
+    amps = new_zero_state(2).amplitudes
+    assert expect_z_all_array(amps) == pytest.approx(1.0)
+    amps[:] = [0, 1, 0, 0]  # qubit 0 set: odd parity
+    assert expect_z_all_array(amps) == pytest.approx(-1.0)
+    amps[:] = [0, 0, 0, 1]  # both set: even parity
+    assert expect_z_all_array(amps) == pytest.approx(1.0)
 
 
 def test_expect_z_all_uniform_superposition_is_zero():
-    state = new_zero_state(3)
+    amps = new_zero_state(3).amplitudes
     for q in range(3):
-        apply_1q(state, HADAMARD, q)
-    assert expect_z_all(state) == pytest.approx(0.0, abs=1e-12)
+        apply_1q_array(amps, HADAMARD, q, 3)
+    assert expect_z_all_array(amps) == pytest.approx(0.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("n_qubits", [1, 2, 3, 4])
-def test_apply_1q_matches_dense_oracle(n_qubits):
-    rng = np.random.default_rng(7 + n_qubits)
-    for _ in range(5):
-        amps = random_state(n_qubits, rng)
+def _kernel_case(kernel: str, n_qubits: int, rng):
+    """(apply, operator, angled) for one randomly placed gate: apply(amps,
+    theta) runs the kernel in place, operator(theta) is its dense matrix,
+    and angled says whether theta reaches the kernel at all."""
+    if kernel == "cx":
+        control, target = (int(q) for q in rng.choice(n_qubits, size=2, replace=False))
+        return (lambda amps, t: apply_cx_array(amps, control, target, n_qubits),
+                lambda t: dense_cx_operator(control, target, n_qubits), False)
+    qubit = int(rng.integers(n_qubits))
+    if kernel == "1q":
         u = random_unitary_2x2(rng)
-        qubit = int(rng.integers(n_qubits))
-        state = Statevector(n_qubits, amps.copy())
-        apply_1q(state, u, qubit)
-        expected = dense_1q_operator(u, qubit, n_qubits) @ amps
-        np.testing.assert_allclose(state.amplitudes, expected, atol=1e-12)
+        return (lambda amps, t: apply_1q_array(amps, u, qubit, n_qubits),
+                lambda t: dense_1q_operator(u, qubit, n_qubits), False)
+    apply, gate = {"phase": (apply_phase_array, phase_2x2),
+                   "ry": (apply_ry_array, ry_2x2)}[kernel]
+    return (lambda amps, t: apply(amps, t, qubit, n_qubits),
+            lambda t: dense_1q_operator(gate(t), qubit, n_qubits), True)
 
 
-@pytest.mark.parametrize("n_qubits", [2, 3, 4])
-def test_apply_cx_matches_dense_oracle(n_qubits):
-    rng = np.random.default_rng(11 + n_qubits)
+ORACLE_CASES = ([(k, n) for k in ("1q", "phase", "ry") for n in (1, 2, 3, 4)]
+                + [("cx", n) for n in (2, 3, 4)])
+
+
+@pytest.mark.parametrize("kernel, n_qubits", ORACLE_CASES)
+def test_kernels_match_dense_oracle(kernel, n_qubits):
+    rng = np.random.default_rng(ORACLE_CASES.index((kernel, n_qubits)))
     for _ in range(5):
-        amps = random_state(n_qubits, rng)
-        control, target = rng.choice(n_qubits, size=2, replace=False)
-        state = Statevector(n_qubits, amps.copy())
-        apply_cx(state, int(control), int(target))
-        expected = dense_cx_operator(int(control), int(target), n_qubits) @ amps
-        np.testing.assert_allclose(state.amplitudes, expected, atol=1e-12)
+        apply, operator, angled = _kernel_case(kernel, n_qubits, rng)
+        states = np.stack([random_state(n_qubits, rng) for _ in range(4)])
+        thetas = rng.uniform(-2 * np.pi, 2 * np.pi, size=4)
+
+        single = states[0].copy()
+        apply(single, thetas[0])
+        np.testing.assert_allclose(single, operator(thetas[0]) @ states[0], atol=1e-12)
+
+        batch = states.copy()  # one scalar angle for every row
+        apply(batch, thetas[0])
+        np.testing.assert_allclose(batch, states @ operator(thetas[0]).T, atol=1e-12)
+
+        if angled:
+            batch = states.copy()  # one angle per row
+            apply(batch, thetas)
+            want = np.stack([operator(t) @ s for t, s in zip(thetas, states)])
+            np.testing.assert_allclose(batch, want, atol=1e-12)
 
 
 def test_expectations_match_dense_oracle():
     rng = np.random.default_rng(23)
     for n_qubits in (1, 2, 4):
         amps = random_state(n_qubits, rng)
-        state = Statevector(n_qubits, amps.copy())
-        z_all = dense_z_all_operator(n_qubits)
-        want = np.real(amps.conj() @ z_all @ amps)
-        assert expect_z_all(state) == pytest.approx(want, abs=1e-12)
-        for qubit in range(n_qubits):
-            z_one = dense_z_single_operator(qubit, n_qubits)
-            want = np.real(amps.conj() @ z_one @ amps)
-            assert expect_z_single(state, qubit) == pytest.approx(want, abs=1e-12)
+        want = np.real(amps.conj() @ dense_z_all_operator(n_qubits) @ amps)
+        assert expect_z_all_array(amps) == pytest.approx(want, abs=1e-12)
 
 
 def test_norm_preserved_under_random_gate_sequence():
@@ -166,10 +152,11 @@ def test_norm_preserved_under_random_gate_sequence():
     state = new_zero_state(4)
     for _ in range(40):
         if rng.random() < 0.7:
-            apply_1q(state, random_unitary_2x2(rng), int(rng.integers(4)))
+            apply_1q_array(state.amplitudes, random_unitary_2x2(rng),
+                           int(rng.integers(4)), 4)
         else:
             control, target = rng.choice(4, size=2, replace=False)
-            apply_cx(state, int(control), int(target))
+            apply_cx_array(state.amplitudes, int(control), int(target), 4)
     assert state.norm() == pytest.approx(1.0, abs=1e-12)
 
 
