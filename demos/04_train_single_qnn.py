@@ -37,11 +37,11 @@ print(f"model: {model.template.n_parameter_slots} trainable parameters, "
 
 result = train(model, x_train, y_train, OptimizerOptions(max_iterations=25))
 print(f"training status: {result.status}, "
-      f"loss {result.trace[0][1]:.4f} -> {result.final_loss:.4f} "
+      f"loss {result.trace[0][1]:.4f} -> {result.best_value:.4f} "
       f"in {len(result.trace) - 1} iterations")
 
 # Predictions come back in scaled space; invert to kilowatts for metrics.
-fitted = with_parameters(model, result.parameters)
+fitted = with_parameters(model, result.best_point)
 predicted = invert_target(scaling, predict_scaled(fitted, x_test))
 print(f"test R2  = {r2(test_set.power, predicted):.4f}")
 print(f"test MAE = {mae(test_set.power, predicted):.2f} kW")

@@ -18,8 +18,8 @@ config = ExperimentConfig(
     parallelism=1,
 )
 
-report, failures = run_experiment(config)
-for failure in failures:
+report = run_experiment(config)
+for failure in report.failures:
     print(f"{failure.method_id} failed: {failure.message}")
 
 # The Z-map configs (QNN-1, QNN-4) should clearly beat the ZZ-map ones

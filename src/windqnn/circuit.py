@@ -37,10 +37,9 @@ class ConstAngle:
 
 @dataclass(frozen=True)
 class FeatureAngle:
-    """coefficient * x[index], the single-feature encoding angle."""
+    """2 * x[index], the single-feature encoding angle."""
 
     index: int
-    coefficient: float = 2.0
 
 
 @dataclass(frozen=True)
@@ -214,7 +213,7 @@ def build_ansatz(n_qubits: int, reps: int, strategy: str) -> CircuitTemplate:
 
 def _shift_angle(angle: Optional[AngleSource], f_off: int, p_off: int):
     if isinstance(angle, FeatureAngle):
-        return FeatureAngle(angle.index + f_off, angle.coefficient)
+        return FeatureAngle(angle.index + f_off)
     if isinstance(angle, PairProductAngle):
         return PairProductAngle(angle.index_a + f_off, angle.index_b + f_off)
     if isinstance(angle, ParamAngle):
@@ -248,7 +247,7 @@ def _resolve_angle(angle: AngleSource, features: np.ndarray, params: np.ndarray)
     if isinstance(angle, ConstAngle):
         return angle.value
     if isinstance(angle, FeatureAngle):
-        return angle.coefficient * features[..., angle.index]
+        return 2.0 * features[..., angle.index]
     if isinstance(angle, PairProductAngle):
         return 2.0 * (np.pi - features[..., angle.index_a]) * (
             np.pi - features[..., angle.index_b]
@@ -337,8 +336,7 @@ def _angle_text(angle: AngleSource) -> str:
     if isinstance(angle, ConstAngle):
         return f"{angle.value:g}"
     if isinstance(angle, FeatureAngle):
-        coeff = f"{angle.coefficient:g}"
-        return f"{coeff}*x{angle.index}"
+        return f"2*x{angle.index}"
     if isinstance(angle, PairProductAngle):
         return f"2*(pi-x{angle.index_a})*(pi-x{angle.index_b})"
     return f"t{angle.index}"

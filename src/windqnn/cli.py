@@ -19,7 +19,7 @@ import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import yaml
 
@@ -63,6 +63,7 @@ from .report import (
     METHOD_ORDER,
     REFERENCE_RESULTS,
     ExperimentReport,
+    MethodFailure,
     MethodResult,
     render_from_artifacts,
     write_run_artifact,
@@ -77,15 +78,6 @@ BASELINE_SLUGS = {
 
 class ConfigError(Exception):
     """Invalid or unreadable experiment configuration; message names the key."""
-
-
-class MethodFailure(NamedTuple):
-    """A method that raised: the one-line ``Type: message`` for stderr and
-    the full traceback for ``<run>/<method>/error.txt``."""
-
-    method_id: str
-    message: str
-    traceback: str
 
 
 @dataclass
@@ -290,7 +282,7 @@ def _train_method(method_id: str, cfg: ExperimentConfig, bundle, shared: dict):
                           encode(model.template, x_test))
     gram, test_states = shared[family]
     result = train(model, x_train, y_train_scaled, cfg.optimizer, gram=gram)
-    fitted = with_parameters(model, result.parameters)
+    fitted = with_parameters(model, result.best_point)
     predictions = invert_target(scaling, predict_scaled(fitted, x_test, test_states))
     return predictions, result.trace, result.status
 
@@ -331,12 +323,13 @@ def _run_group(method_ids, cfg: ExperimentConfig, bundle) -> list:
     return outcomes
 
 
-def run_experiment(cfg: ExperimentConfig) -> Tuple[ExperimentReport, List[MethodFailure]]:
+def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Load, split, scale, train every selected method, compute test metrics.
 
-    Returns the report plus one MethodFailure per method that raised, in
-    selection order.  A group (the selected QNNs of one feature map, or one
-    baseline) runs on one thread; one failure does not abort the others.
+    Returns the report, whose ``failures`` hold a MethodFailure per method
+    that raised, in selection order.  A group (the selected QNNs of one
+    feature map, or one baseline) runs on one thread; one failure does not
+    abort the others.
     """
     dataset, dropped = _load_dataset(cfg)
     if dropped:
@@ -369,7 +362,7 @@ def run_experiment(cfg: ExperimentConfig) -> Tuple[ExperimentReport, List[Method
     outcomes.sort(key=lambda o: cfg.selection.index(o.method_id))
     methods = [o for o in outcomes if isinstance(o, MethodResult)]
     failures = [o for o in outcomes if isinstance(o, MethodFailure)]
-    return ExperimentReport(methods=methods), failures
+    return ExperimentReport(methods=methods, failures=failures)
 
 
 def _summary_table(report: ExperimentReport) -> str:
@@ -395,7 +388,7 @@ def cmd_run(config_path: str) -> int:
         print(f"config: {exc}", file=sys.stderr)
         return 2
     try:
-        report, failures = run_experiment(cfg)
+        report = run_experiment(cfg)
     except DataError as exc:
         print(f"data: {exc}", file=sys.stderr)
         return 3
@@ -404,19 +397,14 @@ def cmd_run(config_path: str) -> int:
     run_dir = os.path.join(cfg.output_directory, run_id)
     try:
         write_run_artifact(report, run_dir)
-        for failure in failures:
-            method_dir = os.path.join(run_dir, failure.method_id)
-            os.makedirs(method_dir, exist_ok=True)
-            with open(os.path.join(method_dir, "error.txt"), "w", encoding="utf-8") as handle:
-                handle.write(failure.traceback)
     except OSError as exc:
         print(f"report: {exc}", file=sys.stderr)
         return 3
     print(_summary_table(report))
     print(f"\nartifacts: {run_dir}")
-    for failure in failures:
+    for failure in report.failures:
         print(f"training: {failure.method_id} failed: {failure.message}", file=sys.stderr)
-    return 4 if failures else 0
+    return 4 if report.failures else 0
 
 
 def cmd_gen_data(rows: int, seed: int, out_path: str) -> int:

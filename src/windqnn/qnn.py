@@ -51,7 +51,7 @@ gate by gate; they are the reference the tests hold the fast path to.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -105,17 +105,6 @@ class QnnModel:
                 f"parameter vector shape {self.parameters.shape} does not match "
                 f"{self.template.n_parameter_slots} template slots"
             )
-
-
-@dataclass
-class TrainedResult:
-    parameters: np.ndarray
-    trace: List[Tuple[int, float]]
-    status: str
-
-    @property
-    def final_loss(self) -> float:
-        return self.trace[-1][1]
 
 
 def initial_parameters(n: int, seed: int) -> np.ndarray:
@@ -393,9 +382,10 @@ def train(
     targets_scaled,
     options: Optional[OptimizerOptions] = None,
     gram: Optional[Gram] = None,
-) -> TrainedResult:
+) -> OptimizeResult:
     """Minimize the MSE over the model parameters with the exact
-    parameter-shift gradient; the model is not mutated.
+    parameter-shift gradient; the model is not mutated.  Returns minimize's
+    result: ``best_point`` is the fitted parameter vector.
 
     ``gram`` optionally gives ``gram_form`` of the encoded training rows, so
     models that share a feature map and rows build it once.
@@ -404,8 +394,4 @@ def train(
     if gram is None:
         gram = gram_form(encode(model.template, features), targets)
     objective = _GramObjective(model.template, gram, model.suffix)
-    result: OptimizeResult = minimize(objective.loss, objective.shift_gradient,
-                                      model.parameters, options)
-    return TrainedResult(
-        parameters=result.best_point, trace=result.trace, status=result.status
-    )
+    return minimize(objective.loss, objective.shift_gradient, model.parameters, options)

@@ -8,9 +8,10 @@ reference results of the original wind-turbine benchmark.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -45,6 +46,15 @@ REFERENCE_RESULTS = {
     "knn": (0.92, 103.30),
     "ols": (0.88, 162.76),
 }
+
+RESULTS_COLUMNS = ("config_id", "feature_map", "ansatz", "r2", "mae", "wall_time_s",
+                   "seed", "status")
+TRACE_COLUMNS = ("iteration", "objective")
+PREDICTION_COLUMNS = ("actual_kW", "predicted_kW")
+
+# every file name of a run directory: at the top, and in a method's subdirectory
+RUN_FILES = ("results.csv", "results.md", "traces_z.svg", "traces_zz.svg")
+METHOD_FILES = ("trace.csv", "predictions.csv", "scatter.svg", "error.txt")
 
 SVG_PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
@@ -85,9 +95,19 @@ class MethodResult:
         return BASELINE_NAMES.get(self.method_id, self.method_id)
 
 
+class MethodFailure(NamedTuple):
+    """A method that raised: the one-line ``Type: message`` for stderr and
+    the full traceback for ``<run>/<method>/error.txt``."""
+
+    method_id: str
+    message: str
+    traceback: str
+
+
 @dataclass
 class ExperimentReport:
     methods: List[MethodResult]
+    failures: List[MethodFailure] = field(default_factory=list)
 
     def ordered(self) -> List[MethodResult]:
         return sorted(self.methods, key=lambda m: METHOD_ORDER.index(m.method_id))
@@ -98,25 +118,35 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def write_results_csv(report: ExperimentReport, path: str) -> None:
+def _finite(cell: str) -> float:
+    # every float the program writes is finite, so any other is damage
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {cell!r}")
+    return value
+
+
+def _write_csv(path: str, columns: Sequence[str], rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(
-            ["config_id", "feature_map", "ansatz", "r2", "mae", "wall_time_s", "seed",
-             "status"]
-        )
-        for m in report.ordered():
-            writer.writerow(
-                [m.method_id, m.feature_map, m.ansatz,
-                 _fmt(m.r2), _fmt(m.mae), _fmt(m.wall_time_s), str(m.seed), m.status]
-            )
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
+def write_results_csv(report: ExperimentReport, path: str) -> None:
+    _write_csv(path, RESULTS_COLUMNS, (
+        [m.method_id, m.feature_map, m.ansatz,
+         _fmt(m.r2), _fmt(m.mae), _fmt(m.wall_time_s), str(m.seed), m.status]
+        for m in report.ordered()
+    ))
 
 
 def _read_csv(path: str, columns: Sequence[str], parse) -> list:
     """parse(row) for every data row of a CSV artifact.
 
-    A missing column, or a row that parse rejects (a bad number, an unknown
-    method id), raises DataError naming the file, and the line for a row.
+    A missing column, or a row that parse rejects (a bad or non-finite
+    number, an unknown method id), raises DataError naming the file, and the
+    line for a row.
     """
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
@@ -139,14 +169,14 @@ def read_results_csv(path: str) -> ExperimentReport:
     """
     methods = _read_csv(
         path,
-        ("config_id", "feature_map", "ansatz", "r2", "mae", "wall_time_s", "seed"),
+        [c for c in RESULTS_COLUMNS if c != "status"],
         lambda row: MethodResult(
             method_id=row["config_id"],
             feature_map=row["feature_map"],
             ansatz=row["ansatz"],
-            r2=float(row["r2"]),
-            mae=float(row["mae"]),
-            wall_time_s=float(row["wall_time_s"]),
+            r2=_finite(row["r2"]),
+            mae=_finite(row["mae"]),
+            wall_time_s=_finite(row["wall_time_s"]),
             seed=int(row["seed"]),
             status=row.get("status", ""),
         ),
@@ -176,29 +206,21 @@ def write_results_markdown(report: ExperimentReport, path: str) -> None:
 
 
 def write_trace_csv(trace: Sequence[Tuple[int, float]], path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["iteration", "objective"])
-        for iteration, objective in trace:
-            writer.writerow([str(iteration), _fmt(objective)])
+    _write_csv(path, TRACE_COLUMNS, ([str(i), _fmt(v)] for i, v in trace))
 
 
 def read_trace_csv(path: str) -> List[Tuple[int, float]]:
-    return _read_csv(path, ("iteration", "objective"),
-                     lambda row: (int(row["iteration"]), float(row["objective"])))
+    return _read_csv(path, TRACE_COLUMNS,
+                     lambda row: (int(row["iteration"]), _finite(row["objective"])))
 
 
 def write_predictions_csv(actual, predicted, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["actual_kW", "predicted_kW"])
-        for a, p in zip(actual, predicted):
-            writer.writerow([_fmt(a), _fmt(p)])
+    _write_csv(path, PREDICTION_COLUMNS, ([_fmt(a), _fmt(p)] for a, p in zip(actual, predicted)))
 
 
 def read_predictions_csv(path: str) -> Tuple[np.ndarray, np.ndarray]:
-    pairs = _read_csv(path, ("actual_kW", "predicted_kW"),
-                      lambda row: (float(row["actual_kW"]), float(row["predicted_kW"])))
+    pairs = _read_csv(path, PREDICTION_COLUMNS,
+                      lambda row: (_finite(row["actual_kW"]), _finite(row["predicted_kW"])))
     return np.array([a for a, _ in pairs]), np.array([p for _, p in pairs])
 
 
@@ -224,20 +246,18 @@ def _y_pix(v: float, lo: float, hi: float) -> float:
     return _H - _MARGIN - (v - lo) / (hi - lo) * (_H - 2 * _MARGIN)
 
 
-def _svg_header(title: str) -> List[str]:
-    return [
+def _write_svg(path: str, title: str, x_label: str, y_label: str, x_range, y_range,
+               marks: Sequence[str]) -> None:
+    """Write one plot: a titled white canvas, both axes with five labeled
+    ticks over x_range and y_range, then marks, SVG elements in pixels."""
+    x0, y0 = _MARGIN, _H - _MARGIN
+    x1, y1 = _W - _MARGIN, _MARGIN
+    parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
         f'<text x="{_W // 2}" y="24" text-anchor="middle" font-size="16" '
         f'font-family="sans-serif">{title}</text>',
-    ]
-
-
-def _svg_axes(x_label: str, y_label: str, x_range, y_range) -> List[str]:
-    x0, y0 = _MARGIN, _H - _MARGIN
-    x1, y1 = _W - _MARGIN, _MARGIN
-    parts = [
         f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="black"/>',
         f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black"/>',
         f'<text x="{(x0 + x1) // 2}" y="{_H - 16}" text-anchor="middle" '
@@ -251,21 +271,18 @@ def _svg_axes(x_label: str, y_label: str, x_range, y_range) -> List[str]:
         fy = y_range[0] + (y_range[1] - y_range[0]) * i / 4
         px = _x_pix(fx, *x_range)
         py = _y_pix(fy, *y_range)
-        parts.append(
-            f'<line x1="{px:.2f}" y1="{y0}" x2="{px:.2f}" y2="{y0 + 5}" stroke="black"/>'
-        )
-        parts.append(
+        parts += [
+            f'<line x1="{px:.2f}" y1="{y0}" x2="{px:.2f}" y2="{y0 + 5}" stroke="black"/>',
             f'<text x="{px:.2f}" y="{y0 + 18}" text-anchor="middle" font-size="10" '
-            f'font-family="sans-serif">{fx:.0f}</text>'
-        )
-        parts.append(
-            f'<line x1="{x0 - 5}" y1="{py:.2f}" x2="{x0}" y2="{py:.2f}" stroke="black"/>'
-        )
-        parts.append(
+            f'font-family="sans-serif">{fx:.0f}</text>',
+            f'<line x1="{x0 - 5}" y1="{py:.2f}" x2="{x0}" y2="{py:.2f}" stroke="black"/>',
             f'<text x="{x0 - 8}" y="{py + 3:.2f}" text-anchor="end" font-size="10" '
-            f'font-family="sans-serif">{fy:.0f}</text>'
-        )
-    return parts
+            f'font-family="sans-serif">{fy:.0f}</text>',
+        ]
+    parts += marks
+    parts.append("</svg>")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("\n".join(parts))
 
 
 def emit_scatter_svg(actual, predicted, path: str, title: str = "") -> None:
@@ -277,22 +294,19 @@ def emit_scatter_svg(actual, predicted, path: str, title: str = "") -> None:
     lo = float(min(actual.min(), predicted.min()))
     hi = float(max(actual.max(), predicted.max()))
     x_range = y_range = _axis(lo, hi)
-    parts = _svg_header(title)
-    parts += _svg_axes("Actual power (kW)", "Predicted power (kW)", x_range, y_range)
     rx0, ry0 = _x_pix(lo, *x_range), _y_pix(lo, *y_range)
     rx1, ry1 = _x_pix(hi, *x_range), _y_pix(hi, *y_range)
-    parts.append(
+    marks = [
         f'<line x1="{rx0:.2f}" y1="{ry0:.2f}" x2="{rx1:.2f}" y2="{ry1:.2f}" '
         f'stroke="#888888" stroke-dasharray="4 3"/>'
-    )
+    ]
     for a, p in zip(actual, predicted):
-        parts.append(
+        marks.append(
             f'<circle cx="{_x_pix(a, *x_range):.2f}" cy="{_y_pix(p, *y_range):.2f}" '
             f'r="2" fill="#1f77b4" fill-opacity="0.6"/>'
         )
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(parts))
+    _write_svg(path, title, "Actual power (kW)", "Predicted power (kW)", x_range, y_range,
+               marks)
 
 
 def emit_trace_svg(traces: Dict[str, Sequence[Tuple[int, float]]], path: str,
@@ -304,29 +318,22 @@ def emit_trace_svg(traces: Dict[str, Sequence[Tuple[int, float]]], path: str,
     values = [v for t in traces.values() for _, v in t]
     x_range = _axis(0.0, float(max(max_iter, 1)))
     y_range = _axis(float(min(values)), float(max(values)))
-    parts = _svg_header(title)
-    parts += _svg_axes("Iteration", "Objective", x_range, y_range)
+    marks = []
     for i, (label, trace) in enumerate(traces.items()):
         color = SVG_PALETTE[i % len(SVG_PALETTE)]
         points = " ".join(
             f"{_x_pix(float(it), *x_range):.2f},{_y_pix(v, *y_range):.2f}"
             for it, v in trace
         )
-        parts.append(
-            f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-        )
         ly = _MARGIN + 14 * i
-        parts.append(
+        marks += [
+            f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>',
             f'<line x1="{_W - 150}" y1="{ly}" x2="{_W - 130}" y2="{ly}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
+            f'stroke="{color}" stroke-width="2"/>',
             f'<text x="{_W - 124}" y="{ly + 4}" font-size="11" '
-            f'font-family="sans-serif">{label}</text>'
-        )
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(parts))
+            f'font-family="sans-serif">{label}</text>',
+        ]
+    _write_svg(path, title, "Iteration", "Objective", x_range, y_range, marks)
 
 
 # --- run directory -----------------------------------------------------------
@@ -360,15 +367,31 @@ def _render(report: ExperimentReport, directory: str) -> List[str]:
     return written
 
 
+def _clear(directory: str) -> None:
+    """Delete each RUN_FILES and METHOD_FILES name an earlier run left in
+    directory, then each method directory that is left empty."""
+    method_dirs = [os.path.join(directory, m) for m in METHOD_ORDER]
+    for path in [os.path.join(directory, n) for n in RUN_FILES] + [
+            os.path.join(d, n) for d in method_dirs for n in METHOD_FILES]:
+        if os.path.lexists(path):
+            os.remove(path)
+    for method_dir in method_dirs:
+        if os.path.isdir(method_dir) and not os.listdir(method_dir):
+            os.rmdir(method_dir)
+
+
 def write_run_artifact(report: ExperimentReport, directory: str) -> List[str]:
     """Write the full artifact set; returns the written paths.
 
     Layout: results.csv and results.md at the top, traces_z.svg/traces_zz.svg
     for whichever feature-map families ran, then per method a subdirectory
-    with trace.csv (iterative methods only), predictions.csv, scatter.svg.
+    with trace.csv (iterative methods only), predictions.csv and scatter.svg,
+    or error.txt with the traceback of each of report.failures.  Files an
+    earlier run left under these names are deleted first; others stay.
     """
     os.makedirs(directory, exist_ok=True)
     try:
+        _clear(directory)
         path = os.path.join(directory, "results.csv")
         write_results_csv(report, path)
         written = [path]
@@ -383,6 +406,12 @@ def write_run_artifact(report: ExperimentReport, directory: str) -> List[str]:
                 path = os.path.join(method_dir, "predictions.csv")
                 write_predictions_csv(m.actual, m.predicted, path)
                 written.append(path)
+        for failure in report.failures:
+            path = os.path.join(directory, failure.method_id, "error.txt")
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(failure.traceback)
+            written.append(path)
         return written + _render(report, directory)
     except OSError as exc:
         raise OSError(f"failed writing run artifact under {directory}: {exc}") from exc

@@ -99,7 +99,7 @@ def _oracle_angle(angle, features, params) -> float:
     if isinstance(angle, ConstAngle):
         return float(angle.value)
     if isinstance(angle, FeatureAngle):
-        return float(angle.coefficient) * float(features[angle.index])
+        return 2.0 * float(features[angle.index])
     if isinstance(angle, PairProductAngle):
         return 2.0 * (np.pi - float(features[angle.index_a])) * (
             np.pi - float(features[angle.index_b])

@@ -4,6 +4,7 @@ import os
 import sys
 from collections import Counter
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -250,7 +251,7 @@ class TestGenData:
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         main(["gen-data", "--rows", "30", "--seed", "5", "--out", a])
         main(["gen-data", "--rows", "30", "--seed", "5", "--out", b])
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_zero_rows_is_usage_error(self, tmp_path, capsys):
         out = str(tmp_path / "data.csv")
@@ -411,8 +412,8 @@ optimizer: {{max_iterations: 2}}
 selection: [QNN-1, QNN-7, knn]
 parallelism: {degree}
 """, name=f"p{degree}.yaml"))
-            report, failures = run_experiment(cfg)
-            assert failures == []
+            report = run_experiment(cfg)
+            assert report.failures == []
             reports[degree] = report
         for one, many in zip(reports[1].ordered(), reports[3].ordered()):
             assert one.method_id == many.method_id
@@ -435,8 +436,8 @@ optimizer: {{max_iterations: 1}}
 selection: [QNN-1, QNN-7, QNN-2, dt, QNN-8, QNN-3]
 parallelism: {degree}
 """))
-        report, failures = run_experiment(cfg)
-        assert failures == [] and len(report.methods) == 6
+        report = run_experiment(cfg)
+        assert report.failures == [] and len(report.methods) == 6
         # one train-row and one test-row encoding per feature map (Z, ZZ)
         assert sorted(encoded) == [12, 12, 48, 48]
 
@@ -455,8 +456,8 @@ optimizer: {max_iterations: 1}
 selection: [QNN-1, QNN-7, QNN-2]
 parallelism: 1
 """))
-        report, failures = run_experiment(cfg)
-        assert failures == [] and len(report.methods) == 3
+        report = run_experiment(cfg)
+        assert report.failures == [] and len(report.methods) == 3
         # one build per model, shared by its training and its test predictions
         assert len(built) == 3
 
@@ -495,8 +496,8 @@ output: {{directory: "{out_dir}", run_id: mixed}}
 parallelism: {degree}
 """)
         assert main(["run", "--config", path]) == 4
-        report, failures = outcomes[0]
-        assert [f.method_id for f in failures] == ["QNN-2", "QNN-8"]
+        report = outcomes[0]
+        assert [f.method_id for f in report.failures] == ["QNN-2", "QNN-8"]
         assert [m.method_id for m in report.methods] == ["QNN-7", "QNN-1", "QNN-3"]
         err = capsys.readouterr().err
         assert err.index("training: QNN-2 failed") < err.index("training: QNN-8 failed")
@@ -566,6 +567,39 @@ output: {{directory: "{out_dir}", run_id: broken}}
         assert "exploding_fit_ols" in error and "_train_method" in error
         assert not (out_dir / "broken" / "dt" / "error.txt").exists()
 
+    def test_rerun_leaves_none_of_the_previous_runs_files(self, tmp_path):
+        def files(run_dir):
+            return {str(p.relative_to(run_dir)) for p in run_dir.rglob("*")}
+
+        out_dir = tmp_path / "runs"
+        run = f"""
+data: {{n_rows: 20, seed: 42}}
+optimizer: {{max_iterations: 1}}
+output: {{directory: "{out_dir}", run_id: %s}}
+parallelism: 1
+"""
+        # knn fails on 16 training rows with k = 100
+        first = write_config(tmp_path, run % "again" + """
+baselines: {knn_k: 100}
+selection: [QNN-1, QNN-7, dt, knn, ols]
+""", name="first.yaml")
+        assert main(["run", "--config", first]) == 4
+        run_dir = out_dir / "again"
+        assert (run_dir / "knn" / "error.txt").exists()
+        assert (run_dir / "QNN-7" / "trace.csv").exists() and (run_dir / "traces_zz.svg").exists()
+        (run_dir / "notes.txt").write_text("kept", encoding="utf-8")
+        (run_dir / "dt" / "notes.txt").write_text("kept", encoding="utf-8")
+
+        selection = "selection: [QNN-1, dt, knn, ols]\n"
+        second = write_config(tmp_path, run % "again" + selection, name="second.yaml")
+        fresh = write_config(tmp_path, run % "fresh" + selection, name="fresh.yaml")
+        assert main(["run", "--config", second]) == 0
+        assert main(["run", "--config", fresh]) == 0
+        assert not (run_dir / "knn" / "error.txt").exists()
+        assert not (run_dir / "QNN-7").exists() and not (run_dir / "traces_zz.svg").exists()
+        foreign = {"notes.txt", os.path.join("dt", "notes.txt")}
+        assert files(run_dir) == files(out_dir / "fresh") | foreign
+
 
 class TestReportCommand:
     def test_rerenders_deleted_outputs(self, tmp_path, capsys):
@@ -603,6 +637,24 @@ class TestReportCommand:
         assert main(["report", "--run-dir", str(run_dir)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("report:") and "results.csv" in err and "feature_map" in err
+
+    @pytest.mark.parametrize("name, column, cell", [
+        ("results.csv", "r2", "nan"),
+        (os.path.join("QNN-1", "trace.csv"), "objective", "inf"),
+        (os.path.join("dt", "predictions.csv"), "predicted_kW", "-inf"),
+    ])
+    def test_non_finite_cell_exits_3(self, tmp_path, capsys, name, column, cell):
+        run_dir = self._run_dir(tmp_path)
+        rows = read_rows(run_dir / name)
+        rows[1][column] = cell
+        with open(run_dir / name, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.DictWriter(handle, list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        capsys.readouterr()
+        assert main(["report", "--run-dir", str(run_dir)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("report:") and f"{name} line 3" in err and cell in err
 
     def test_unknown_method_id_exits_3(self, tmp_path, capsys):
         run_dir = self._run_dir(tmp_path)

@@ -490,7 +490,7 @@ def test_train_with_shared_states_matches_own_encoding(config_id):
     options = OptimizerOptions(max_iterations=3)
     own = train(model, xs, ys, options)
     shared = train(model, xs, ys, options, gram=gram_form(encode(model.template, xs), ys))
-    np.testing.assert_array_equal(shared.parameters, own.parameters)
+    np.testing.assert_array_equal(shared.best_point, own.best_point)
     assert shared.trace == own.trace and shared.status == own.status
 
 
@@ -502,7 +502,7 @@ def test_train_already_optimal_stops_immediately():
     result = train(model, xs, targets)
     assert result.status == "converged"
     assert len(result.trace) <= 2
-    assert result.final_loss == pytest.approx(0.0, abs=1e-12)
+    assert result.best_value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_train_honors_iteration_cap_and_descends():
@@ -516,7 +516,7 @@ def test_train_honors_iteration_cap_and_descends():
     values = [v for _, v in result.trace]
     for prev, cur in zip(values, values[1:]):
         assert cur <= prev + 1e-15
-    assert result.final_loss < values[0]
+    assert result.best_value < values[0]
 
 
 def test_train_reduces_loss_on_learnable_data():
@@ -526,7 +526,7 @@ def test_train_reduces_loss_on_learnable_data():
     ys = predict_scaled(teacher, xs)
     student = build_model("QNN-5", init_seed=43)
     result = train(student, xs, ys, OptimizerOptions(max_iterations=25))
-    assert result.final_loss < 0.5 * result.trace[0][1]
+    assert result.best_value < 0.5 * result.trace[0][1]
 
 
 def test_train_deterministic():
@@ -536,5 +536,5 @@ def test_train_deterministic():
     options = OptimizerOptions(max_iterations=4)
     a = train(build_model("QNN-3", init_seed=7), xs, ys, options)
     b = train(build_model("QNN-3", init_seed=7), xs, ys, options)
-    np.testing.assert_array_equal(a.parameters, b.parameters)
+    np.testing.assert_array_equal(a.best_point, b.best_point)
     assert a.trace == b.trace

@@ -1,6 +1,7 @@
 """Artifact tests: CSV schemas, markdown table, SVG structure, round trips."""
 import os
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from windqnn.report import (
     BASELINE_IDS,
     REFERENCE_RESULTS,
     ExperimentReport,
+    MethodFailure,
     MethodResult,
     emit_scatter_svg,
     emit_trace_svg,
@@ -72,7 +74,7 @@ def _full_report(n_points=8):
 def test_results_csv_has_fifteen_rows(tmp_path):
     path = str(tmp_path / "results.csv")
     write_results_csv(_full_report(), path)
-    lines = open(path, encoding="utf-8").read().strip().splitlines()
+    lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
     assert len(lines) == 16  # header + 15 methods
     assert lines[0] == "config_id,feature_map,ansatz,r2,mae,wall_time_s,seed,status"
 
@@ -80,7 +82,8 @@ def test_results_csv_has_fifteen_rows(tmp_path):
 def test_results_csv_qnn5_row(tmp_path):
     path = str(tmp_path / "results.csv")
     write_results_csv(_full_report(), path)
-    row = [l for l in open(path, encoding="utf-8") if l.startswith("QNN-5,")][0]
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    row = [l for l in lines if l.startswith("QNN-5,")][0]
     assert row.split(",")[1] == "Z"
     assert row.split(",")[2] == "reverse_linear"
 
@@ -89,7 +92,7 @@ def test_results_csv_byte_identical_rewrites(tmp_path):
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     write_results_csv(_full_report(), a)
     write_results_csv(_full_report(), b)
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_results_csv_round_trips_exact_floats(tmp_path):
@@ -137,7 +140,7 @@ def test_method_result_validates_config_pairing():
 def test_markdown_groups_quantum_before_classical(tmp_path):
     path = str(tmp_path / "results.md")
     write_results_markdown(_full_report(), path)
-    text = open(path, encoding="utf-8").read()
+    text = Path(path).read_text(encoding="utf-8")
     assert text.index("Quantum") < text.index("Classical")
     assert text.index("QNN-12") < text.index("Decision Tree")
     assert "| 0.90 |" in text  # two-decimal display
@@ -147,7 +150,8 @@ def test_markdown_groups_quantum_before_classical(tmp_path):
 def test_markdown_reference_deltas(tmp_path):
     path = str(tmp_path / "results.md")
     write_results_markdown(_full_report(), path)
-    line = [l for l in open(path, encoding="utf-8") if "QNN-1 " in l or "| QNN-1 |" in l][0]
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    line = [l for l in lines if "QNN-1 " in l or "| QNN-1 |" in l][0]
     cells = [c.strip() for c in line.split("|")]
     ref_r2, ref_mae = REFERENCE_RESULTS["QNN-1"]
     assert cells[5] == f"{ref_r2:.2f}"
@@ -242,6 +246,18 @@ def test_write_run_artifact_layout(tmp_path):
     assert all(os.path.exists(p) for p in written)
 
 
+def test_write_run_artifact_writes_failure_traceback(tmp_path):
+    methods = [m for m in _full_report().methods if m.method_id != "knn"]
+    failure = MethodFailure("knn", "ValueError: k = 100 exceeds 16 training rows",
+                            "Traceback (most recent call last):\nValueError: k = 100\n")
+    run_dir = tmp_path / "run-3"
+    written = write_run_artifact(ExperimentReport(methods, [failure]), str(run_dir))
+    error = run_dir / "knn" / "error.txt"
+    assert error.read_text(encoding="utf-8") == failure.traceback
+    assert str(error) in written
+    assert sorted(p.name for p in (run_dir / "knn").iterdir()) == ["error.txt"]
+
+
 def test_render_from_artifacts_rebuilds_outputs(tmp_path):
     run_dir = str(tmp_path / "run-2")
     write_run_artifact(_full_report(), run_dir)
@@ -251,11 +267,11 @@ def test_render_from_artifacts_rebuilds_outputs(tmp_path):
     originals = {}
     for name in rendered:
         path = os.path.join(run_dir, name)
-        originals[name] = open(path, "rb").read()
+        originals[name] = Path(path).read_bytes()
         os.remove(path)
     render_from_artifacts(run_dir)
     for name in rendered:
-        assert open(os.path.join(run_dir, name), "rb").read() == originals[name], name
+        assert Path(run_dir, name).read_bytes() == originals[name], name
 
 
 def test_bad_artifact_cell_names_file_and_line(tmp_path):
