@@ -16,7 +16,7 @@ from windqnn.data import (
 )
 from windqnn.evaluate import mae, r2
 from windqnn.optimizer import OptimizerOptions
-from windqnn.qnn import build_model, predict_scaled, train, with_parameters
+from windqnn.qnn import build_model, encode, gram_form, predict_scaled, train, with_parameters
 from windqnn.report import emit_scatter_svg
 
 # A small sample keeps this demo quick; the benchmark uses 4,464 rows.
@@ -31,11 +31,15 @@ x_train = scale_features(scaling, train_set.features)
 y_train = scale_target(scaling, train_set.power)
 x_test = scale_features(scaling, test_set.features)
 
-model = build_model("QNN-5", init_seed=42, scaling=scaling)
+model = build_model("QNN-5", init_seed=42)
 print(f"model: {model.template.n_parameter_slots} trainable parameters, "
       f"{len(model.template.gates)} gates")
 
-result = train(model, x_train, y_train, OptimizerOptions(max_iterations=25))
+# Training reads the rows only through their Gram form: encode runs the
+# feature map over them once, and the loss becomes a quadratic form in the
+# model's 16 x 16 observable.
+gram = gram_form(encode(model.template, x_train), y_train)
+result = train(model, gram, OptimizerOptions(max_iterations=25))
 print(f"training status: {result.status}, "
       f"loss {result.trace[0][1]:.4f} -> {result.best_value:.4f} "
       f"in {len(result.trace) - 1} iterations")

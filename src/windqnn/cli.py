@@ -275,13 +275,12 @@ def _train_method(method_id: str, cfg: ExperimentConfig, bundle, shared: dict):
         ansatz_reps=cfg.ansatz_reps,
         zz_entanglement=cfg.zz_entanglement,
         init_seed=cfg.init_seed,
-        scaling=scaling,
     )
     if family not in shared:
         shared[family] = (gram_form(encode(model.template, x_train), y_train_scaled),
                           encode(model.template, x_test))
     gram, test_states = shared[family]
-    result = train(model, x_train, y_train_scaled, cfg.optimizer, gram=gram)
+    result = train(model, gram, cfg.optimizer)
     fitted = with_parameters(model, result.best_point)
     predictions = invert_target(scaling, predict_scaled(fitted, x_test, test_states))
     return predictions, result.trace, result.status

@@ -1,7 +1,7 @@
 """The trainable quantum regressor: prediction, MSE loss, gradients, training.
 
 A model pairs a composed feature-map + ansatz template with a parameter
-vector and (optionally) the dataset scaler.  The twelve benchmark configs
+vector, and works in scaled units only.  The twelve benchmark configs
 pair each feature map (Z, ZZ) with each of the six entanglement layouts.
 
 Training exploits the template split.  The feature-encoding prefix has no
@@ -44,9 +44,9 @@ So the work splits three ways.
   ``predict_scaled``.
 
 A template with a feature gate after a parameterized gate has no such
-split; ``encode`` rejects it, and with it ``train``, ``predict_scaled`` and
-the gradients.  ``evaluate_batch`` and ``loss_mse`` still run any template
-gate by gate; they are the reference the tests hold the fast path to.
+split; ``encode`` and ``_DenseSuffix`` reject it, and so ``train``,
+``predict_scaled`` and the gradients do.  ``evaluate_batch`` and ``loss_mse``
+still run any template gate by gate: the reference for the fast path.
 """
 from __future__ import annotations
 
@@ -67,7 +67,6 @@ from .circuit import (
     feature_prefix_length,
     run_gates,
 )
-from .data import ScalingSpec, invert_target, scale_features
 from .optimizer import OptimizeResult, OptimizerOptions, minimize
 from .statevector import expect_z_all_array, zero_states
 
@@ -95,7 +94,6 @@ CONFIG_IDS = tuple(CONFIG_TABLE)
 class QnnModel:
     template: CircuitTemplate
     parameters: np.ndarray
-    scaling: Optional[ScalingSpec] = None
     # the template's constant suffix blocks; with_parameters keeps them
     suffix: Optional[_DenseSuffix] = field(default=None, repr=False, compare=False)
 
@@ -119,7 +117,6 @@ def build_model(
     ansatz_reps: int = 3,
     zz_entanglement: str = "full",
     init_seed: int = 42,
-    scaling: Optional[ScalingSpec] = None,
 ) -> QnnModel:
     """Construct one of the twelve benchmark configurations."""
     if config_id not in CONFIG_TABLE:
@@ -133,8 +130,7 @@ def build_model(
         fm = build_zz_feature_map(N_QUBITS, feature_map_reps, zz_entanglement)
     template = compose(fm, build_ansatz(N_QUBITS, ansatz_reps, entanglement))
     params = initial_parameters(template.n_parameter_slots, init_seed)
-    return QnnModel(template=template, parameters=params, scaling=scaling,
-                    suffix=_DenseSuffix(template))
+    return QnnModel(template=template, parameters=params, suffix=_DenseSuffix(template))
 
 
 def with_parameters(model: QnnModel, parameters: np.ndarray) -> QnnModel:
@@ -153,17 +149,8 @@ def predict_scaled(model: QnnModel, features_scaled,
         return predict_scaled(model, features[None, :])[0]
     if states is None:
         states = encode(model.template, features)
-    suffix = model.suffix or _DenseSuffix(model.template)
-    observable = suffix.observables(model.parameters[None])[0]
+    observable = (model.suffix or _DenseSuffix(model.template)).observable(model.parameters)
     return np.sum((states @ observable.T) * states.conj(), axis=1).real
-
-
-def predict_physical(model: QnnModel, features_physical) -> np.ndarray:
-    """Scale raw features, predict, and inverse-scale the output to kW."""
-    if model.scaling is None:
-        raise RuntimeError("model has no fitted scaling spec")
-    scaled = scale_features(model.scaling, np.asarray(features_physical, dtype=float))
-    return invert_target(model.scaling, predict_scaled(model, scaled))
 
 
 def _split(template: CircuitTemplate) -> int:
@@ -176,12 +163,17 @@ def _split(template: CircuitTemplate) -> int:
     return split
 
 
-def encode(template: CircuitTemplate, features: np.ndarray) -> np.ndarray:
+def encode(template: CircuitTemplate, features) -> np.ndarray:
     """State of every row after the feature prefix, shape (N, 2**n).
 
-    Raises ValueError when a feature gate follows a parameterized gate, so
-    the template cannot be split.
+    Raises ValueError unless ``features`` is (N, n_feature_slots), and when
+    a feature gate follows a parameterized gate (the template has no split).
     """
+    features = np.asarray(features, dtype=float)
+    if features.ndim != 2:
+        raise ValueError(f"expected a 2-d feature matrix, got shape {features.shape}")
+    if features.shape[1] != template.n_feature_slots:
+        raise ValueError(f"expected {template.n_feature_slots} features, got {features.shape[1]}")
     split = _split(template)
     states = zero_states(features.shape[:1], template.n_qubits)
     run_gates(states, template.gates[:split], template.n_qubits, features, np.zeros(0))
@@ -207,14 +199,19 @@ class Gram(NamedTuple):
 GRAM_CHUNK_ROWS = 64  # rows per Phi block; bounds the temporaries, not the result
 
 
-def gram_form(states: np.ndarray, targets: np.ndarray) -> Gram:
+def gram_form(states: np.ndarray, targets) -> Gram:
     """(G, h, c) of the encoded rows ``states`` and their scaled targets.
 
     Row s contributes phi_s, the coordinates of Re(psi_s psi_s^H) with the
     off-diagonal ones doubled, so that phi_s . m = psi_s^H M psi_s for a
-    real symmetric M.
+    real symmetric M.  Raises ValueError unless each of N >= 1 rows has one target.
     """
     n, d = states.shape
+    targets = np.asarray(targets, dtype=float)
+    if targets.shape != (n,):
+        raise ValueError(f"targets shape {targets.shape} does not match {n} rows")
+    if n == 0:
+        raise ValueError("the Gram form needs at least one sample")
     weights = _coordinates(2.0 - np.eye(d))
     g = np.zeros((weights.shape[0],) * 2)
     h = np.zeros(weights.shape[0])
@@ -277,12 +274,11 @@ class _DenseSuffix:
     def _observe(self, unitaries: np.ndarray) -> np.ndarray:
         return np.swapaxes(unitaries, -1, -2) @ (self._signs[:, None] * unitaries)
 
-    def observables(self, thetas: np.ndarray) -> np.ndarray:
-        """M(theta) for each row of a (B, n_slots) parameter stack, shape (B, d, d)."""
-        factors = self._factors(thetas[:, self.slots])
-        u = np.broadcast_to(self._lead, factors.shape[:1] + self._lead.shape)
-        for j in range(self.slots.shape[0]):
-            u = factors[:, j] @ u
+    def observable(self, theta: np.ndarray) -> np.ndarray:
+        """M(theta), shape (d, d)."""
+        u = self._lead
+        for factor in self._factors(theta[self.slots]):
+            u = factor @ u
         return self._observe(u)
 
     def shifted_observables(self, theta: np.ndarray) -> np.ndarray:
@@ -322,10 +318,9 @@ class _GramObjective:
         self.gram = gram
         self._theta = None
 
-
     def _at(self, theta: np.ndarray):
         if not np.array_equal(theta, self._theta):
-            m = _coordinates(self.suffix.observables(theta[None])[0])
+            m = _coordinates(self.suffix.observable(theta))
             self._m, self._r = m, self.gram.g @ m - self.gram.h
             self._theta = np.array(theta, dtype=float)
         return self._m, self._r
@@ -344,7 +339,8 @@ class _GramObjective:
                            minlength=self.suffix.n_slots)
 
 
-def _check_batch(features_scaled, targets_scaled):
+def loss_mse(model: QnnModel, features_scaled, targets_scaled) -> float:
+    """Mean squared error in scaled target space, fixed sample order."""
     features = np.asarray(features_scaled, dtype=float)
     targets = np.asarray(targets_scaled, dtype=float)
     if features.ndim != 2:
@@ -355,12 +351,6 @@ def _check_batch(features_scaled, targets_scaled):
         )
     if features.shape[0] == 0:
         raise ValueError("loss needs at least one sample")
-    return features, targets
-
-
-def loss_mse(model: QnnModel, features_scaled, targets_scaled) -> float:
-    """Mean squared error in scaled target space, fixed sample order."""
-    features, targets = _check_batch(features_scaled, targets_scaled)
     predictions = evaluate_batch(model.template, features, model.parameters)
     return float(np.mean((predictions - targets) ** 2))
 
@@ -371,27 +361,14 @@ def gradient_parameter_shift(model: QnnModel, features_scaled, targets_scaled) -
     Per sample, df/dtheta_k = (f(theta_k + pi/2) - f(theta_k - pi/2)) / 2;
     the MSE chain rule then gives (2/N) sum_s (f_s - y_s) * df_s/dtheta_k.
     """
-    features, targets = _check_batch(features_scaled, targets_scaled)
-    gram = gram_form(encode(model.template, features), targets)
+    gram = gram_form(encode(model.template, features_scaled), targets_scaled)
     return _GramObjective(model.template, gram, model.suffix).shift_gradient(model.parameters)
 
 
-def train(
-    model: QnnModel,
-    features_scaled,
-    targets_scaled,
-    options: Optional[OptimizerOptions] = None,
-    gram: Optional[Gram] = None,
-) -> OptimizeResult:
-    """Minimize the MSE over the model parameters with the exact
-    parameter-shift gradient; the model is not mutated.  Returns minimize's
-    result: ``best_point`` is the fitted parameter vector.
-
-    ``gram`` optionally gives ``gram_form`` of the encoded training rows, so
-    models that share a feature map and rows build it once.
-    """
-    features, targets = _check_batch(features_scaled, targets_scaled)
-    if gram is None:
-        gram = gram_form(encode(model.template, features), targets)
+def train(model: QnnModel, gram: Gram,
+          options: Optional[OptimizerOptions] = None) -> OptimizeResult:
+    """Minimize the training MSE ``gram`` (see ``gram_form``) over the
+    parameters with the exact parameter-shift gradient.  Returns minimize's
+    result; ``best_point`` is the fitted parameter vector."""
     objective = _GramObjective(model.template, gram, model.suffix)
     return minimize(objective.loss, objective.shift_gradient, model.parameters, options)

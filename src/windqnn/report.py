@@ -145,8 +145,8 @@ def _read_csv(path: str, columns: Sequence[str], parse) -> list:
     """parse(row) for every data row of a CSV artifact.
 
     A missing column, or a row that parse rejects (a bad or non-finite
-    number, an unknown method id), raises DataError naming the file, and the
-    line for a row.
+    number, an unknown or repeated method id), raises DataError naming the
+    file, and the line for a row.
     """
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
@@ -167,10 +167,13 @@ def read_results_csv(path: str) -> ExperimentReport:
 
     Files written before the status column existed read with empty status.
     """
-    methods = _read_csv(
-        path,
-        [c for c in RESULTS_COLUMNS if c != "status"],
-        lambda row: MethodResult(
+    seen = set()
+
+    def parse(row):
+        if row["config_id"] in seen:
+            raise ValueError(f"method {row['config_id']} is listed twice")
+        seen.add(row["config_id"])
+        return MethodResult(
             method_id=row["config_id"],
             feature_map=row["feature_map"],
             ansatz=row["ansatz"],
@@ -179,9 +182,10 @@ def read_results_csv(path: str) -> ExperimentReport:
             wall_time_s=_finite(row["wall_time_s"]),
             seed=int(row["seed"]),
             status=row.get("status", ""),
-        ),
-    )
-    return ExperimentReport(methods=methods)
+        )
+
+    return ExperimentReport(methods=_read_csv(
+        path, [c for c in RESULTS_COLUMNS if c != "status"], parse))
 
 
 def write_results_markdown(report: ExperimentReport, path: str) -> None:

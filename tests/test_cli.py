@@ -666,6 +666,20 @@ class TestReportCommand:
         err = capsys.readouterr().err
         assert err.startswith("report:") and "results.csv" in err and "lasso" in err
 
+    def test_duplicated_method_row_exits_3(self, tmp_path, capsys):
+        run_dir = self._run_dir(tmp_path)
+        results = run_dir / "results.csv"
+        lines = results.read_text(encoding="utf-8").splitlines(keepends=True)
+        results.write_text("".join(lines + lines[1:2]), encoding="utf-8")
+        before = (run_dir / "results.md").read_bytes()
+        capsys.readouterr()
+        assert main(["report", "--run-dir", str(run_dir)]) == 3
+        err = capsys.readouterr().err
+        method = lines[1].split(",")[0]
+        assert err.startswith("report:") and f"results.csv line {len(lines) + 1}" in err
+        assert f"method {method} is listed twice" in err
+        assert (run_dir / "results.md").read_bytes() == before
+
     def test_unwritable_output_exits_3(self, tmp_path, capsys):
         run_dir = self._run_dir(tmp_path)
         (run_dir / "results.md").unlink()

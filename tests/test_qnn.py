@@ -17,7 +17,6 @@ from windqnn.circuit import (
     evaluate_batch,
     feature_prefix_length,
 )
-from windqnn.data import ScalingSpec
 from windqnn.optimizer import OptimizerOptions
 from windqnn.qnn import (
     CONFIG_IDS,
@@ -31,7 +30,6 @@ from windqnn.qnn import (
     gram_form,
     initial_parameters,
     loss_mse,
-    predict_physical,
     predict_scaled,
     train,
     with_parameters,
@@ -45,13 +43,8 @@ from oracles import (
 )
 
 
-def _scaling():
-    return ScalingSpec(
-        feature_min=np.array([0.0, 0.0, 990.0, -5.0]),
-        feature_max=np.array([25.0, 360.0, 1030.0, 30.0]),
-        target_min=0.0,
-        target_max=2031.0,
-    )
+def _gram(model, xs, ys):
+    return gram_form(encode(model.template, xs), ys)
 
 
 # --- configuration matrix ----------------------------------------------------
@@ -102,6 +95,11 @@ def test_model_rejects_mismatched_parameters():
 def test_zero_model_predicts_plus_one_at_origin():
     model = with_parameters(build_model("QNN-1"), np.zeros(16))
     assert predict_scaled(model, np.zeros(4)) == pytest.approx(1.0, abs=1e-12)
+    # a pi rotation on qubit 0 in the final layer flips the parity to -1
+    theta = np.zeros(16)
+    theta[12] = np.pi
+    assert predict_scaled(with_parameters(model, theta), np.zeros(4)) == pytest.approx(
+        -1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("config_id", ["QNN-3", "QNN-9"])
@@ -123,34 +121,6 @@ def test_prediction_matches_dense_oracle():
     amps = op @ zero
     want = float(np.real(amps.conj() @ dense_z_all_operator(4) @ amps))
     assert predict_scaled(model, x) == pytest.approx(want, abs=1e-10)
-
-
-def test_predict_physical_endpoints():
-    scaling = _scaling()
-    model = with_parameters(build_model("QNN-1", scaling=scaling), np.zeros(16))
-    # all-zero model at the feature minimum predicts scaled +1 -> 2031 kW
-    x_min = scaling.feature_min
-    assert predict_physical(model, x_min) == pytest.approx(2031.0, abs=1e-9)
-    # a pi rotation on qubit 0 in the final layer flips parity to -1 -> 0 kW
-    theta = np.zeros(16)
-    theta[12] = np.pi
-    flipped = with_parameters(model, theta)
-    assert predict_physical(flipped, x_min) == pytest.approx(0.0, abs=1e-9)
-
-
-def test_predict_physical_requires_scaling():
-    model = build_model("QNN-1")
-    with pytest.raises(RuntimeError, match="scaling"):
-        predict_physical(model, np.zeros(4))
-
-
-def test_physical_predictions_stay_in_target_range():
-    rng = np.random.default_rng(57)
-    model = build_model("QNN-8", init_seed=3, scaling=_scaling())
-    raw = rng.uniform([0, 0, 990, -5], [25, 360, 1030, 30], size=(15, 4))
-    preds = predict_physical(model, raw)
-    assert np.all(preds >= 0.0 - 1e-9)
-    assert np.all(preds <= 2031.0 + 1e-9)
 
 
 # --- loss --------------------------------------------------------------------
@@ -181,12 +151,30 @@ def test_loss_matches_naive_oracle():
     assert loss_mse(model, xs, ys) == pytest.approx(naive, abs=1e-12)
 
 
-def test_loss_rejects_bad_shapes():
-    model = build_model("QNN-1")
-    with pytest.raises(ValueError, match="at least one sample"):
-        loss_mse(model, np.zeros((0, 4)), np.zeros(0))
-    with pytest.raises(ValueError, match="targets shape"):
-        loss_mse(model, np.zeros((3, 4)), np.zeros(2))
+_ROW_ENTRIES = {
+    "predict_scaled": lambda model, xs, ys: predict_scaled(model, xs),
+    "gradient_parameter_shift": gradient_parameter_shift,
+    "loss_mse": loss_mse,
+    "encode": lambda model, xs, ys: encode(model.template, xs),
+    "gram_form": lambda model, xs, ys: gram_form(encode(model.template, xs), ys),
+}
+
+
+@pytest.mark.parametrize("entry, rows, width, n_targets, match", [
+    *[pytest.param(entry, 3, width, 3, f"expected 4 features, got {width}",
+                   id=f"{entry}-width-{width}")
+      for entry in ("predict_scaled", "gradient_parameter_shift", "loss_mse", "encode")
+      for width in (3, 5)],
+    *[pytest.param(entry, 0, 4, 0, "at least one sample", id=f"{entry}-no-rows")
+      for entry in ("gradient_parameter_shift", "gram_form", "loss_mse")],
+    *[pytest.param(entry, 3, 4, 2, "targets shape", id=f"{entry}-short-targets")
+      for entry in ("gradient_parameter_shift", "gram_form", "loss_mse")],
+])
+def test_bad_row_shapes_are_rejected(entry, rows, width, n_targets, match):
+    # every entry point of QNN rows rejects a wrong width, no rows, or a
+    # target count that does not match the rows
+    with pytest.raises(ValueError, match=match):
+        _ROW_ENTRIES[entry](build_model("QNN-1"), np.zeros((rows, width)), np.zeros(n_targets))
 
 
 # --- gradients ---------------------------------------------------------------
@@ -250,9 +238,10 @@ def test_template_without_a_feature_prefix_is_rejected():
     xs = np.array([[0.4], [1.1]])
     ys = np.array([0.2, -0.5])
     model = QnnModel(template=template, parameters=np.array([0.7, -0.3]))
+    gram = gram_form(np.eye(2, dtype=complex), ys)  # two one-qubit rows, |0> and |1>
     for call in (lambda: encode(template, xs),
                  lambda: predict_scaled(model, xs),
-                 lambda: train(model, xs, ys),
+                 lambda: train(model, gram),
                  lambda: gradient_parameter_shift(model, xs, ys)):
         with pytest.raises(ValueError, match="feature gate follows a parameterized gate"):
             call()
@@ -286,11 +275,11 @@ def test_benchmark_observables_are_real_symmetric(config_id):
     # The premise of the real Gram form: RY and CX make U(theta) real, so
     # the dense oracle's M has no imaginary part at all.
     ansatz = build_ansatz(4, 3, CONFIG_TABLE[config_id][1])
-    thetas = np.random.default_rng(78).uniform(-np.pi, np.pi, size=(3, 16))
-    for theta, observable in zip(thetas, build_model(config_id).suffix.observables(thetas)):
+    suffix = build_model(config_id).suffix
+    for theta in np.random.default_rng(78).uniform(-np.pi, np.pi, size=(3, 16)):
         oracle = dense_suffix_observable(ansatz, theta)
         assert np.all(oracle.imag == 0.0)
-        np.testing.assert_allclose(observable, oracle.real, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(suffix.observable(theta), oracle.real, rtol=0, atol=1e-12)
 
 
 def test_a_slot_shared_by_two_gates_sums_their_shifts():
@@ -317,10 +306,9 @@ def test_full_and_reverse_linear_ansatz_share_one_observable():
     rng = np.random.default_rng(74)
     full = _DenseSuffix(build_ansatz(4, 3, "full"))
     reverse = _DenseSuffix(build_ansatz(4, 3, "reverse_linear"))
-    thetas = rng.uniform(-np.pi, np.pi, size=(8, 16))
-    np.testing.assert_allclose(
-        full.observables(thetas), reverse.observables(thetas), rtol=0, atol=1e-12
-    )
+    for theta in rng.uniform(-np.pi, np.pi, size=(8, 16)):
+        np.testing.assert_allclose(full.observable(theta), reverse.observable(theta),
+                                   rtol=0, atol=1e-12)
 
 
 # --- collapsed observable properties -----------------------------------------
@@ -398,7 +386,7 @@ def test_dense_products_match_dense_template_matrix(case):
     rest = CircuitTemplate(4, template.gates[feature_prefix_length(template):],
                            n_parameter_slots=suffix.n_parameter_slots)
     dense = _DenseSuffix(template)
-    np.testing.assert_allclose(dense.observables(theta[None])[0],
+    np.testing.assert_allclose(dense.observable(theta),
                                dense_suffix_observable(rest, theta), rtol=0, atol=1e-12)
     plus, minus = dense.shifted_observables(theta)
     for k, slot in enumerate(dense.slots):
@@ -456,10 +444,10 @@ def test_gradient_builds_the_observable_only_at_a_new_theta():
     model = build_model("QNN-8", init_seed=5)
     xs = rng.uniform(0, np.pi, size=(7, 4))
     ys = rng.uniform(-1, 1, size=7)
-    objective = _GramObjective(model.template, gram_form(encode(model.template, xs), ys))
+    objective = _GramObjective(model.template, _gram(model, xs, ys))
     built = []
-    observables = objective.suffix.observables
-    objective.suffix.observables = lambda thetas: built.append(1) or observables(thetas)
+    observable = objective.suffix.observable
+    objective.suffix.observable = lambda theta: built.append(1) or observable(theta)
     objective.loss(model.parameters.copy())
     objective.shift_gradient(model.parameters.copy())
     assert len(built) == 1  # an equal theta in a new array is a hit
@@ -481,25 +469,12 @@ def test_predictions_match_gate_level_evaluation(config_id):
 
 # --- training ----------------------------------------------------------------
 
-@pytest.mark.parametrize("config_id", ["QNN-1", "QNN-8"])
-def test_train_with_shared_states_matches_own_encoding(config_id):
-    rng = np.random.default_rng(77)
-    model = build_model(config_id, init_seed=3)
-    xs = rng.uniform(0, np.pi, size=(10, 4))
-    ys = rng.uniform(-1, 1, size=10)
-    options = OptimizerOptions(max_iterations=3)
-    own = train(model, xs, ys, options)
-    shared = train(model, xs, ys, options, gram=gram_form(encode(model.template, xs), ys))
-    np.testing.assert_array_equal(shared.best_point, own.best_point)
-    assert shared.trace == own.trace and shared.status == own.status
-
-
 def test_train_already_optimal_stops_immediately():
     rng = np.random.default_rng(79)
     model = build_model("QNN-1", init_seed=31)
     xs = rng.uniform(0, np.pi, size=(5, 4))
     targets = predict_scaled(model, xs)
-    result = train(model, xs, targets)
+    result = train(model, _gram(model, xs, targets))
     assert result.status == "converged"
     assert len(result.trace) <= 2
     assert result.best_value == pytest.approx(0.0, abs=1e-12)
@@ -511,7 +486,7 @@ def test_train_honors_iteration_cap_and_descends():
     xs = rng.uniform(0, np.pi, size=(12, 4))
     ys = rng.uniform(-1, 1, size=12)
     options = OptimizerOptions(max_iterations=5)
-    result = train(model, xs, ys, options)
+    result = train(model, _gram(model, xs, ys), options)
     assert len(result.trace) <= 6
     values = [v for _, v in result.trace]
     for prev, cur in zip(values, values[1:]):
@@ -525,7 +500,7 @@ def test_train_reduces_loss_on_learnable_data():
     xs = rng.uniform(0, np.pi, size=(20, 4))
     ys = predict_scaled(teacher, xs)
     student = build_model("QNN-5", init_seed=43)
-    result = train(student, xs, ys, OptimizerOptions(max_iterations=25))
+    result = train(student, _gram(student, xs, ys), OptimizerOptions(max_iterations=25))
     assert result.best_value < 0.5 * result.trace[0][1]
 
 
@@ -534,7 +509,7 @@ def test_train_deterministic():
     xs = rng.uniform(0, np.pi, size=(8, 4))
     ys = rng.uniform(-1, 1, size=8)
     options = OptimizerOptions(max_iterations=4)
-    a = train(build_model("QNN-3", init_seed=7), xs, ys, options)
-    b = train(build_model("QNN-3", init_seed=7), xs, ys, options)
+    a, b = (train(model, _gram(model, xs, ys), options)
+            for model in (build_model("QNN-3", init_seed=7), build_model("QNN-3", init_seed=7)))
     np.testing.assert_array_equal(a.best_point, b.best_point)
     assert a.trace == b.trace
