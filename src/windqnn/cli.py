@@ -69,13 +69,6 @@ from .report import (
     write_run_artifact,
 )
 
-BASELINE_SLUGS = {
-    "dt": "decision_tree",
-    "knn": "k_nearest_neighbors",
-    "ols": "linear_regression",
-}
-
-
 class ConfigError(Exception):
     """Invalid or unreadable experiment configuration; message names the key."""
 
@@ -252,61 +245,69 @@ def _load_dataset(cfg: ExperimentConfig) -> Tuple[Dataset, int]:
     return generate_synthetic(cfg.n_rows, cfg.data_seed), 0
 
 
-def _train_method(method_id: str, cfg: ExperimentConfig, bundle, shared: dict):
-    """Fit one method and predict the test rows: (predictions in kW, trace,
-    status); a baseline has no trace or status.  The QNNs of one feature map
-    share its encoding through ``shared``, which the first of them fills."""
-    scaling, x_train, y_train_scaled, train_power, x_test, _ = bundle
+def _train_method(method_id: str, cfg: ExperimentConfig, bundle):
+    """Fit one baseline and predict the test rows in kW."""
+    _, x_train, _, train_power, x_test, _ = bundle
     if method_id == "dt":
         model = fit_cart(x_train, train_power, max_depth=cfg.cart_max_depth,
                          min_samples_split=cfg.cart_min_samples_split)
-        return predict_cart(model, x_test), [], ""
+        return predict_cart(model, x_test)
     if method_id == "knn":
         model = fit_knn(x_train, train_power, k=cfg.knn_k)
-        return predict_knn(model, x_test), [], ""
-    if method_id == "ols":
-        model = fit_ols(x_train, train_power, column_names=list(FEATURE_COLUMNS))
-        return predict_ols(model, x_test), [], ""
+        return predict_knn(model, x_test)
+    model = fit_ols(x_train, train_power, column_names=list(FEATURE_COLUMNS))
+    return predict_ols(model, x_test)
 
-    family = CONFIG_TABLE[method_id][0]
-    model = build_model(
+
+def _build_qnn(method_id: str, cfg: ExperimentConfig):
+    return build_model(
         method_id,
         feature_map_reps=cfg.feature_map_reps,
         ansatz_reps=cfg.ansatz_reps,
         zz_entanglement=cfg.zz_entanglement,
         init_seed=cfg.init_seed,
     )
-    if family not in shared:
-        shared[family] = (gram_form(encode(model.template, x_train), y_train_scaled),
-                          encode(model.template, x_test))
-    gram, test_states = shared[family]
-    result = train(model, gram, cfg.optimizer)
-    fitted = with_parameters(model, result.best_point)
-    predictions = invert_target(scaling, predict_scaled(fitted, x_test, test_states))
-    return predictions, result.trace, result.status
+
+
+def _failure(method_id: str, exc: Exception) -> MethodFailure:
+    """The failure of a method, called while ``exc`` is being handled."""
+    return MethodFailure(method_id, f"{type(exc).__name__}: {exc}", traceback.format_exc())
 
 
 def _run_group(method_ids, cfg: ExperimentConfig, bundle) -> list:
-    """Train one group's methods in order, each timed on its own: one
-    MethodResult or MethodFailure per method.  A failure does not stop the
-    methods after it."""
-    test_power = bundle[5]
-    shared = {}
-    outcomes = []
-    for method_id in method_ids:
-        started = time.perf_counter()
+    """Train one group's methods in order: one MethodResult or MethodFailure
+    per method; a failure does not stop the methods after it.  A QNN group,
+    the selected QNNs of one feature map, encodes the map once from its first
+    model's template, the Gram form of the training rows and the test-row
+    states, and trains each QNN on that; if building that model or encoding
+    raises, every QNN of the group fails.  Each method's wall time runs from
+    the end of the one before, so the first QNN's includes the encoding."""
+    scaling, x_train, y_train_scaled, _, x_test, test_power = bundle
+    started = time.perf_counter()
+    if method_ids[0] in CONFIG_TABLE:
         try:
-            predictions, trace, status = _train_method(method_id, cfg, bundle, shared)
-            elapsed = time.perf_counter() - started
+            model = _build_qnn(method_ids[0], cfg)
+            gram = gram_form(encode(model.template, x_train), y_train_scaled)
+            test_states = encode(model.template, x_test)
+        except Exception as exc:  # recorded, surfaced as exit 4 at the end
+            return [_failure(method_id, exc) for method_id in method_ids]
+    outcomes = []
+    for i, method_id in enumerate(method_ids):
+        try:
             if method_id in CONFIG_TABLE:
-                family, ansatz = CONFIG_TABLE[method_id]
-                feature_map, seed = family.upper(), cfg.init_seed
+                if i:  # the first model was built for the encoding
+                    model = _build_qnn(method_id, cfg)
+                result = train(model, gram, cfg.optimizer)
+                fitted = with_parameters(model, result.best_point)
+                predictions = invert_target(
+                    scaling, predict_scaled(fitted, x_test, test_states))
+                trace, status, seed = result.trace, result.status, cfg.init_seed
             else:
-                feature_map, ansatz, seed = "", BASELINE_SLUGS[method_id], cfg.split_seed
+                predictions = _train_method(method_id, cfg, bundle)
+                trace, status, seed = [], "", cfg.split_seed
+            elapsed = time.perf_counter() - started
             outcomes.append(MethodResult(
                 method_id=method_id,
-                feature_map=feature_map,
-                ansatz=ansatz,
                 r2=r2(test_power, predictions),
                 mae=mae(test_power, predictions),
                 wall_time_s=elapsed,
@@ -317,8 +318,8 @@ def _run_group(method_ids, cfg: ExperimentConfig, bundle) -> list:
                 predicted=predictions,
             ))
         except Exception as exc:  # recorded, surfaced as exit 4 at the end
-            outcomes.append(MethodFailure(method_id, f"{type(exc).__name__}: {exc}",
-                                          traceback.format_exc()))
+            outcomes.append(_failure(method_id, exc))
+        started = time.perf_counter()
     return outcomes
 
 
@@ -328,7 +329,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     Returns the report, whose ``failures`` hold a MethodFailure per method
     that raised, in selection order.  A group (the selected QNNs of one
     feature map, or one baseline) runs on one thread; one failure does not
-    abort the others.
+    abort the others.  A test split whose power readings are all equal
+    raises DataError before any method trains: R^2 is undefined on it.
     """
     dataset, dropped = _load_dataset(cfg)
     if dropped:
@@ -337,6 +339,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
               f"negative power)", file=sys.stderr)
     train_set, test_set = split(dataset, cfg.split_fraction,
                                 mode=cfg.split_mode, seed=cfg.split_seed)
+    if test_set.power.min() == test_set.power.max():
+        raise DataError(
+            f"every test row reads {float(test_set.power[0])} kW (test rows: {len(test_set)}), "
+            f"so R^2 is undefined; change split.fraction, split.mode or split.seed")
     scaling = fit_scaler(train_set)
     bundle = (
         scaling,

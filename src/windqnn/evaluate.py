@@ -23,9 +23,11 @@ def _check_pair(actual, predicted):
 def r2(actual, predicted) -> float:
     """1 - SS_residual / SS_total. Undefined when the actual values are constant."""
     actual, predicted = _check_pair(actual, predicted)
-    ss_total = float(np.sum((actual - actual.mean()) ** 2))
-    if ss_total == 0.0:
+    # compared directly: the mean of equal values can round off them, which
+    # leaves a tiny SS_total in place of zero
+    if actual.min() == actual.max():
         raise UndefinedMetricError("R^2 undefined: actual values are constant")
+    ss_total = float(np.sum((actual - actual.mean()) ** 2))
     ss_residual = float(np.sum((actual - predicted) ** 2))
     return 1.0 - ss_residual / ss_total
 

@@ -123,7 +123,7 @@ def line_search_strong_wolfe(
     if d0 >= 0:
         raise ValueError(f"line search needs a descent direction, slope is {d0}")
 
-    budget = [max_steps]  # function-evaluation budget shared with zoom
+    budget = [max_steps]  # function-evaluation budget that zoom draws on too
 
     def zoom(lo, f_lo, d_lo, hi, f_hi):
         while budget[0] > 0:

@@ -18,14 +18,14 @@ import numpy as np
 from .data import DataError
 from .qnn import CONFIG_IDS, CONFIG_TABLE
 
-BASELINE_IDS = ("dt", "knn", "ols")
-METHOD_ORDER = CONFIG_IDS + BASELINE_IDS
-
-BASELINE_NAMES = {
-    "dt": "Decision Tree",
-    "knn": "k-Nearest Neighbors",
-    "ols": "Linear Regression",
+# baseline id -> (display name, slug); the slug fills the ansatz column
+BASELINES = {
+    "dt": ("Decision Tree", "decision_tree"),
+    "knn": ("k-Nearest Neighbors", "k_nearest_neighbors"),
+    "ols": ("Linear Regression", "linear_regression"),
 }
+BASELINE_IDS = tuple(BASELINES)
+METHOD_ORDER = CONFIG_IDS + BASELINE_IDS
 
 # Published results of the original wind-turbine benchmark, used for the
 # delta columns of results.md: method id -> (r2, mae_kw).
@@ -64,11 +64,10 @@ SVG_PALETTE = (
 
 @dataclass
 class MethodResult:
-    """One trained method's outcome plus everything needed to rebuild plots."""
+    """One trained method's outcome plus everything needed to rebuild plots.
+    The method id alone names its feature map and ansatz."""
 
     method_id: str
-    feature_map: str  # "Z", "ZZ", or "" for classical baselines
-    ansatz: str  # entanglement name, or the baseline slug
     r2: float
     mae: float
     wall_time_s: float
@@ -79,20 +78,23 @@ class MethodResult:
     predicted: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def __post_init__(self):
-        if self.method_id in CONFIG_TABLE:
-            family, entanglement = CONFIG_TABLE[self.method_id]
-            if self.feature_map != family.upper() or self.ansatz != entanglement:
-                raise ValueError(
-                    f"{self.method_id} must carry feature_map {family.upper()!r} "
-                    f"and ansatz {entanglement!r}, got "
-                    f"{self.feature_map!r}/{self.ansatz!r}"
-                )
-        elif self.method_id not in BASELINE_IDS:
+        if self.method_id not in METHOD_ORDER:
             raise ValueError(f"unknown method id {self.method_id!r}")
 
     @property
+    def feature_map(self) -> str:
+        """"Z" or "ZZ" for a QNN, "" for a baseline."""
+        return CONFIG_TABLE[self.method_id][0].upper() if self.method_id in CONFIG_TABLE else ""
+
+    @property
+    def ansatz(self) -> str:
+        """The QNN's ansatz entanglement, or the baseline's slug."""
+        table = CONFIG_TABLE if self.method_id in CONFIG_TABLE else BASELINES
+        return table[self.method_id][1]
+
+    @property
     def display_name(self) -> str:
-        return BASELINE_NAMES.get(self.method_id, self.method_id)
+        return BASELINES[self.method_id][0] if self.method_id in BASELINES else self.method_id
 
 
 class MethodFailure(NamedTuple):
@@ -145,8 +147,8 @@ def _read_csv(path: str, columns: Sequence[str], parse) -> list:
     """parse(row) for every data row of a CSV artifact.
 
     A missing column, or a row that parse rejects (a bad or non-finite
-    number, an unknown or repeated method id), raises DataError naming the
-    file, and the line for a row.
+    number, an unknown or repeated method id, labels its method id does not
+    name), raises DataError naming the file, and the line for a row.
     """
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
@@ -173,16 +175,19 @@ def read_results_csv(path: str) -> ExperimentReport:
         if row["config_id"] in seen:
             raise ValueError(f"method {row['config_id']} is listed twice")
         seen.add(row["config_id"])
-        return MethodResult(
+        m = MethodResult(
             method_id=row["config_id"],
-            feature_map=row["feature_map"],
-            ansatz=row["ansatz"],
             r2=_finite(row["r2"]),
             mae=_finite(row["mae"]),
             wall_time_s=_finite(row["wall_time_s"]),
             seed=int(row["seed"]),
             status=row.get("status", ""),
         )
+        if (row["feature_map"], row["ansatz"]) != (m.feature_map, m.ansatz):
+            raise ValueError(
+                f"{m.method_id} must carry feature_map {m.feature_map!r} and ansatz "
+                f"{m.ansatz!r}, got {row['feature_map']!r}/{row['ansatz']!r}")
+        return m
 
     return ExperimentReport(methods=_read_csv(
         path, [c for c in RESULTS_COLUMNS if c != "status"], parse))

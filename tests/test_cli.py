@@ -346,6 +346,35 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("data:") and "empty side" in err
 
+    @pytest.mark.parametrize("chronological", [False, True])
+    def test_constant_power_test_split_exits_3(self, tmp_path, capsys, monkeypatch,
+                                               chronological):
+        def no_training(*args, **kwargs):
+            raise AssertionError("a method trained on an undefined metric")
+
+        for name in ("build_model", "fit_cart", "fit_knn", "fit_ols"):
+            monkeypatch.setattr(cli, name, no_training)
+        out_dir = tmp_path / "runs"
+        if chronological:  # the last 10 of 50 rows read 0 kW
+            csv_path = tmp_path / "idle.csv"
+            assert main(["gen-data", "--rows", "40", "--seed", "3", "--out", str(csv_path)]) == 0
+            with open(csv_path, "a", encoding="utf-8") as handle:
+                handle.writelines(f"{1.0 + 0.1 * i},{10.0 * i},1010.0,{5.0 + i},0.0\n"
+                                  for i in range(10))
+            data = (f"data: {{source: csv, csv_path: {csv_path}}}\n"
+                    f"split: {{mode: chronological}}\n")
+            reading = "0.0 kW (test rows: 10)"
+        else:  # one test row
+            data = "data: {n_rows: 10}\nsplit: {fraction: 0.9}\n"
+            reading = "kW (test rows: 1)"
+        path = write_config(tmp_path, data + f"output: {{directory: {out_dir}}}\n")
+        capsys.readouterr()
+        assert main(["run", "--config", path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data: every test row reads ") and reading in err
+        assert "so R^2 is undefined" in err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("bad_row, reason", [
         (b"8.0,180.0,1013.0,12.0,5\xff0.0\n", "not UTF-8"),
         (b"8.0,180.0,1013.0,12.0,\"" + b"9" * 131073 + b"\"\n", "field larger"),
@@ -460,6 +489,66 @@ parallelism: 1
         assert report.failures == [] and len(report.methods) == 3
         # one build per model, shared by its training and its test predictions
         assert len(built) == 3
+
+    def test_each_map_encodes_after_its_first_model_is_built(self, tmp_path, monkeypatch):
+        calls = []
+        build_model, encode = cli.build_model, cli.encode
+
+        def recording_build_model(method_id, **kwargs):
+            calls.append(method_id)
+            return build_model(method_id, **kwargs)
+
+        def recording_encode(template, features):
+            calls.append(f"encode {features.shape[0]}")
+            return encode(template, features)
+
+        monkeypatch.setattr(cli, "build_model", recording_build_model)
+        monkeypatch.setattr(cli, "encode", recording_encode)
+        cfg = load_config(write_config(tmp_path, """
+data: {n_rows: 60, seed: 42}
+optimizer: {max_iterations: 1}
+selection: [QNN-1, QNN-2, QNN-7, dt]
+parallelism: 1
+"""))
+        assert run_experiment(cfg).failures == []
+        # train rows, then test rows, once per map and after its first build
+        assert calls == ["QNN-1", "encode 48", "encode 12", "QNN-2",
+                         "QNN-7", "encode 48", "encode 12"]
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_failed_encoding_fails_every_qnn_of_its_map(self, tmp_path, capsys, monkeypatch,
+                                                         degree):
+        build_model, encode = cli.build_model, cli.encode
+        families = {}
+
+        def recording_build_model(method_id, **kwargs):
+            model = build_model(method_id, **kwargs)
+            families[id(model.template)] = qnn.CONFIG_TABLE[method_id][0]
+            return model
+
+        def exploding_encode(template, features):
+            if families[id(template)] == "zz":
+                raise RuntimeError("ZZ prefix diverged")
+            return encode(template, features)
+
+        monkeypatch.setattr(cli, "build_model", recording_build_model)
+        monkeypatch.setattr(cli, "encode", exploding_encode)
+        out_dir = tmp_path / "runs"
+        path = write_config(tmp_path, f"""
+data: {{n_rows: 60, seed: 42}}
+optimizer: {{max_iterations: 1}}
+selection: [QNN-7, QNN-1, dt, QNN-8, ols]
+output: {{directory: "{out_dir}", run_id: unencoded}}
+parallelism: {degree}
+""")
+        assert main(["run", "--config", path]) == 4
+        err = capsys.readouterr().err
+        for method_id in ("QNN-7", "QNN-8"):
+            assert f"training: {method_id} failed: RuntimeError: ZZ prefix diverged" in err
+            error = (out_dir / "unencoded" / method_id / "error.txt").read_text(encoding="utf-8")
+            assert error.startswith("Traceback") and "exploding_encode" in error
+        rows = read_rows(out_dir / "unencoded" / "results.csv")
+        assert [r["config_id"] for r in rows] == ["QNN-1", "dt", "ols"]
 
     @pytest.mark.parametrize("degree", [1, 2])
     def test_failures_keep_selection_order_and_spare_the_group(

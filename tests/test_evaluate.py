@@ -24,6 +24,13 @@ def test_r2_constant_actual_is_undefined():
         r2([5.0, 5.0, 5.0], [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("actual", [[0.1] * 3, [812.3] * 7])
+def test_r2_constant_actual_with_inexact_mean_is_undefined(actual):
+    # the mean of [0.1] * 3 or [812.3] * 7 is not the value itself
+    with pytest.raises(UndefinedMetricError, match="constant"):
+        r2(actual, np.linspace(1.0, 3.0, len(actual)))
+
+
 def test_mae_fixed_values():
     assert mae([1.0, 2.0], [1.0, 2.0]) == 0.0
     assert mae([0.0, 0.0], [1.0, -1.0]) == pytest.approx(1.0)

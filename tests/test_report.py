@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from windqnn.data import DataError
-from windqnn.qnn import CONFIG_IDS, CONFIG_TABLE
+from windqnn.qnn import CONFIG_IDS
 from windqnn.report import (
     BASELINE_IDS,
     REFERENCE_RESULTS,
@@ -27,20 +27,14 @@ from windqnn.report import (
     write_trace_csv,
 )
 
-BASELINE_SLUGS = {"dt": "decision_tree", "knn": "k_nearest_neighbors", "ols": "linear_regression"}
-
-
 def _full_report(n_points=8):
     rng = np.random.default_rng(201)
     methods = []
     for i, config_id in enumerate(CONFIG_IDS):
-        family, entanglement = CONFIG_TABLE[config_id]
         actual = rng.uniform(0, 2031, size=n_points)
         methods.append(
             MethodResult(
                 method_id=config_id,
-                feature_map=family.upper(),
-                ansatz=entanglement,
                 r2=0.9 - 0.01 * i,
                 mae=100.0 + i,
                 wall_time_s=1.5 + i,
@@ -56,8 +50,6 @@ def _full_report(n_points=8):
         methods.append(
             MethodResult(
                 method_id=method_id,
-                feature_map="",
-                ansatz=BASELINE_SLUGS[method_id],
                 r2=0.85 - 0.01 * j,
                 mae=70.0 + j,
                 wall_time_s=0.1,
@@ -123,16 +115,33 @@ def test_results_csv_without_status_column_still_reads(tmp_path):
 
 
 def test_method_result_validates_config_pairing():
-    with pytest.raises(ValueError, match="QNN-5"):
-        MethodResult(
-            method_id="QNN-5", feature_map="ZZ", ansatz="reverse_linear",
-            r2=0.9, mae=100.0, wall_time_s=1.0, seed=42,
-        )
+    # the method id alone names the feature map and ansatz
+    labels = {m.method_id: (m.feature_map, m.ansatz, m.display_name)
+              for m in _full_report().methods}
+    assert labels["QNN-5"] == ("Z", "reverse_linear", "QNN-5")
+    assert labels["QNN-10"] == ("ZZ", "sca", "QNN-10")
+    assert labels["knn"] == ("", "k_nearest_neighbors", "k-Nearest Neighbors")
     with pytest.raises(ValueError, match="unknown method"):
-        MethodResult(
-            method_id="svm", feature_map="", ansatz="svm",
-            r2=0.9, mae=100.0, wall_time_s=1.0, seed=42,
-        )
+        MethodResult(method_id="svm", r2=0.9, mae=100.0, wall_time_s=1.0, seed=42)
+
+
+@pytest.mark.parametrize("row, message", [
+    ("QNN-5,ZZ,reverse_linear,0.9,100.0,1.0,42",
+     "QNN-5 must carry feature_map 'Z' and ansatz 'reverse_linear', got 'ZZ'/'reverse_linear'"),
+    ("dt,Z,svm,0.9,70.0,0.1,42",
+     "dt must carry feature_map '' and ansatz 'decision_tree', got 'Z'/'svm'"),
+], ids=["qnn_row", "baseline_row"])
+def test_results_csv_rejects_labels_its_method_id_does_not_name(tmp_path, row, message):
+    path = tmp_path / "results.csv"
+    path.write_text(
+        "config_id,feature_map,ansatz,r2,mae,wall_time_s,seed\n"
+        "QNN-1,Z,linear,0.5,200.0,1.25,42\n"
+        "knn,,k_nearest_neighbors,0.9,70.0,0.1,42\n" + row + "\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(DataError) as caught:
+        read_results_csv(str(path))
+    assert str(caught.value) == f"{path} line 4: {message}"
 
 
 # --- results.md --------------------------------------------------------------
