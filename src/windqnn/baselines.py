@@ -11,10 +11,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 
-class SingularMatrixError(ValueError):
-    """Design matrix is rank deficient; the message names the offending column."""
-
-
 def _check_width(queries: np.ndarray, width: int) -> np.ndarray:
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     if queries.shape[1] != width:
@@ -248,11 +244,9 @@ def fit_ols(
         for j in range(d):
             new = np.linalg.matrix_rank(design[:, : j + 1])
             if new == seen:
-                raise SingularMatrixError(
-                    f"design matrix is rank deficient at column {names[j]!r}"
-                )
+                raise ValueError(f"design matrix is rank deficient at column {names[j]!r}")
             seen = new
-        raise SingularMatrixError("design matrix is rank deficient at the intercept")
+        raise ValueError("design matrix is rank deficient at the intercept")
     solution = np.linalg.lstsq(design, targets, rcond=None)[0]
     return OlsModel(coefficients=solution[:-1], intercept=float(solution[-1]))
 

@@ -185,6 +185,8 @@ def load_config(path: str) -> ExperimentConfig:
             raw = yaml.safe_load(handle) or {}
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 ({exc.reason})") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):

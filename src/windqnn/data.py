@@ -25,23 +25,7 @@ RATED_POWER = 2031.0  # kW
 
 
 class DataError(Exception):
-    """Base class for ingestion and preprocessing failures."""
-
-
-class SchemaError(DataError):
-    """A required column is missing from the input file."""
-
-
-class EmptyDataError(DataError):
-    """No valid rows survived ingestion."""
-
-
-class ScalingError(DataError):
-    """A column is constant, so a min-max scale cannot be fitted."""
-
-
-class SplitError(DataError, ValueError):
-    """The dataset is too small for the split to leave rows on both sides."""
+    """An input the run cannot use: exit 3."""
 
 
 @dataclass(frozen=True)
@@ -88,9 +72,7 @@ def load_csv(path: str, column_names: Optional[dict] = None) -> Tuple[Dataset, i
             position = {name: i for i, name in enumerate(next(reader, []))}
             for canonical in FEATURE_COLUMNS + (TARGET_COLUMN,):
                 if names[canonical] not in position:
-                    raise SchemaError(
-                        f"missing column {names[canonical]!r} (for {canonical})"
-                    )
+                    raise DataError(f"missing column {names[canonical]!r} (for {canonical})")
             cells = operator.itemgetter(
                 *(position[names[c]] for c in FEATURE_COLUMNS + (TARGET_COLUMN,))
             )
@@ -107,18 +89,18 @@ def load_csv(path: str, column_names: Optional[dict] = None) -> Tuple[Dataset, i
             raise DataError(f"{path}, line {reader.line_num}: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise DataError(
-                f"{path}, line {_undecodable_line(path)}: not UTF-8 ({exc.reason})"
+                f"{path}, line {undecodable_line(path)}: not UTF-8 ({exc.reason})"
             ) from exc
     table = np.array(rows, dtype=float).reshape(-1, 5)
     keep = np.isfinite(table).all(axis=1) & (table[:, 4] >= 0)
     dropped += int(np.count_nonzero(~keep))
     table = table[keep]
     if not table.shape[0]:
-        raise EmptyDataError(f"no valid rows in {path} ({dropped} dropped)")
+        raise DataError(f"no valid rows in {path} ({dropped} dropped)")
     return Dataset(features=table[:, :4], power=table[:, 4]), dropped
 
 
-def _undecodable_line(path: str) -> int:
+def undecodable_line(path: str) -> int:
     """Number of the first line of path that is not valid UTF-8."""
     with open(path, "rb") as handle:
         for number, line in enumerate(handle, 1):
@@ -159,12 +141,10 @@ def split(
         raise ValueError(f"split.mode must be 'shuffled' or 'chronological', got {mode!r}")
     n = len(dataset)
     if n == 0:
-        raise SplitError("cannot split an empty dataset")
+        raise DataError("cannot split an empty dataset")
     n_train = int(np.floor(train_fraction * n))
     if n_train == 0 or n_train == n:
-        raise SplitError(
-            f"split.fraction {train_fraction} leaves an empty side for n={n}"
-        )
+        raise DataError(f"split.fraction {train_fraction} leaves an empty side for n={n}")
     order = _fisher_yates(n, seed) if mode == "shuffled" else np.arange(n)
     train_idx, test_idx = order[:n_train], order[n_train:]
     return (
@@ -179,11 +159,11 @@ def fit_scaler(train: Dataset) -> ScalingSpec:
     fmax = train.features.max(axis=0)
     for i, name in enumerate(FEATURE_COLUMNS):
         if fmax[i] <= fmin[i]:
-            raise ScalingError(f"column {name!r} is constant, cannot scale")
+            raise DataError(f"column {name!r} is constant, cannot scale")
     tmin = float(train.power.min())
     tmax = float(train.power.max())
     if tmax <= tmin:
-        raise ScalingError(f"column {TARGET_COLUMN!r} is constant, cannot scale")
+        raise DataError(f"column {TARGET_COLUMN!r} is constant, cannot scale")
     return ScalingSpec(fmin, fmax, tmin, tmax)
 
 

@@ -4,10 +4,6 @@ from __future__ import annotations
 import numpy as np
 
 
-class UndefinedMetricError(ValueError):
-    """Raised when a metric has no defined value, e.g. R^2 of a constant target."""
-
-
 def _check_pair(actual, predicted):
     actual = np.asarray(actual, dtype=float)
     predicted = np.asarray(predicted, dtype=float)
@@ -26,7 +22,7 @@ def r2(actual, predicted) -> float:
     # compared directly: the mean of equal values can round off them, which
     # leaves a tiny SS_total in place of zero
     if actual.min() == actual.max():
-        raise UndefinedMetricError("R^2 undefined: actual values are constant")
+        raise ValueError("R^2 undefined: actual values are constant")
     ss_total = float(np.sum((actual - actual.mean()) ** 2))
     ss_residual = float(np.sum((actual - predicted) ** 2))
     return 1.0 - ss_residual / ss_total

@@ -108,7 +108,6 @@ def _interpolate(lo, f_lo, d_lo, hi, f_hi):
 def line_search_strong_wolfe(
     phi: Callable[[float], float],
     dphi: Callable[[float], float],
-    initial_step: float = 1.0,
     c1: float = 1e-4,
     c2: float = 0.9,
     max_steps: int = 20,
@@ -144,7 +143,8 @@ def line_search_strong_wolfe(
         return None
 
     a_prev, f_prev, d_prev = 0.0, f0, d0
-    a = float(initial_step)
+    # L-BFGS scales its directions so the unit step is the natural first trial
+    a = 1.0
     first = True
     while budget[0] > 0:
         budget[0] -= 1
@@ -232,7 +232,6 @@ def minimize(
             step = line_search_strong_wolfe(
                 lambda a: value_at(a)[1],
                 lambda a: float(gradient_at(a) @ direction),
-                initial_step=1.0,
                 c1=opts.wolfe_c1,
                 c2=opts.wolfe_c2,
                 max_steps=opts.max_line_search_steps,

@@ -15,7 +15,7 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .data import DataError
+from .data import DataError, undecodable_line
 from .qnn import CONFIG_IDS, CONFIG_TABLE
 
 # baseline id -> (display name, slug); the slug fills the ansatz column
@@ -148,19 +148,26 @@ def _read_csv(path: str, columns: Sequence[str], parse) -> list:
 
     A missing column, or a row that parse rejects (a bad or non-finite
     number, an unknown or repeated method id, labels its method id does not
-    name), raises DataError naming the file, and the line for a row.
+    name), raises DataError naming the file, and the line for a row; so does
+    a file that is not UTF-8 or has a line the CSV parser refuses.
     """
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
-        missing = [c for c in columns if c not in (reader.fieldnames or ())]
-        if missing:
-            raise DataError(f"{path}: missing column {missing[0]!r}")
-        parsed = []
-        for row in reader:
-            try:
-                parsed.append(parse(row))
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"{path} line {reader.line_num}: {exc}") from exc
+        try:
+            missing = [c for c in columns if c not in (reader.fieldnames or ())]
+            if missing:
+                raise DataError(f"{path}: missing column {missing[0]!r}")
+            parsed = []
+            for row in reader:
+                try:
+                    parsed.append(parse(row))
+                except (TypeError, ValueError) as exc:
+                    raise DataError(f"{path} line {reader.line_num}: {exc}") from exc
+        except csv.Error as exc:  # DictReader counts a line only once it parses
+            raise DataError(f"{path} line {reader.reader.line_num}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise DataError(
+                f"{path} line {undecodable_line(path)}: not UTF-8 ({exc.reason})") from exc
     return parsed
 
 

@@ -243,8 +243,7 @@ def load_csv_oracle(path: str, column_names=None):
     Every row is parsed and filtered on its own: a missing, unparseable or
     non-finite cell, or a negative power, drops it.
     """
-    from windqnn.data import (FEATURE_COLUMNS, TARGET_COLUMN, Dataset,
-                              EmptyDataError, SchemaError)
+    from windqnn.data import FEATURE_COLUMNS, TARGET_COLUMN, DataError, Dataset
 
     columns = FEATURE_COLUMNS + (TARGET_COLUMN,)
     names = {c: c for c in columns}
@@ -254,7 +253,7 @@ def load_csv_oracle(path: str, column_names=None):
         header = reader.fieldnames or []
         for canonical in columns:
             if names[canonical] not in header:
-                raise SchemaError(f"missing column {names[canonical]!r} (for {canonical})")
+                raise DataError(f"missing column {names[canonical]!r} (for {canonical})")
         rows = []
         dropped = 0
         for record in reader:
@@ -268,7 +267,7 @@ def load_csv_oracle(path: str, column_names=None):
                 continue
             rows.append(values)
     if not rows:
-        raise EmptyDataError(f"no valid rows in {path} ({dropped} dropped)")
+        raise DataError(f"no valid rows in {path} ({dropped} dropped)")
     table = np.array(rows, dtype=float)
     return Dataset(features=table[:, :4], power=table[:, 4]), dropped
 

@@ -168,6 +168,17 @@ parallelism: 2
         with pytest.raises(ConfigError, match="YAML"):
             load_config(write_config(tmp_path, "data: [unclosed"))
 
+    def test_config_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "config.yaml"
+        path.write_bytes(b"data: {n_rows: 80}\n# caf\xe9\n")
+        with pytest.raises(ConfigError, match="is not UTF-8") as info:
+            load_config(str(path))
+        assert str(info.value).startswith(f"config {path} is not UTF-8 (")
+
+    def test_shipped_config_is_the_builtin_default(self):
+        shipped = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
+        assert load_config(str(shipped)) == cli.ExperimentConfig()
+
     @pytest.mark.parametrize("text, key", [
         ("data: {n_rows: many}", "data.n_rows"),
         ("data: {n_rows: 2.5}", "data.n_rows"),
@@ -744,6 +755,26 @@ class TestReportCommand:
         assert main(["report", "--run-dir", str(run_dir)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("report:") and f"{name} line 3" in err and cell in err
+
+    @pytest.mark.parametrize("name", [
+        "results.csv", os.path.join("QNN-1", "trace.csv"), os.path.join("dt", "predictions.csv"),
+    ])
+    @pytest.mark.parametrize("line, fault", [
+        (b"\xff\n", "not UTF-8"),
+        (b"x" * 200_000 + b"\n", "field larger than field limit"),
+    ], ids=["undecodable_byte", "oversized_field"])
+    def test_unreadable_csv_exits_3(self, tmp_path, capsys, name, line, fault):
+        # each file is small enough to decode in one read, so the undecodable
+        # byte fails the header read, before any row
+        run_dir = self._run_dir(tmp_path)
+        body = (run_dir / name).read_bytes()
+        (run_dir / name).write_bytes(body + line)
+        number = body.count(b"\n") + 1
+        capsys.readouterr()
+        assert main(["report", "--run-dir", str(run_dir)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("report:") and f"{name} line {number}" in err
+        assert fault in err and "Traceback" not in err
 
     def test_unknown_method_id_exits_3(self, tmp_path, capsys):
         run_dir = self._run_dir(tmp_path)

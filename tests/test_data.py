@@ -12,10 +12,6 @@ from windqnn.data import (
     TARGET_COLUMN,
     DataError,
     Dataset,
-    EmptyDataError,
-    SchemaError,
-    ScalingError,
-    SplitError,
     fit_scaler,
     generate_synthetic,
     ideal_power_curve,
@@ -68,7 +64,7 @@ def test_unparseable_and_negative_power_dropped(tmp_path):
 def test_missing_column_is_schema_error(tmp_path):
     header = "timestamp,wind_speed,wind_direction,temperature,power\n"
     path = _write(tmp_path, "t,5,10,12,100\n", header=header)
-    with pytest.raises(SchemaError, match="pressure"):
+    with pytest.raises(DataError, match="missing column 'pressure'"):
         load_csv(path)
 
 
@@ -79,7 +75,7 @@ def test_missing_file_is_data_error(tmp_path):
 
 def test_all_rows_invalid_is_empty_data_error(tmp_path):
     path = _write(tmp_path, "t,x,10,1010,12,100\n")
-    with pytest.raises(EmptyDataError):
+    with pytest.raises(DataError, match="no valid rows"):
         load_csv(path)
 
 
@@ -146,7 +142,7 @@ def test_awkward_rows_match_the_dictreader_oracle(tmp_path):
 def test_header_only_file_is_empty_data_error(tmp_path):
     path = _write(tmp_path, "")
     assert _same_load(path) is None
-    with pytest.raises(EmptyDataError, match="0 dropped"):
+    with pytest.raises(DataError, match=r"no valid rows .*\(0 dropped\)"):
         load_csv(path)
 
 
@@ -256,9 +252,8 @@ def test_split_rejects_degenerate_fraction(fraction):
 def test_split_too_small_dataset_is_data_error(rows):
     dataset = generate_synthetic(5, seed=7)
     tiny = Dataset(dataset.features[:rows], dataset.power[:rows])
-    with pytest.raises(SplitError) as info:
+    with pytest.raises(DataError, match="empty side" if rows else "empty dataset"):
         split(tiny, 0.8)
-    assert isinstance(info.value, DataError) and isinstance(info.value, ValueError)
 
 
 def test_split_rejects_unknown_mode():
@@ -319,10 +314,10 @@ def test_constant_column_is_scaling_error():
     features[:, 0] = [1.0, 2.0, 3.0]
     features[:, 2] = [1.0, 2.0, 3.0]
     features[:, 3] = [1.0, 2.0, 3.0]
-    with pytest.raises(ScalingError, match="wind_direction"):
+    with pytest.raises(DataError, match="'wind_direction' is constant"):
         fit_scaler(Dataset(features, np.array([1.0, 2.0, 3.0])))
     good = np.column_stack([[1, 2, 3]] * 4).astype(float)
-    with pytest.raises(ScalingError, match="power"):
+    with pytest.raises(DataError, match="'power' is constant"):
         fit_scaler(Dataset(good, np.full(3, 7.0)))
 
 
