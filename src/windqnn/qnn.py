@@ -142,13 +142,18 @@ def predict_scaled(model: QnnModel, features_scaled,
     """Circuit expectation in [-1, 1]; accepts one sample or a matrix.
 
     ``states`` optionally gives the rows already run through the feature
-    prefix, as returned by ``encode``.
+    prefix, as returned by ``encode``; ValueError unless it holds one row
+    per feature row.
     """
     features = np.asarray(features_scaled, dtype=float)
     if features.ndim == 1:
-        return predict_scaled(model, features[None, :])[0]
+        return predict_scaled(model, features[None, :],
+                              None if states is None else np.atleast_2d(states))[0]
     if states is None:
         states = encode(model.template, features)
+    elif states.shape[0] != features.shape[0]:
+        raise ValueError(
+            f"got {states.shape[0]} state rows for {features.shape[0]} feature rows")
     observable = (model.suffix or _DenseSuffix(model.template)).observable(model.parameters)
     return np.sum((states @ observable.T) * states.conj(), axis=1).real
 

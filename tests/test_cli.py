@@ -1,6 +1,7 @@
 """Tests for config parsing, the argparse surface, and the run pipeline."""
 import csv
 import os
+import subprocess
 import sys
 from collections import Counter
 from dataclasses import fields
@@ -808,3 +809,36 @@ class TestReportCommand:
         assert main(["report", "--run-dir", str(run_dir)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("report:") and "results.md" in err
+
+
+_THREAD_PROBE = """
+import os
+import windqnn.cli
+import numpy as np
+np.ones((136, 4000)) @ np.ones((4000, 136))
+print(len(os.listdir("/proc/self/task")), os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
+class TestThreads:
+    """The method pool is the only source of parallel threads: BLAS runs on one."""
+
+    @staticmethod
+    def _probe(openblas_threads=None):
+        env = {key: value for key, value in os.environ.items()
+               if key != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+        if openblas_threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = openblas_threads
+        done = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
+                              capture_output=True, text=True, check=True)
+        threads, value = done.stdout.split()
+        return int(threads), value
+
+    def test_a_blas_product_starts_no_thread(self):
+        # a product this large runs threaded in OpenBLAS when it may
+        assert self._probe() == (1, "1")
+
+    def test_the_users_setting_is_kept(self):
+        assert self._probe("2")[1] == "2"

@@ -157,6 +157,12 @@ _ROW_ENTRIES = {
     "loss_mse": loss_mse,
     "encode": lambda model, xs, ys: encode(model.template, xs),
     "gram_form": lambda model, xs, ys: gram_form(encode(model.template, xs), ys),
+    # states encoded from fewer rows than the features given with them
+    "predict_scaled_states": lambda model, xs, ys: predict_scaled(
+        model, xs, encode(model.template, xs[:-2])),
+    # a single row passes its states on, so two state rows for it are refused
+    "predict_scaled_row_states": lambda model, xs, ys: predict_scaled(
+        model, xs[0], encode(model.template, xs[:2])),
 }
 
 
@@ -169,6 +175,10 @@ _ROW_ENTRIES = {
       for entry in ("gradient_parameter_shift", "gram_form", "loss_mse")],
     *[pytest.param(entry, 3, 4, 2, "targets shape", id=f"{entry}-short-targets")
       for entry in ("gradient_parameter_shift", "gram_form", "loss_mse")],
+    pytest.param("predict_scaled_states", 5, 4, 5, "got 3 state rows for 5 feature rows",
+                 id="predict_scaled-short-states"),
+    pytest.param("predict_scaled_row_states", 3, 4, 3, "got 2 state rows for 1 feature rows",
+                 id="predict_scaled-row-states"),
 ])
 def test_bad_row_shapes_are_rejected(entry, rows, width, n_targets, match):
     # every entry point of QNN rows rejects a wrong width, no rows, or a
@@ -465,6 +475,7 @@ def test_predictions_match_gate_level_evaluation(config_id):
     shared = encode(model.template, xs)
     np.testing.assert_array_equal(predict_scaled(model, xs, shared),
                                   predict_scaled(model, xs))
+    assert predict_scaled(model, xs[0], shared[0]) == predict_scaled(model, xs[0])
 
 
 # --- training ----------------------------------------------------------------
