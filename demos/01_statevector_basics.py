@@ -8,6 +8,8 @@ of the basis index is the state of qubit q. Every kernel updates an
 amplitude array in place, and the same call runs one state of shape
 (2**n,) or a batch of shape (rows, 2**n).
 """
+import windqnn  # noqa: F401  # before numpy: its single-threaded OpenBLAS default applies
+
 import numpy as np
 
 from windqnn.statevector import (

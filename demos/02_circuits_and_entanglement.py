@@ -7,6 +7,8 @@ map (Z or ZZ) and a CX entanglement strategy inside the trainable ansatz.
 This script prints the gate listings and the (control, target) pairs each
 strategy produces, including how SCA shifts per layer.
 """
+import windqnn  # noqa: F401  # before numpy: its single-threaded OpenBLAS default applies
+
 import numpy as np
 
 from windqnn.circuit import (

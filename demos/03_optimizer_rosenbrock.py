@@ -6,6 +6,8 @@ The optimizer used for QNN training is a from-scratch limited-memory
 quasi-Newton method. Rosenbrock's banana function is the classic stress
 test: a curved narrow valley that defeats plain gradient descent.
 """
+import windqnn  # noqa: F401  # before numpy: its single-threaded OpenBLAS default applies
+
 import numpy as np
 
 from windqnn.optimizer import OptimizerOptions, minimize

@@ -18,6 +18,16 @@ def _check_width(queries: np.ndarray, width: int) -> np.ndarray:
     return queries
 
 
+def _check_rows(features: np.ndarray, targets: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    features = np.asarray(features, dtype=float)
+    targets = np.asarray(targets, dtype=float)
+    if features.ndim != 2:
+        raise ValueError(f"features must be 2-D, got shape {features.shape}")
+    if targets.shape != features.shape[:1]:
+        raise ValueError(f"got {targets.size} targets for {features.shape[0]} feature rows")
+    return features, targets
+
+
 # --- k-nearest neighbors -----------------------------------------------------
 
 # distances per query block of predict_knn: 2**16 float64 are 512 KB a buffer
@@ -28,14 +38,19 @@ class KnnModel:
     k: int
     features: np.ndarray
     targets: np.ndarray
+    axis: int  # the feature with the largest standard deviation
+    order: np.ndarray  # the training rows sorted on that feature
+    columns: np.ndarray  # (d, n): features[order].T, contiguous
 
 
 def fit_knn(features: np.ndarray, targets: np.ndarray, k: int = 5) -> KnnModel:
-    features = np.asarray(features, dtype=float)
-    targets = np.asarray(targets, dtype=float)
+    features, targets = _check_rows(features, targets)
     if not 1 <= k <= targets.shape[0]:
         raise ValueError(f"k must be in [1, {targets.shape[0]}], got {k}")
-    return KnnModel(k=k, features=features, targets=targets)
+    axis = int(np.argmax(features.std(axis=0)))
+    order = np.argsort(features[:, axis], kind="stable")
+    return KnnModel(k=k, features=features, targets=targets, axis=axis, order=order,
+                    columns=np.ascontiguousarray(features[order].T))
 
 
 def predict_knn(model: KnnModel, queries: np.ndarray) -> np.ndarray:
@@ -44,37 +59,57 @@ def predict_knn(model: KnnModel, queries: np.ndarray) -> np.ndarray:
     Distance ties break toward the lower training-row index, as a stable
     sort would.  ``argpartition`` keeps k candidates per query and they are
     ordered by (distance, index); a query where an unselected row ties the
-    k-th distance falls back to a stable sort of its whole row, so the
-    neighbours and their order in the mean match a full stable sort.
+    k-th distance falls back to a stable sort of its window.
 
-    Queries go in blocks of about ``KNN_BLOCK_DISTANCES`` distances, so the
-    two (block, n_train) buffers, allocated once and refilled in place,
-    stay in cache; a block holds at least one query.
+    Queries go in ``model.axis`` order; a block of them scans one window of
+    the sorted rows, ``reach`` (n // 8, at least k) past its first and last
+    key, in at most ``KNN_BLOCK_DISTANCES`` distances unless one query needs
+    more.  Rounded subtraction, squaring and sums of non-negative terms are
+    monotone, so a row outside the window is at least the squared key gap
+    away: a query whose k-th distance is below that is done, the rest retry
+    with 4x the reach.  A window that covers every row is final, NaN too.
     """
-    queries = _check_width(queries, model.features.shape[1])
-    n_train, k = model.features.shape[0], model.k
-    columns = np.ascontiguousarray(model.features.T)  # (d, n_train)
+    queries = _check_width(queries, model.columns.shape[0])
+    keys, (d, n), k = model.columns[model.axis], model.columns.shape, model.k
+    buffers = np.empty((2, max(KNN_BLOCK_DISTANCES, n)))  # refilled in place
     out = np.empty(queries.shape[0])
-    chunk = max(1, KNN_BLOCK_DISTANCES // n_train)
-    d2_block = np.empty((min(chunk, queries.shape[0]), n_train))
-    term_block = np.empty_like(d2_block)
-    for start in range(0, queries.shape[0], chunk):
-        q = queries[start : start + chunk]
-        d2, term = d2_block[: q.shape[0]], term_block[: q.shape[0]]
-        # feature by feature in order, as a sum from zero would add them
-        np.subtract(q[:, 0, None], columns[0], out=d2)
-        np.square(d2, out=d2)
-        for f in range(1, q.shape[1]):
-            np.subtract(q[:, f, None], columns[f], out=term)
-            np.square(term, out=term)
-            d2 += term
-        part = np.argpartition(d2, k - 1, axis=1)[:, :k]
-        part_d2 = np.take_along_axis(d2, part, axis=1)
-        nearest = np.take_along_axis(part, np.lexsort((part, part_d2), axis=1), axis=1)
-        kth = part_d2.max(axis=1, keepdims=True)
-        for row in np.flatnonzero(np.count_nonzero(d2 <= kth, axis=1) != k):
-            nearest[row] = np.argsort(d2[row], kind="stable")[:k]
-        out[start : start + chunk] = model.targets[nearest].mean(axis=1)
+    pending = np.argsort(queries[:, model.axis], kind="stable")
+    reach = max(k, n // 8)
+    while pending.size:
+        q_keys = queries[pending, model.axis]
+        lo = np.maximum(np.searchsorted(keys, q_keys, "left") - reach, 0)
+        hi = np.minimum(np.searchsorted(keys, q_keys, "right") + reach, n)
+        retry, i = [], 0
+        while i < pending.size:
+            # the most queries whose shared window fits a block, at least one
+            cap = min(pending.size - i, KNN_BLOCK_DISTANCES // (hi[i] - lo[i]))
+            m = max(1, np.count_nonzero(
+                np.arange(1, cap + 1) * (hi[i : i + cap] - lo[i]) <= KNN_BLOCK_DISTANCES))
+            a, b, rows = lo[i], hi[i + m - 1], pending[i : i + m]
+            q, columns, index = queries[rows], model.columns[:, a:b], model.order[a:b]
+            d2, term = buffers[:, : m * (b - a)].reshape(2, m, b - a)
+            # feature by feature in order, as a sum from zero would add them
+            np.subtract(q[:, 0, None], columns[0], out=d2)
+            np.square(d2, out=d2)
+            for f in range(1, d):
+                np.subtract(q[:, f, None], columns[f], out=term)
+                np.square(term, out=term)
+                d2 += term
+            part = np.argpartition(d2, k - 1, axis=1)[:, :k]
+            part_d2 = np.take_along_axis(d2, part, axis=1)
+            nearest = index[part]
+            nearest = np.take_along_axis(nearest, np.lexsort((nearest, part_d2), axis=1), axis=1)
+            kth = part_d2.max(axis=1)
+            gap = np.minimum(q[:, model.axis] - keys[a - 1] if a > 0 else np.inf,
+                             keys[b] - q[:, model.axis] if b < n else np.inf)
+            done = (kth < np.square(gap)) | (a == 0 and b == n)
+            tied = np.count_nonzero(d2 <= kth[:, None], axis=1) != k
+            for row in np.flatnonzero(done & tied):
+                nearest[row] = index[np.lexsort((index, d2[row]))[:k]]
+            out[rows[done]] = model.targets[nearest[done]].mean(axis=1)
+            retry.append(rows[~done])
+            i += m
+        pending, reach = np.concatenate(retry), 4 * reach
     return out
 
 
@@ -124,8 +159,7 @@ def fit_cart(
     along any axis, the stable sort is taken per row, and the mean of a row
     of a C-contiguous block equals the 1-D mean of that row.
     """
-    features = np.asarray(features, dtype=float)
-    targets = np.asarray(targets, dtype=float)
+    features, targets = _check_rows(features, targets)
     if targets.shape[0] == 0:
         raise ValueError("cannot fit a tree on an empty training set")
     if min_samples_split < 2:
@@ -230,8 +264,7 @@ def fit_ols(
     column_names: Optional[List[str]] = None,
 ) -> OlsModel:
     """Least squares with intercept via SVD (never the raw normal equations)."""
-    features = np.asarray(features, dtype=float)
-    targets = np.asarray(targets, dtype=float)
+    features, targets = _check_rows(features, targets)
     n, d = features.shape
     if n <= d:
         raise ValueError(f"need more samples than features, got {n} rows for {d} columns")

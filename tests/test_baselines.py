@@ -76,8 +76,9 @@ def test_knn_tie_block_straddling_kth_takes_lower_indices():
 
 
 def test_knn_spanning_several_chunks_matches_oracle():
-    # 5000 training rows give 13 queries per distance block, so 40 queries
-    # take four blocks, the last one partial
+    # a window of all 5000 training rows leaves room for 13 queries in a
+    # distance block, so 40 queries that need it take four blocks, the
+    # last one partial
     per_block = KNN_BLOCK_DISTANCES // 5000
     assert 1 < per_block and 40 > 2 * per_block and 40 % per_block
     rng = np.random.default_rng(24)
@@ -89,6 +90,8 @@ def test_knn_spanning_several_chunks_matches_oracle():
 
 
 def test_knn_training_set_beyond_one_block_takes_one_query_per_block():
+    # a window of every row is longer than a distance block, so a block
+    # whose queries need it holds one query
     n_train = KNN_BLOCK_DISTANCES + 4464
     rng = np.random.default_rng(26)
     features = np.round(rng.uniform(size=(n_train, 4)), 1)
@@ -100,8 +103,9 @@ def test_knn_training_set_beyond_one_block_takes_one_query_per_block():
 
 def test_knn_ties_straddling_a_block_boundary_match_oracle():
     # a 3 x 3 grid of 4096 duplicated rows puts hundreds of rows at every
-    # distance; queries 10-25 are one point, so its tie block crosses the
-    # boundary between the first two blocks of 16 queries
+    # distance; queries 10-25 are one point, and a window of every row
+    # leaves room for 16 queries in a block, so a block that needs it ends
+    # inside that run
     n_train = 4096
     per_block = KNN_BLOCK_DISTANCES // n_train
     assert 10 < per_block < 25
@@ -116,8 +120,8 @@ def test_knn_ties_straddling_a_block_boundary_match_oracle():
 
 
 def test_knn_predict_holds_its_distance_blocks_in_a_few_megabytes():
-    # the two (block, n_train) buffers are reused; per-block temporaries are
-    # the size of one block, not of the whole distance matrix
+    # the two distance buffers are reused; per-block temporaries are the
+    # size of one block, not of the whole distance matrix
     rng = np.random.default_rng(28)
     model = fit_knn(rng.uniform(size=(12800, 4)), rng.normal(size=12800), k=5)
     queries = rng.uniform(size=(800, 4))
@@ -151,6 +155,110 @@ def test_knn_matches_stable_sort_oracle_on_ties(case):
     features, targets, k, queries = case
     got = predict_knn(fit_knn(features, targets, k), queries)
     np.testing.assert_array_equal(got, knn_predict_oracle(features, targets, k, queries))
+
+
+@st.composite
+def windowed_knn_cases(draw):
+    # up to 300 rows: the first window is a fraction of them, so queries are
+    # done early, retried wider or end on the full window; few decimals tie
+    width, n = draw(st.integers(1, 4)), draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    decimals = draw(st.integers(0, 3))
+    scale = rng.uniform(0.1, 10, size=width)  # one feature spreads widest
+    features = np.round(rng.normal(size=(n, width)) * scale, decimals)
+    queries = np.round(rng.normal(size=(draw(st.integers(1, 20)), width)) * 2 * scale, decimals)
+    return features, rng.normal(size=n), draw(st.integers(1, n)), queries
+
+
+@settings(max_examples=150, deadline=None)
+@given(windowed_knn_cases())
+def test_knn_windows_match_stable_sort_oracle(case):
+    features, targets, k, queries = case
+    got = predict_knn(fit_knn(features, targets, k), queries)
+    np.testing.assert_array_equal(got, knn_predict_oracle(features, targets, k, queries))
+
+
+def _assert_knn_matches_oracle(features, targets, k, queries):
+    got = predict_knn(fit_knn(features, targets, k), queries)
+    np.testing.assert_array_equal(got, knn_predict_oracle(features, targets, k, queries))
+
+
+def test_knn_sorts_on_the_feature_with_the_largest_spread():
+    rng = np.random.default_rng(30)
+    features = rng.uniform(size=(2000, 4)) * [1.0, 1.0, 3.0, 1.0]
+    model = fit_knn(features, rng.normal(size=2000), k=5)
+    assert model.axis == 2
+    np.testing.assert_array_equal(model.columns, features[model.order].T)
+    assert np.all(np.diff(model.columns[2]) >= 0) and model.columns.flags.c_contiguous
+
+
+def test_knn_queries_beyond_both_ends_of_the_sorted_axis_match_oracle():
+    rng = np.random.default_rng(31)
+    features = rng.uniform(size=(2000, 4)) * [1.0, 1.0, 3.0, 1.0]
+    queries = rng.uniform(size=(40, 4))
+    queries[:, 2] = np.repeat([-5.0, -1e-9, 3.0 + 1e-9, 50.0], 10)
+    _assert_knn_matches_oracle(features, rng.normal(size=2000), 5, queries)
+
+
+def test_knn_constant_sort_axis_matches_oracle():
+    # every key is equal, so no gap ever clears a query: each one ends on
+    # the full window, where every row ties and the lowest indices win
+    rng = np.random.default_rng(32)
+    queries = rng.uniform(size=(30, 3))
+    queries[:5, 0] = 0.5
+    _assert_knn_matches_oracle(np.full((500, 3), 0.5), rng.normal(size=500), 7, queries)
+
+
+def test_knn_row_just_outside_the_window_tying_the_kth_distance_wins():
+    # rows 0-9 sit at -1 and rows 10-49 at +1; the first window of the query
+    # at 0 reaches 50 // 8 = 6 rows each way, rows 4-15, all at distance 1,
+    # and its gap to row 3 is also 1, so the query must widen: row 0 is the
+    # stable answer
+    features = np.repeat([-1.0, 1.0], [10, 40])[:, None]
+    targets = np.arange(50.0)
+    assert predict_knn(fit_knn(features, targets, k=1), np.zeros((1, 1)))[0] == 0.0
+
+
+def test_knn_clustered_rows_widen_the_window():
+    # rows with a sort key within 20 of the query's sit 30 away on the other
+    # feature, so the true neighbours are beyond the first window's reach
+    rng = np.random.default_rng(33)
+    x0 = rng.uniform(0, 100, size=1600)
+    features = np.column_stack([x0, np.where(np.abs(x0 - 50) < 20, 30.0, 0.0)])
+    targets = rng.normal(size=1600)
+    model = fit_knn(features, targets, k=5)
+    assert model.axis == 0 and np.count_nonzero(np.abs(x0 - 50) < 20) > 2 * 1600 // 8
+    _assert_knn_matches_oracle(features, targets, 5, np.array([[50.0, 0.0], [45.0, 0.0]]))
+
+
+def test_knn_fewer_training_rows_than_one_window_matches_oracle():
+    # 4 // 8 is 0, so the first window reaches k rows each way from the
+    # query's key; it covers all 4 rows once widened, and at once for k = n
+    rng = np.random.default_rng(35)
+    features, targets = rng.normal(size=(4, 3)), rng.normal(size=4)
+    for k in (2, 4):
+        _assert_knn_matches_oracle(features, targets, k, rng.normal(size=(12, 3)) * 3)
+
+
+def test_knn_nan_and_inf_queries_return_the_oracles_values():
+    rng = np.random.default_rng(36)
+    features = rng.uniform(size=(400, 3))
+    queries = rng.uniform(size=(8, 3))
+    queries[0, :] = np.nan
+    queries[1, 1] = np.nan
+    queries[2, 0], queries[3, 2] = np.inf, -np.inf
+    queries[4] = [np.inf, -np.inf, np.nan]
+    _assert_knn_matches_oracle(features, rng.normal(size=400), 5, queries)
+
+
+@pytest.mark.parametrize("fit", [fit_knn, fit_cart, fit_ols], ids=lambda fit: fit.__name__)
+def test_fit_rejects_targets_that_do_not_match_the_feature_rows(fit):
+    features = np.random.default_rng(37).normal(size=(10, 2))
+    for n_targets in (12, 8):
+        with pytest.raises(ValueError, match=f"got {n_targets} targets for 10 feature rows"):
+            fit(features, np.zeros(n_targets))
+    with pytest.raises(ValueError, match=r"features must be 2-D, got shape \(10,\)"):
+        fit(features[:, 0], np.zeros(10))
 
 
 def test_predict_rejects_query_width_mismatch():

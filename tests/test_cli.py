@@ -842,3 +842,8 @@ class TestThreads:
 
     def test_the_users_setting_is_kept(self):
         assert self._probe("2")[1] == "2"
+
+    def test_the_suite_process_runs_one_thread(self):
+        # tests/conftest.py imports windqnn before any test module loads numpy
+        np.ones((136, 4000)) @ np.ones((4000, 136))
+        assert len(os.listdir("/proc/self/task")) == 1
