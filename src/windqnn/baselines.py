@@ -25,6 +25,13 @@ def _check_rows(features: np.ndarray, targets: np.ndarray) -> Tuple[np.ndarray, 
         raise ValueError(f"features must be 2-D, got shape {features.shape}")
     if targets.shape != features.shape[:1]:
         raise ValueError(f"got {targets.size} targets for {features.shape[0]} feature rows")
+    if not np.isfinite(features).all():
+        row, column = np.argwhere(~np.isfinite(features))[0]
+        raise ValueError(f"features row {row}, column {column} is {features[row, column]}, "
+                         f"not finite")
+    if not np.isfinite(targets).all():
+        row = np.flatnonzero(~np.isfinite(targets))[0]
+        raise ValueError(f"targets row {row} is {targets[row]}, not finite")
     return features, targets
 
 

@@ -56,6 +56,7 @@ from .qnn import (
     encode,
     gram_form,
     predict_scaled,
+    same_training,
     train,
     with_parameters,
 )
@@ -282,8 +283,12 @@ def _run_group(method_ids, cfg: ExperimentConfig, bundle) -> list:
     the selected QNNs of one feature map, encodes the map once from its first
     model's template, the Gram form of the training rows and the test-row
     states, and trains each QNN on that; if building that model or encoding
-    raises, every QNN of the group fails.  Each method's wall time runs from
-    the end of the one before, so the first QNN's includes the encoding."""
+    raises, every QNN of the group fails.  A QNN that trains like an earlier
+    one of the group (``same_training``) takes that one's result instead of
+    training; a training that raised is never taken.  Each method's wall
+    time runs from the end of the one before, so the first QNN's includes
+    the encoding, and a QNN that takes a result counts only its build and
+    predictions."""
     scaling, x_train, y_train_scaled, _, x_test, test_power = bundle
     started = time.perf_counter()
     if method_ids[0] in CONFIG_TABLE:
@@ -293,13 +298,16 @@ def _run_group(method_ids, cfg: ExperimentConfig, bundle) -> list:
             test_states = encode(model.template, x_test)
         except Exception as exc:  # recorded, surfaced as exit 4 at the end
             return [_failure(method_id, exc) for method_id in method_ids]
-    outcomes = []
+    outcomes, trained = [], []  # trained: (model, result) of each QNN that trained
     for i, method_id in enumerate(method_ids):
         try:
             if method_id in CONFIG_TABLE:
                 if i:  # the first model was built for the encoding
                     model = _build_qnn(method_id, cfg)
-                result = train(model, gram, cfg.optimizer)
+                result = next((r for m, r in trained if same_training(m, model)), None)
+                if result is None:
+                    result = train(model, gram, cfg.optimizer)
+                    trained.append((model, result))
                 fitted = with_parameters(model, result.best_point)
                 predictions = invert_target(
                     scaling, predict_scaled(fitted, x_test, test_states))

@@ -33,13 +33,20 @@ So the work splits three ways.
   chunks.  ``windqnn run`` does both once for the six QNNs of a map.
 * Once per model: the constant blocks K_j and L_j below, which
   ``build_model`` makes and the model's training and predictions share.
+  An empty run of constant gates is the identity, and the RY(pi) turn of
+  each qubit is simulated once, however many trainable gates it carries.
+  ``windqnn run`` trains a model only when no earlier model of its group
+  has equal blocks, slots and initial parameters (``same_training``), so
+  QNN-5 and QNN-11 take the results of QNN-2 and QNN-8.
 * Once per theta: M(theta) and the 2P shifted M come from dense real
   2**n x 2**n products.  RY_q(t) = cos(t/2) I + sin(t/2) RY_q(pi) and every
   other suffix gate is constant, so U(theta) is a product of P factors
-  cos(t_j/2) K_j + sin(t_j/2) L_j; prefix and suffix products of those
-  factors give every shifted U at once.  The objective keeps m and G m - h
-  of the last theta, so the gradient at a point the objective has just
-  seen builds no M(theta) again.  No step of training touches a row.
+  cos(t_j/2) K_j + sin(t_j/2) L_j.  One forward pass makes the factors and
+  their prefix products; the suffix products behind each factor then give
+  every shifted U at once.  The objective keeps the forward pass, m and
+  G m - h of the last theta, so the gradient at a point the objective has
+  just seen computes only the suffix products.  No step of training
+  touches a row.
 * Per row: only the test predictions, read out through M(theta) by
   ``predict_scaled``.
 
@@ -51,6 +58,7 @@ still run any template gate by gate: the reference for the fast path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -155,7 +163,12 @@ def predict_scaled(model: QnnModel, features_scaled,
         raise ValueError(
             f"got {states.shape[0]} state rows for {features.shape[0]} feature rows")
     observable = (model.suffix or _DenseSuffix(model.template)).observable(model.parameters)
-    return np.sum((states @ observable.T) * states.conj(), axis=1).real
+    # Re(conj(a) b) = Re(a conj(b)) bit for bit, and conj(a) b can be formed
+    # in place in a = states @ M^T: one (N, d) temporary, not three
+    readout = states @ observable.T
+    np.conjugate(readout, out=readout)
+    readout *= states
+    return np.sum(readout, axis=1).real
 
 
 def _split(template: CircuitTemplate) -> int:
@@ -185,10 +198,18 @@ def encode(template: CircuitTemplate, features) -> np.ndarray:
     return states
 
 
+@lru_cache(maxsize=None)
+def _triangle(d: int) -> tuple:
+    """np.triu_indices(d), made once per dimension and read-only."""
+    rows, cols = np.triu_indices(d)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def _coordinates(symmetric: np.ndarray) -> np.ndarray:
     """Coordinates of real symmetric matrices (..., d, d), shape
     (..., d(d+1)/2): the entries on and above the diagonal, row by row."""
-    rows, cols = np.triu_indices(symmetric.shape[-1])
+    rows, cols = _triangle(symmetric.shape[-1])
     return symmetric[..., rows, cols]
 
 
@@ -228,6 +249,15 @@ def gram_form(states: np.ndarray, targets) -> Gram:
     return Gram(g / n, h / n, float(targets @ targets) / n)
 
 
+class _Forward(NamedTuple):
+    """One pass of a dense suffix at theta."""
+
+    angles: np.ndarray  # theta of each parameterized gate, shape (P,)
+    factors: np.ndarray  # F_j, shape (P, d, d)
+    before: np.ndarray  # before[j] = F_{j-1} ... F_1 C_0, shape (P, d, d)
+    unitary: np.ndarray  # U(theta) = F_P ... F_1 C_0, shape (d, d)
+
+
 class _DenseSuffix:
     """U(theta) of a template's trainable suffix as P dense factors.
 
@@ -235,34 +265,39 @@ class _DenseSuffix:
     gates between it and the next one, U = F_P ... F_1 C_0 where
     F_j = C_j RY(t_j) = cos(t_j/2) K_j + sin(t_j/2) L_j, K_j = C_j and
     L_j = C_j RY(pi), since RY(t) = cos(t/2) I + sin(t/2) RY(pi).  The
-    constant matrices are built once per template by running the gates over
-    the identity, and kept real: a constant gate after the first trainable
+    constant matrices are built once per template: an empty run is the
+    identity, a run of gates and each qubit's RY(pi) turn are run over the
+    identity.  They are kept real: a constant gate after the first trainable
     RY must be real (H, CX, RY), so that M(theta) is real symmetric.
     """
 
     def __init__(self, template: CircuitTemplate):
         n_qubits = template.n_qubits
         self._n_qubits = n_qubits
-        runs, turns, slots = [[]], [], []
+        runs, qubits, turns, slots = [[]], [], {}, []
         for g in template.gates[_split(template):]:
             if not isinstance(g.angle, ParamAngle):
                 runs[-1].append(g)
                 continue
             if g.kind != "RY":
                 raise ValueError(f"only RY gates may carry a trainable angle, got {g.kind}")
-            turns.append(replace(g, angle=ConstAngle(np.pi)))
+            if g.qubits not in turns:
+                turns[g.qubits] = self._matrix([replace(g, angle=ConstAngle(np.pi))])
+            qubits.append(g.qubits)
             slots.append(g.angle.index)
             runs.append([])
         dim = 2**n_qubits
         self._lead = self._matrix(runs[0])
         self._cos = np.array([self._matrix(run) for run in runs[1:]]).reshape(-1, dim, dim)
-        self._sin = self._cos @ np.array([self._matrix([t]) for t in turns]).reshape(-1, dim, dim)
+        self._sin = self._cos @ np.array([turns[q] for q in qubits]).reshape(-1, dim, dim)
         self.slots = np.array(slots, dtype=int)
         self.n_slots = template.n_parameter_slots
         # parity readout of each basis state: the diagonal of Z x ... x Z
         self._signs = expect_z_all_array(np.eye(dim))
 
     def _matrix(self, gates) -> np.ndarray:
+        if not gates:
+            return np.eye(2**self._n_qubits)
         columns = np.eye(2**self._n_qubits, dtype=complex)  # row j becomes U e_j
         run_gates(columns, gates, self._n_qubits, np.zeros(0), np.zeros(0))
         if np.any(columns.imag):
@@ -279,42 +314,44 @@ class _DenseSuffix:
     def _observe(self, unitaries: np.ndarray) -> np.ndarray:
         return np.swapaxes(unitaries, -1, -2) @ (self._signs[:, None] * unitaries)
 
-    def observable(self, theta: np.ndarray) -> np.ndarray:
-        """M(theta), shape (d, d)."""
-        u = self._lead
-        for factor in self._factors(theta[self.slots]):
-            u = factor @ u
-        return self._observe(u)
-
-    def shifted_observables(self, theta: np.ndarray) -> np.ndarray:
-        """M with the angle of parameterized gate j moved by +pi/2 (row 0)
-        and -pi/2 (row 1), shape (2, P, d, d).
-
-        before[j] is the product of every factor ahead of F_j and after[j]
-        of every factor behind it, so each shifted U is after @ F_j' @ before.
-        """
+    def forward(self, theta: np.ndarray) -> _Forward:
+        """The factors at theta, their prefix products and U(theta)."""
         angles = theta[self.slots]
         factors = self._factors(angles)
         before = np.empty_like(factors)
-        after = np.empty_like(factors)
         u = self._lead
         for j in range(factors.shape[0]):
             before[j] = u
             u = factors[j] @ u
+        return _Forward(angles, factors, before, u)
+
+    def observable(self, theta: np.ndarray) -> np.ndarray:
+        """M(theta), shape (d, d)."""
+        return self._observe(self.forward(theta).unitary)
+
+    def shifted_observables(self, forward: _Forward) -> np.ndarray:
+        """M with the angle of parameterized gate j moved by +pi/2 (row 0)
+        and -pi/2 (row 1) from the forward pass's theta, shape (2, P, d, d).
+
+        after[j] is the product of every factor behind F_j, so each shifted
+        U is after[j] @ F_j' @ before[j].
+        """
+        factors = forward.factors
+        after = np.empty_like(factors)
         u = np.eye(self._lead.shape[0])
         for j in reversed(range(factors.shape[0])):
             after[j] = u
             u = u @ factors[j]
-        shifted = self._factors(angles + np.array([[np.pi / 2], [-np.pi / 2]]))
-        return self._observe(after @ shifted @ before)
+        shifted = self._factors(forward.angles + np.array([[np.pi / 2], [-np.pi / 2]]))
+        return self._observe(after @ shifted @ forward.before)
 
 
 class _GramObjective:
     """Training loss and gradients from a Gram form; no step reads a row.
 
-    The real coordinates m of the last theta and the vector G m - h are
-    kept, so a gradient at the point the objective has just seen reuses
-    them.  Thetas are matched by value, not identity.
+    The forward pass, the real coordinates m and the vector G m - h of the
+    last theta are kept, so a gradient at the point the objective has just
+    seen reuses them.  Thetas are matched by value, not identity.
     """
 
     def __init__(self, template: CircuitTemplate, gram: Gram,
@@ -325,20 +362,21 @@ class _GramObjective:
 
     def _at(self, theta: np.ndarray):
         if not np.array_equal(theta, self._theta):
-            m = _coordinates(self.suffix.observable(theta))
-            self._m, self._r = m, self.gram.g @ m - self.gram.h
+            forward = self.suffix.forward(theta)
+            m = _coordinates(self.suffix._observe(forward.unitary))
+            self._forward, self._m, self._r = forward, m, self.gram.g @ m - self.gram.h
             self._theta = np.array(theta, dtype=float)
-        return self._m, self._r
+        return self._forward, self._m, self._r
 
     def loss(self, theta: np.ndarray) -> float:
         # m^T G m - 2 h^T m + c written through r = G m - h
-        m, r = self._at(theta)
+        _, m, r = self._at(theta)
         return float(np.sum(m * (r - self.gram.h)) + self.gram.c)
 
     def shift_gradient(self, theta: np.ndarray) -> np.ndarray:
         """Exact dL/dtheta: (G m - h) . (m_+k - m_-k), every shift in one batch."""
-        _, r = self._at(theta)
-        plus, minus = self.suffix.shifted_observables(theta)
+        forward, _, r = self._at(theta)
+        plus, minus = self.suffix.shifted_observables(forward)
         per_gate = _coordinates(plus - minus) @ r
         return np.bincount(self.suffix.slots, weights=per_gate,
                            minlength=self.suffix.n_slots)
@@ -368,6 +406,16 @@ def gradient_parameter_shift(model: QnnModel, features_scaled, targets_scaled) -
     """
     gram = gram_form(encode(model.template, features_scaled), targets_scaled)
     return _GramObjective(model.template, gram, model.suffix).shift_gradient(model.parameters)
+
+
+def same_training(a: QnnModel, b: QnnModel) -> bool:
+    """True when ``train`` takes a and b through the same steps on any Gram
+    form: their initial parameters are equal, and their suffixes have equal
+    constant blocks and slots.  QNN-5 and QNN-11 match QNN-2 and QNN-8."""
+    sa, sb = (m.suffix or _DenseSuffix(m.template) for m in (a, b))
+    return all(np.array_equal(x, y) for x, y in (
+        (a.parameters, b.parameters), (sa.slots, sb.slots),
+        (sa._lead, sb._lead), (sa._cos, sb._cos), (sa._sin, sb._sin)))
 
 
 def train(model: QnnModel, gram: Gram,

@@ -14,6 +14,7 @@ per step.  The fast forms must match them bit for bit.
 from __future__ import annotations
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 
@@ -134,6 +135,31 @@ def dense_suffix_observable(suffix, params) -> np.ndarray:
     """M = U^H (Z x ... x Z) U of a feature-free template, by dense products."""
     u = dense_template_matrix(suffix, np.zeros(0), params)
     return u.conj().T @ dense_z_all_operator(suffix.n_qubits) @ u
+
+
+def dense_suffix_blocks(template) -> tuple:
+    """(lead, cos, sin): the constant blocks C_0, K_j and L_j = K_j RY(pi) of
+    a template's trainable suffix, with every run of constant gates, empty or
+    not, and every RY(pi) turn run through the simulator over the identity."""
+    from windqnn.circuit import ConstAngle, ParamAngle, feature_prefix_length, run_gates
+
+    dim = 2**template.n_qubits
+
+    def matrix(gates):
+        columns = np.eye(dim, dtype=complex)  # row j becomes U e_j
+        run_gates(columns, gates, template.n_qubits, np.zeros(0), np.zeros(0))
+        return columns.real.T
+
+    runs, turns = [[]], []
+    for g in template.gates[feature_prefix_length(template):]:
+        if isinstance(g.angle, ParamAngle):
+            turns.append(replace(g, angle=ConstAngle(np.pi)))
+            runs.append([])
+        else:
+            runs[-1].append(g)
+    cos = np.array([matrix(run) for run in runs[1:]]).reshape(-1, dim, dim)
+    sin = cos @ np.array([matrix([t]) for t in turns]).reshape(-1, dim, dim)
+    return matrix(runs[0]), cos, sin
 
 
 def rowwise_loss_and_shift_gradient(prefix, suffix, features, params, targets):

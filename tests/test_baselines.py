@@ -261,6 +261,23 @@ def test_fit_rejects_targets_that_do_not_match_the_feature_rows(fit):
         fit(features[:, 0], np.zeros(10))
 
 
+@pytest.mark.parametrize("fit", [fit_knn, fit_cart, fit_ols], ids=lambda f: f.__name__)
+def test_fit_names_the_first_non_finite_row(fit):
+    # fit_ols raised a raw LinAlgError on a NaN feature, and fit_cart and
+    # fit_knn fitted non-finite rows without a word
+    features = np.random.default_rng(38).normal(size=(10, 3))
+    targets = np.zeros(10)
+    for value in (np.nan, np.inf, -np.inf):
+        bad = features.copy()
+        bad[6, 2] = bad[4, 1] = value
+        with pytest.raises(ValueError, match=f"features row 4, column 1 is {value}, not finite"):
+            fit(bad, targets)
+        bad_targets = targets.copy()
+        bad_targets[[7, 9]] = value
+        with pytest.raises(ValueError, match=f"targets row 7 is {value}, not finite"):
+            fit(features, bad_targets)
+
+
 def test_predict_rejects_query_width_mismatch():
     rng = np.random.default_rng(25)
     features = rng.normal(size=(20, 4))

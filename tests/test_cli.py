@@ -12,7 +12,14 @@ import pytest
 
 from windqnn import __version__, cli, qnn
 from windqnn.cli import ConfigError, load_config, main, run_experiment
-from windqnn.data import load_csv
+from windqnn.data import (
+    fit_scaler,
+    invert_target,
+    load_csv,
+    scale_features,
+    scale_target,
+    split,
+)
 from windqnn.optimizer import OptimizerOptions
 from windqnn.report import METHOD_ORDER
 
@@ -700,6 +707,99 @@ selection: [QNN-1, QNN-7, dt, knn, ols]
         assert not (run_dir / "QNN-7").exists() and not (run_dir / "traces_zz.svg").exists()
         foreign = {"notes.txt", os.path.join("dt", "notes.txt")}
         assert files(run_dir) == files(out_dir / "fresh") | foreign
+
+
+class TestTrainingReuse:
+    """A QNN whose blocks, slots and initial parameters match an earlier
+    QNN of its group takes that QNN's training: QNN-5 of QNN-2, QNN-11 of
+    QNN-8."""
+
+    CONFIG = """
+data: {{n_rows: 60, seed: 42}}
+optimizer: {{max_iterations: 2}}
+selection: [{selection}]
+parallelism: {degree}
+"""
+
+    @staticmethod
+    def _spy(monkeypatch, failing=()):
+        """The config id of each model that trains, in order, and each
+        model's fitted parameters by config id; a model whose id is in
+        failing raises instead of training."""
+        build_model, train, with_parameters = cli.build_model, cli.train, cli.with_parameters
+        built, trained, fitted = {}, [], {}
+
+        def recording_build_model(method_id, **kwargs):
+            model = build_model(method_id, **kwargs)
+            built[id(model)] = method_id
+            return model
+
+        def recording_train(model, *args, **kwargs):
+            trained.append(built[id(model)])
+            if trained[-1] in failing:
+                raise RuntimeError(f"{trained[-1]} diverged")
+            return train(model, *args, **kwargs)
+
+        def recording_with_parameters(model, parameters):
+            fitted[built[id(model)]] = parameters
+            return with_parameters(model, parameters)
+
+        monkeypatch.setattr(cli, "build_model", recording_build_model)
+        monkeypatch.setattr(cli, "train", recording_train)
+        monkeypatch.setattr(cli, "with_parameters", recording_with_parameters)
+        return trained, fitted
+
+    @staticmethod
+    def _direct(cfg, method_id):
+        """(best point, trace, status, kW predictions) of method_id trained
+        on its own, outside the group runner."""
+        dataset, _ = cli._load_dataset(cfg)
+        train_set, test_set = split(dataset, cfg.split_fraction,
+                                    mode=cfg.split_mode, seed=cfg.split_seed)
+        scaling = fit_scaler(train_set)
+        model = qnn.build_model(method_id, init_seed=cfg.init_seed)
+        gram = qnn.gram_form(qnn.encode(model.template, scale_features(scaling, train_set.features)),
+                             scale_target(scaling, train_set.power))
+        result = qnn.train(model, gram, cfg.optimizer)
+        fitted = qnn.with_parameters(model, result.best_point)
+        predicted = invert_target(scaling, qnn.predict_scaled(
+            fitted, scale_features(scaling, test_set.features)))
+        return result.best_point, result.trace, result.status, predicted
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_the_twelve_configs_train_ten_times(self, tmp_path, monkeypatch, degree):
+        trained, _ = self._spy(monkeypatch)
+        cfg = load_config(write_config(tmp_path, self.CONFIG.format(
+            selection=", ".join(qnn.CONFIG_IDS), degree=degree)))
+        report = run_experiment(cfg)
+        assert report.failures == [] and len(report.methods) == 12
+        assert sorted(trained) == sorted(set(qnn.CONFIG_IDS) - {"QNN-5", "QNN-11"})
+
+    def test_a_reused_training_matches_its_own_bit_for_bit(self, tmp_path, monkeypatch):
+        trained, fitted = self._spy(monkeypatch)
+        cfg = load_config(write_config(tmp_path, self.CONFIG.format(
+            selection="QNN-2, QNN-5, QNN-8, QNN-11", degree=1)))
+        report = run_experiment(cfg)
+        assert trained == ["QNN-2", "QNN-8"]
+        assert [m.method_id for m in report.methods] == ["QNN-2", "QNN-5", "QNN-8", "QNN-11"]
+        for method in report.methods[1::2]:
+            best_point, trace, status, predicted = self._direct(cfg, method.method_id)
+            assert np.array_equal(fitted[method.method_id], best_point)
+            assert method.trace == trace and method.status == status
+            assert np.array_equal(method.predicted, predicted)
+
+    def test_a_training_that_raised_is_not_reused(self, tmp_path, monkeypatch):
+        trained, fitted = self._spy(monkeypatch, failing={"QNN-2"})
+        cfg = load_config(write_config(tmp_path, self.CONFIG.format(
+            selection="QNN-2, QNN-5", degree=1)))
+        report = run_experiment(cfg)
+        assert trained == ["QNN-2", "QNN-5"]
+        assert [f.method_id for f in report.failures] == ["QNN-2"]
+        (method,) = report.methods
+        best_point, trace, status, predicted = self._direct(cfg, "QNN-5")
+        assert np.array_equal(fitted["QNN-5"], best_point)
+        assert method.method_id == "QNN-5" and method.trace == trace
+        assert method.status == status and np.array_equal(method.predicted, predicted)
 
 
 class TestReportCommand:

@@ -1,4 +1,6 @@
 """Model-level tests: config matrix, prediction oracles, gradients, training."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,11 +33,13 @@ from windqnn.qnn import (
     initial_parameters,
     loss_mse,
     predict_scaled,
+    same_training,
     train,
     with_parameters,
 )
 
 from oracles import (
+    dense_suffix_blocks,
     dense_suffix_observable,
     dense_template_matrix,
     dense_z_all_operator,
@@ -321,6 +325,63 @@ def test_full_and_reverse_linear_ansatz_share_one_observable():
                                    rtol=0, atol=1e-12)
 
 
+# --- constant blocks of the dense suffix ---------------------------------------
+
+def _assert_blocks_equal_oracle(template):
+    suffix = _DenseSuffix(template)
+    for block, oracle in zip((suffix._lead, suffix._cos, suffix._sin),
+                             dense_suffix_blocks(template)):
+        assert block.shape == oracle.shape
+        assert np.array_equal(block, oracle)
+
+
+@pytest.mark.parametrize("config_id", CONFIG_IDS)
+def test_benchmark_blocks_match_the_simulated_oracle(config_id):
+    _assert_blocks_equal_oracle(build_model(config_id).template)
+
+
+@st.composite
+def block_suffixes(draw):
+    """A real suffix with an empty run between two RYs that share a qubit
+    and a slot, a constant H or CX between two RYs, and random gates."""
+    n_slots = draw(st.integers(1, 3))
+
+    def ry():
+        return GateSpec("RY", (draw(QUBITS),), ParamAngle(draw(st.integers(0, n_slots - 1))))
+
+    def constant(kind):
+        pair = tuple(draw(st.permutations(range(4)))[:2])
+        return GateSpec("CX", pair) if kind == "CX" else GateSpec("H", pair[:1])
+
+    twice = ry()
+    pieces = [[twice, twice], [ry(), constant(draw(st.sampled_from(["H", "CX"]))), ry()]]
+    pieces += [[constant(kind) if kind != "RY" else ry()]
+               for kind in draw(st.lists(st.sampled_from(["RY", "H", "CX"]), max_size=8))]
+    gates = [g for piece in draw(st.permutations(pieces)) for g in piece]
+    return CircuitTemplate(4, tuple(gates), n_parameter_slots=n_slots)
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_suffixes())
+def test_suffix_blocks_match_the_simulated_oracle(template):
+    _assert_blocks_equal_oracle(template)
+
+
+def test_same_training_needs_equal_blocks_slots_and_parameters():
+    full = build_model("QNN-2")
+    assert same_training(full, build_model("QNN-5"))
+    # the blocks do not see the feature map: a run pairs models of one map only
+    assert same_training(full, build_model("QNN-8"))
+    assert not same_training(full, build_model("QNN-3"))
+    assert not same_training(full, build_model("QNN-2", init_seed=7))
+    last = full.template.n_parameter_slots - 1
+    swapped = CircuitTemplate(
+        4, tuple(replace(g, angle=ParamAngle(last - g.angle.index))
+                 if isinstance(g.angle, ParamAngle) else g for g in full.template.gates),
+        n_feature_slots=4, n_parameter_slots=last + 1)
+    assert not same_training(full, QnnModel(template=swapped, parameters=full.parameters))
+
+
 # --- collapsed observable properties -----------------------------------------
 
 ANGLES = st.floats(-np.pi, np.pi)
@@ -398,7 +459,7 @@ def test_dense_products_match_dense_template_matrix(case):
     dense = _DenseSuffix(template)
     np.testing.assert_allclose(dense.observable(theta),
                                dense_suffix_observable(rest, theta), rtol=0, atol=1e-12)
-    plus, minus = dense.shifted_observables(theta)
+    plus, minus = dense.shifted_observables(dense.forward(theta))
     for k, slot in enumerate(dense.slots):
         shift = np.zeros_like(theta)
         shift[slot] = np.pi / 2
@@ -456,8 +517,8 @@ def test_gradient_builds_the_observable_only_at_a_new_theta():
     ys = rng.uniform(-1, 1, size=7)
     objective = _GramObjective(model.template, _gram(model, xs, ys))
     built = []
-    observable = objective.suffix.observable
-    objective.suffix.observable = lambda theta: built.append(1) or observable(theta)
+    forward = objective.suffix.forward
+    objective.suffix.forward = lambda theta: built.append(1) or forward(theta)
     objective.loss(model.parameters.copy())
     objective.shift_gradient(model.parameters.copy())
     assert len(built) == 1  # an equal theta in a new array is a hit
