@@ -137,8 +137,29 @@ class TreeNode:
 
 @dataclass(frozen=True)
 class CartModel:
-    root: TreeNode
+    """A tree as node arrays indexed by node id; the root is node 0.
+
+    ``feature`` is the split feature (-1 at a leaf), ``threshold`` the split
+    threshold (NaN at a leaf), ``left`` the left child's id (-1 at a leaf;
+    the right child is left + 1) and ``value`` the node's training mean.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    value: np.ndarray
     n_features: int
+
+    @property
+    def root(self) -> TreeNode:
+        """The same tree as linked ``TreeNode`` objects, built on each call."""
+        nodes = [TreeNode(value) for value in self.value.tolist()]
+        for node, feature, threshold, left in zip(
+                nodes, self.feature.tolist(), self.threshold.tolist(), self.left.tolist()):
+            if feature >= 0:
+                node.feature, node.threshold = feature, threshold
+                node.left, node.right = nodes[left], nodes[left + 1]
+        return nodes[0]
 
 
 def fit_cart(
@@ -164,7 +185,9 @@ def fit_cart(
     The tree equals a node-by-node build bit for bit: each block row goes
     through the same elementwise operations, ``cumsum`` adds sequentially
     along any axis, the stable sort is taken per row, and the mean of a row
-    of a C-contiguous block equals the 1-D mean of that row.
+    of a C-contiguous block equals the 1-D mean of that row.  A pass gives
+    its split nodes' children the next free ids and writes the node arrays
+    once.
     """
     features, targets = _check_rows(features, targets)
     if targets.shape[0] == 0:
@@ -172,31 +195,27 @@ def fit_cart(
     if min_samples_split < 2:
         raise ValueError(f"min_samples_split must be >= 2, got {min_samples_split}")
 
-    root = TreeNode(value=0.0)
+    # node arrays by id, sized for the largest tree on these rows; a page of
+    # them is touched only when a node on it comes up
+    feature, left, threshold, value = (np.empty(2 * targets.shape[0] - 1, dtype)
+                                       for dtype in (int, int, float, float))
+    count = 1  # node ids in use
     rows = np.arange(targets.shape[0])
-    # row count -> the pending nodes of that size, their segment starts and depths
-    pending: Dict[int, Tuple[List[TreeNode], List[int], List[int]]] = {
-        targets.shape[0]: ([root], [0], [0])}
-
-    def push(node: TreeNode, start: int, n: int, depth: int) -> None:
-        nodes, starts, depths = pending.setdefault(n, ([], [], []))
-        nodes.append(node)
-        starts.append(start)
-        depths.append(depth)
+    # row count -> chunks of pending nodes, (3, m) arrays of node ids, segment starts, depths
+    pending: Dict[int, List[np.ndarray]] = {targets.shape[0]: [np.zeros((3, 1), dtype=int)]}
 
     while pending:
         n = max(pending)
-        nodes, starts, depths = pending.pop(n)
-        starts = np.array(starts)
+        ids, starts, depths = np.concatenate(pending.pop(n), axis=1)
         block = rows[starts[:, None] + np.arange(n)]
         t = targets[block]
-        for node, value in zip(nodes, t.mean(axis=1).tolist()):
-            node.value = value
+        value[ids] = t.mean(axis=1)
+        feature[ids], left[ids], threshold[ids] = -1, -1, np.nan  # a leaf unless split below
         if n < min_samples_split:
             continue
         live = np.any(t != t[:, :1], axis=1)  # constant targets make a leaf
         if max_depth is not None:
-            live &= np.array(depths) < max_depth
+            live &= depths < max_depth
         live = np.flatnonzero(live)
         if live.size == 0:
             continue
@@ -223,38 +242,48 @@ def fit_cart(
         k = np.flatnonzero(np.isfinite(best.min(axis=1)))  # the nodes with a cut
         f = best[k].argmin(axis=1)  # the first feature holding the smallest minimum
         cut = sse[k, :, f].argmin(axis=1)  # the first minimum: the lowest threshold
-        thresholds = 0.5 * (features[ranked[k, cut, f], f] + features[ranked[k, cut + 1, f], f])
         split = live[k]
         starts = starts[split]
         rows[starts[:, None] + np.arange(n)] = ranked[k, :, f]
 
-        for i, start, feature, threshold, pos in zip(
-                split.tolist(), starts.tolist(), f.tolist(), thresholds.tolist(),
-                (cut + 1).tolist()):
-            node = nodes[i]
-            node.feature, node.threshold = feature, threshold
-            node.left, node.right = TreeNode(value=0.0), TreeNode(value=0.0)
-            push(node.left, start, pos, depths[i] + 1)
-            push(node.right, start + pos, n - pos, depths[i] + 1)
-    return CartModel(root=root, n_features=features.shape[1])
+        ids, m = ids[split], 2 * split.size
+        feature[ids], left[ids] = f, np.arange(count, count + m, 2)
+        threshold[ids] = 0.5 * (features[ranked[k, cut, f], f]
+                                + features[ranked[k, cut + 1, f], f])
+        # each split node's left child, then its right one
+        children = np.empty((3, m), dtype=int)
+        children[0] = np.arange(count, count + m)
+        children[1, 0::2], children[1, 1::2] = starts, starts + cut + 1
+        children[2] = np.repeat(depths[split] + 1, 2)
+        count += m
+        sizes = np.empty(m, dtype=int)
+        sizes[0::2], sizes[1::2] = cut + 1, n - 1 - cut
+        order = np.argsort(sizes, kind="stable")
+        sizes, children = sizes[order], children[:, order]
+        runs = np.flatnonzero(np.diff(sizes, prepend=-1)).tolist()  # where a size begins
+        for a, b in zip(runs, runs[1:] + [m]):
+            pending.setdefault(int(sizes[a]), []).append(children[:, a:b])
+    return CartModel(feature=feature[:count], threshold=threshold[:count], left=left[:count],
+                     value=value[:count], n_features=features.shape[1])
 
 
 def predict_cart(model: CartModel, queries: np.ndarray) -> np.ndarray:
-    """Route each query to its leaf; prediction is the leaf's training mean."""
+    """Route each query to its leaf; prediction is the leaf's training mean.
+
+    Every query not yet at a leaf moves one level down per numpy step: left
+    when ``q <= threshold``, else right, so NaN goes right.
+    """
     queries = _check_width(queries, model.n_features)
-    out = np.empty(queries.shape[0])
-    stack = [(model.root, np.arange(queries.shape[0]))]
-    while stack:
-        node, idx = stack.pop()
-        if idx.size == 0:
-            continue
-        if node.is_leaf:
-            out[idx] = node.value
-            continue
-        goes_left = queries[idx, node.feature] <= node.threshold
-        stack.append((node.left, idx[goes_left]))
-        stack.append((node.right, idx[~goes_left]))
-    return out
+    at = np.zeros(queries.shape[0], dtype=int)  # each query's node
+    moving = np.arange(queries.shape[0])
+    while moving.size:
+        nodes = at[moving]
+        f = model.feature[nodes]
+        inner = f >= 0
+        moving, nodes, f = moving[inner], nodes[inner], f[inner]
+        goes_right = ~(queries[moving, f] <= model.threshold[nodes])
+        at[moving] = model.left[nodes] + goes_right
+    return model.value[at]
 
 
 # --- ordinary least squares --------------------------------------------------

@@ -21,8 +21,6 @@ from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from typing import List, Optional, Tuple
 
-import yaml
-
 from . import __version__
 from .baselines import (
     fit_cart,
@@ -181,6 +179,8 @@ def _entries(raw: dict):
 
 def load_config(path: str) -> ExperimentConfig:
     """Parse and validate a YAML experiment config."""
+    import yaml  # here only: report, gen-data and inspect-circuit read no config
+
     try:
         with open(path, encoding="utf-8") as handle:
             raw = yaml.safe_load(handle) or {}

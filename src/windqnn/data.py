@@ -235,5 +235,5 @@ def write_csv(path: str, dataset: Dataset) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(FEATURE_COLUMNS + (TARGET_COLUMN,))
-        for row, p in zip(dataset.features, dataset.power):
-            writer.writerow([repr(float(v)) for v in row] + [repr(float(p))])
+        columns = [*dataset.features.T, dataset.power]
+        writer.writerows(zip(*(map(repr, column.tolist()) for column in columns)))

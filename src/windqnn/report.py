@@ -11,7 +11,7 @@ import csv
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -230,8 +230,13 @@ def read_trace_csv(path: str) -> List[Tuple[int, float]]:
                      lambda row: (int(row["iteration"]), _finite(row["objective"])))
 
 
+def _column(values) -> Iterator[str]:
+    # _fmt of every value, formatted from Python floats a column at a time
+    return map(repr, np.asarray(values, dtype=float).tolist())
+
+
 def write_predictions_csv(actual, predicted, path: str) -> None:
-    _write_csv(path, PREDICTION_COLUMNS, ([_fmt(a), _fmt(p)] for a, p in zip(actual, predicted)))
+    _write_csv(path, PREDICTION_COLUMNS, zip(_column(actual), _column(predicted)))
 
 
 def read_predictions_csv(path: str) -> Tuple[np.ndarray, np.ndarray]:
@@ -316,11 +321,10 @@ def emit_scatter_svg(actual, predicted, path: str, title: str = "") -> None:
         f'<line x1="{rx0:.2f}" y1="{ry0:.2f}" x2="{rx1:.2f}" y2="{ry1:.2f}" '
         f'stroke="#888888" stroke-dasharray="4 3"/>'
     ]
-    for a, p in zip(actual, predicted):
-        marks.append(
-            f'<circle cx="{_x_pix(a, *x_range):.2f}" cy="{_y_pix(p, *y_range):.2f}" '
-            f'r="2" fill="#1f77b4" fill-opacity="0.6"/>'
-        )
+    # every pixel column in one numpy expression, in the scalar's operation order
+    xs, ys = _x_pix(actual, *x_range).tolist(), _y_pix(predicted, *y_range).tolist()
+    marks += [f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2" fill="#1f77b4" fill-opacity="0.6"/>'
+              for x, y in zip(xs, ys)]
     _write_svg(path, title, "Actual power (kW)", "Predicted power (kW)", x_range, y_range,
                marks)
 

@@ -424,6 +424,40 @@ def test_cart_batches_match_depth_first_reference(case):
     assert _with_values(model.root) == want
 
 
+def _walk(node, query):
+    # the node-by-node descent: q <= threshold goes left, anything else right
+    while not node.is_leaf:
+        node = node.left if query[node.feature] <= node.threshold else node.right
+    return node.value
+
+
+@settings(max_examples=100, deadline=None)
+@given(cart_cases() | size_batched_cart_cases(), st.data())
+def test_cart_array_descent_matches_a_walk_of_the_tree(case, data):
+    features, targets, max_depth, min_samples_split = case
+    model = fit_cart(features, targets, max_depth, min_samples_split)
+
+    split = np.flatnonzero(model.feature >= 0)
+    leaves = np.flatnonzero(model.feature < 0)
+    assert model.value.size == 2 * split.size + 1
+    assert (model.feature[leaves] == -1).all() and (model.left[leaves] == -1).all()
+    # every node but the root is the child of exactly one split node, the
+    # right child of each split node being its left child's id plus one
+    children = np.concatenate([model.left[split], model.left[split] + 1])
+    np.testing.assert_array_equal(np.sort(children), np.arange(1, model.value.size))
+
+    # queries built from the thresholds themselves, training values, NaN and +-inf
+    cells = sorted(set(model.threshold[split].tolist()) | set(features.ravel().tolist()))
+    cells += [np.nan, np.inf, -np.inf]
+    width = features.shape[1]
+    flat = data.draw(st.lists(st.sampled_from(cells), min_size=width, max_size=30 * width))
+    queries = np.array(flat[: len(flat) // width * width]).reshape(-1, width)
+    queries = np.vstack([queries, features])
+    root = model.root
+    want = np.array([_walk(root, q) for q in queries])
+    np.testing.assert_array_equal(predict_cart(model, queries), want)
+
+
 def test_cart_matches_depth_first_reference_on_3000_rows():
     rng = np.random.default_rng(35)
     features = rng.uniform(size=(3000, 4))

@@ -911,6 +911,15 @@ class TestReportCommand:
         assert err.startswith("report:") and "results.md" in err
 
 
+def test_importing_the_cli_loads_no_yaml():
+    # only load_config needs PyYAML; report, gen-data and inspect-circuit never do
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, windqnn.cli; print('yaml' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
+
+
 _THREAD_PROBE = """
 import os
 import windqnn.cli

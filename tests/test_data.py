@@ -103,6 +103,16 @@ def test_write_then_load_round_trip(tmp_path):
     np.testing.assert_array_equal(loaded.power, dataset.power)
 
 
+def test_write_csv_formats_each_value_as_its_repr(tmp_path):
+    dataset = generate_synthetic(40, seed=4)
+    path = tmp_path / "out.csv"
+    write_csv(str(path), dataset)
+    rows = [[repr(float(v)) for v in row] + [repr(float(p))]
+            for row, p in zip(dataset.features, dataset.power)]
+    want = "".join(",".join(row) + "\r\n" for row in [[*FEATURE_COLUMNS, TARGET_COLUMN], *rows])
+    assert path.read_bytes() == want.encode()
+
+
 def _same_load(path, column_names=None):
     """load_csv agrees with the DictReader oracle: the same error, or the
     same dropped count and the same bytes.  Returns the dataset and count."""

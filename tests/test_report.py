@@ -14,6 +14,9 @@ from windqnn.report import (
     ExperimentReport,
     MethodFailure,
     MethodResult,
+    _axis,
+    _x_pix,
+    _y_pix,
     emit_scatter_svg,
     emit_trace_svg,
     read_predictions_csv,
@@ -188,6 +191,19 @@ def test_predictions_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(got_predicted, predicted)
 
 
+_AWKWARD = [0.0, -0.0, 0.1, 1 / 3, 2031.0000000000002, 1e-300, 5e-324, 1e16, 123456789.125]
+
+
+def test_predictions_csv_formats_each_value_as_its_repr(tmp_path):
+    actual = np.array(_AWKWARD)
+    predicted = -np.array(_AWKWARD[::-1])
+    path = tmp_path / "predictions.csv"
+    write_predictions_csv(actual, predicted, str(path))
+    want = "actual_kW,predicted_kW\r\n" + "".join(
+        f"{float(a)!r},{float(p)!r}\r\n" for a, p in zip(actual, predicted))
+    assert path.read_bytes() == want.encode()
+
+
 # --- SVG ----------------------------------------------------------------------
 
 def test_scatter_svg_perfect_predictor_on_reference_line(tmp_path):
@@ -204,6 +220,20 @@ def test_scatter_svg_perfect_predictor_on_reference_line(tmp_path):
     for c in root.iter(f"{ns}circle"):
         cx, cy = float(c.get("cx")), float(c.get("cy"))
         assert cy == pytest.approx(y1 + slope * (cx - x1), abs=0.05)
+
+
+def test_scatter_svg_pixels_match_the_scalar_formulas(tmp_path):
+    rng = np.random.default_rng(204)
+    actual = np.concatenate([rng.uniform(0, 2031, size=40), _AWKWARD])
+    predicted = np.concatenate([rng.uniform(-50, 2100, size=40), _AWKWARD[::-1]])
+    path = tmp_path / "scatter.svg"
+    emit_scatter_svg(actual, predicted, str(path))
+    span = _axis(float(min(actual.min(), predicted.min())),
+                 float(max(actual.max(), predicted.max())))
+    want = [f'<circle cx="{_x_pix(a, *span):.2f}" cy="{_y_pix(p, *span):.2f}" '
+            f'r="2" fill="#1f77b4" fill-opacity="0.6"/>' for a, p in zip(actual, predicted)]
+    got = [line for line in path.read_text().split("\n") if line.startswith("<circle")]
+    assert got == want
 
 
 def test_trace_svg_polylines_and_legend(tmp_path):
