@@ -142,16 +142,16 @@ _NOUNS = {int: "an integer", float: "a number", str: "a string", dict: "a mappin
 
 def _typed(value, kind, key: str):
     """value as kind, or a ConfigError naming the key when YAML gave a value
-    of the wrong type: a word, a list or a mapping where a number belongs, a
-    boolean, an infinity or a NaN where a number belongs, or a fraction
-    where a count belongs."""
+    of the wrong type: a string (quoted digits too), a list or a mapping
+    where a number belongs, a boolean, an infinity or a NaN where a number
+    belongs, or a fraction where a count belongs."""
     if kind in (str, dict):
         if isinstance(value, kind):
             return value
-    elif not isinstance(value, bool):
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             number = kind(value)
-        except (TypeError, ValueError, OverflowError):
+        except (ValueError, OverflowError):  # int() of a NaN or an infinity
             number = None
         if kind is float and number is not None and math.isfinite(number):
             return number

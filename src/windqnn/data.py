@@ -1,4 +1,5 @@
-"""Dataset ingestion, splitting, min-max scaling, and synthetic generation.
+"""Dataset ingestion, splitting, min-max scaling, synthetic generation, and
+the CSV reader, writer and float format of every table the package touches.
 
 Feature order is fixed throughout the package: wind_speed (m/s),
 wind_direction (degrees), pressure (hPa), temperature (degrees C); the
@@ -11,7 +12,7 @@ from __future__ import annotations
 import csv
 import operator
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,19 +50,19 @@ class ScalingSpec:
     target_max: float
 
 
-def load_csv(path: str, column_names: Optional[dict] = None) -> Tuple[Dataset, int]:
-    """Read a dataset CSV; returns (dataset, dropped_row_count).
+def read_table(path: str, columns: Sequence[str], parse, defaults: Optional[dict] = None,
+               drop: bool = False) -> Tuple[list, int]:
+    """(parse(cells) of every data row of the CSV file at path, rows dropped).
 
-    column_names optionally remaps canonical names to file headers.  Rows
-    with a missing, unparseable, or non-finite cell are dropped and counted,
-    as are rows with negative power (physically impossible readings).  Blank
-    lines are skipped, and a header that appears twice names its last
-    column, as with ``csv.DictReader``.  A file that is not UTF-8 or not
-    parseable CSV raises a DataError naming the line.
+    cells holds the row's cells of the two or more columns, in that order,
+    picked by one itemgetter; a column of defaults that the header lacks
+    reads as its default value.  Blank lines are skipped, and a header that
+    appears twice names its last column, as with ``csv.DictReader``.  A row
+    too short for the columns, or one that parse rejects with a ValueError,
+    is dropped and counted if drop, and otherwise raises a DataError naming
+    the file and line; so does a line the CSV parser refuses or a byte that
+    is not UTF-8.  A missing column raises a DataError naming the file.
     """
-    names = {c: c for c in FEATURE_COLUMNS + (TARGET_COLUMN,)}
-    if column_names:
-        names.update(column_names)
     try:
         handle = open(path, newline="", encoding="utf-8")
     except OSError as exc:
@@ -69,38 +70,37 @@ def load_csv(path: str, column_names: Optional[dict] = None) -> Tuple[Dataset, i
     with handle:
         reader = csv.reader(handle)
         try:
-            position = {name: i for i, name in enumerate(next(reader, []))}
-            for canonical in FEATURE_COLUMNS + (TARGET_COLUMN,):
-                if names[canonical] not in position:
-                    raise DataError(f"missing column {names[canonical]!r} (for {canonical})")
-            cells = operator.itemgetter(
-                *(position[names[c]] for c in FEATURE_COLUMNS + (TARGET_COLUMN,))
-            )
-            rows = []
-            dropped = 0
+            header = next(reader, [])
+            position = {name: i for i, name in enumerate(header)}
+            missing = [c for c in columns if c not in position]
+            for column in missing:
+                if column not in (defaults or {}):
+                    raise DataError(f"{path}: missing column {column!r}")
+            position.update((c, len(header) + k) for k, c in enumerate(missing))
+            pick = operator.itemgetter(*(position[c] for c in columns))
+            if missing:  # the defaults follow the header's width; a short row stays short
+                width, pad = len(header), [defaults[c] for c in missing]
+                pick = lambda record, get=pick: get(record[:width] + pad)
+            rows, dropped = [], 0
             for record in reader:
                 if not record:
                     continue
                 try:
-                    rows.append(list(map(float, cells(record))))
-                except (IndexError, ValueError):
+                    rows.append(parse(pick(record)))
+                except (IndexError, ValueError) as exc:
+                    if not drop:
+                        reason = "too few cells" if isinstance(exc, IndexError) else exc
+                        raise DataError(f"{path} line {reader.line_num}: {reason}") from exc
                     dropped += 1
         except csv.Error as exc:
-            raise DataError(f"{path}, line {reader.line_num}: {exc}") from exc
+            raise DataError(f"{path} line {reader.line_num}: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise DataError(
-                f"{path}, line {undecodable_line(path)}: not UTF-8 ({exc.reason})"
-            ) from exc
-    table = np.array(rows, dtype=float).reshape(-1, 5)
-    keep = np.isfinite(table).all(axis=1) & (table[:, 4] >= 0)
-    dropped += int(np.count_nonzero(~keep))
-    table = table[keep]
-    if not table.shape[0]:
-        raise DataError(f"no valid rows in {path} ({dropped} dropped)")
-    return Dataset(features=table[:, :4], power=table[:, 4]), dropped
+                f"{path} line {_undecodable_line(path)}: not UTF-8 ({exc.reason})") from exc
+    return rows, dropped
 
 
-def undecodable_line(path: str) -> int:
+def _undecodable_line(path: str) -> int:
     """Number of the first line of path that is not valid UTF-8."""
     with open(path, "rb") as handle:
         for number, line in enumerate(handle, 1):
@@ -109,6 +109,42 @@ def undecodable_line(path: str) -> int:
             except UnicodeDecodeError:
                 return number
     return 0
+
+
+def format_column(values) -> Iterator[str]:
+    """The shortest text that reads back as each value's exact float64: the
+    repr of Python floats, made a column at a time."""
+    return map(repr, np.asarray(values, dtype=float).tolist())
+
+
+def write_table(path: str, columns: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+    """Write a CSV file: the header of columns, then rows of text cells."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
+def load_csv(path: str, column_names: Optional[dict] = None) -> Tuple[Dataset, int]:
+    """Read a dataset CSV; returns (dataset, dropped_row_count).
+
+    column_names optionally remaps canonical names to file headers.  Rows
+    with a missing, unparseable, or non-finite cell are dropped and counted,
+    as are rows with negative power (physically impossible readings).  A
+    file read_table refuses raises its DataError.
+    """
+    names = {c: c for c in FEATURE_COLUMNS + (TARGET_COLUMN,)}
+    if column_names:
+        names.update(column_names)
+    rows, dropped = read_table(path, [names[c] for c in FEATURE_COLUMNS + (TARGET_COLUMN,)],
+                               lambda cells: [*map(float, cells)], drop=True)
+    table = np.array(rows, dtype=float).reshape(-1, 5)
+    keep = np.isfinite(table).all(axis=1) & (table[:, 4] >= 0)
+    dropped += int(np.count_nonzero(~keep))
+    table = table[keep]
+    if not table.shape[0]:
+        raise DataError(f"no valid rows in {path} ({dropped} dropped)")
+    return Dataset(features=table[:, :4], power=table[:, 4]), dropped
 
 
 def _fisher_yates(n: int, seed: int) -> np.ndarray:
@@ -232,8 +268,5 @@ def generate_synthetic(n_rows: int, seed: int) -> Dataset:
 
 def write_csv(path: str, dataset: Dataset) -> None:
     """Write a dataset in the ingestion schema (no timestamp column)."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(FEATURE_COLUMNS + (TARGET_COLUMN,))
-        columns = [*dataset.features.T, dataset.power]
-        writer.writerows(zip(*(map(repr, column.tolist()) for column in columns)))
+    write_table(path, FEATURE_COLUMNS + (TARGET_COLUMN,),
+                zip(*map(format_column, [*dataset.features.T, dataset.power])))

@@ -7,15 +7,14 @@ reference results of the original wind-turbine benchmark.
 """
 from __future__ import annotations
 
-import csv
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .data import DataError, undecodable_line
+from .data import format_column, read_table, write_table
 from .qnn import CONFIG_IDS, CONFIG_TABLE
 
 # baseline id -> (display name, slug); the slug fills the ansatz column
@@ -115,11 +114,6 @@ class ExperimentReport:
         return sorted(self.methods, key=lambda m: METHOD_ORDER.index(m.method_id))
 
 
-def _fmt(value: float) -> str:
-    # shortest representation that round-trips the exact float
-    return repr(float(value))
-
-
 def _finite(cell: str) -> float:
     # every float the program writes is finite, so any other is damage
     value = float(cell)
@@ -128,76 +122,39 @@ def _finite(cell: str) -> float:
     return value
 
 
-def _write_csv(path: str, columns: Sequence[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(columns)
-        writer.writerows(rows)
-
-
 def write_results_csv(report: ExperimentReport, path: str) -> None:
-    _write_csv(path, RESULTS_COLUMNS, (
-        [m.method_id, m.feature_map, m.ansatz,
-         _fmt(m.r2), _fmt(m.mae), _fmt(m.wall_time_s), str(m.seed), m.status]
-        for m in report.ordered()
-    ))
-
-
-def _read_csv(path: str, columns: Sequence[str], parse) -> list:
-    """parse(row) for every data row of a CSV artifact.
-
-    A missing column, or a row that parse rejects (a bad or non-finite
-    number, an unknown or repeated method id, labels its method id does not
-    name), raises DataError naming the file, and the line for a row; so does
-    a file that is not UTF-8 or has a line the CSV parser refuses.
-    """
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        try:
-            missing = [c for c in columns if c not in (reader.fieldnames or ())]
-            if missing:
-                raise DataError(f"{path}: missing column {missing[0]!r}")
-            parsed = []
-            for row in reader:
-                try:
-                    parsed.append(parse(row))
-                except (TypeError, ValueError) as exc:
-                    raise DataError(f"{path} line {reader.line_num}: {exc}") from exc
-        except csv.Error as exc:  # DictReader counts a line only once it parses
-            raise DataError(f"{path} line {reader.reader.line_num}: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise DataError(
-                f"{path} line {undecodable_line(path)}: not UTF-8 ({exc.reason})") from exc
-    return parsed
+    methods = report.ordered()
+    numbers = zip(*(format_column([getattr(m, name) for m in methods])
+                    for name in ("r2", "mae", "wall_time_s")))
+    write_table(path, RESULTS_COLUMNS, (
+        [m.method_id, m.feature_map, m.ansatz, *cells, str(m.seed), m.status]
+        for m, cells in zip(methods, numbers)))
 
 
 def read_results_csv(path: str) -> ExperimentReport:
     """Parse a results.csv back into a report (without traces/predictions).
 
     Files written before the status column existed read with empty status.
+    A bad or non-finite number, an unknown or repeated method id, or labels
+    its method id does not name raise a DataError naming the file and line.
     """
     seen = set()
 
-    def parse(row):
-        if row["config_id"] in seen:
-            raise ValueError(f"method {row['config_id']} is listed twice")
-        seen.add(row["config_id"])
-        m = MethodResult(
-            method_id=row["config_id"],
-            r2=_finite(row["r2"]),
-            mae=_finite(row["mae"]),
-            wall_time_s=_finite(row["wall_time_s"]),
-            seed=int(row["seed"]),
-            status=row.get("status", ""),
-        )
-        if (row["feature_map"], row["ansatz"]) != (m.feature_map, m.ansatz):
+    def parse(cells):
+        method_id, feature_map, ansatz, r2, mae, wall_time_s, seed, status = cells
+        if method_id in seen:
+            raise ValueError(f"method {method_id} is listed twice")
+        seen.add(method_id)
+        m = MethodResult(method_id=method_id, r2=_finite(r2), mae=_finite(mae),
+                         wall_time_s=_finite(wall_time_s), seed=int(seed), status=status)
+        if (feature_map, ansatz) != (m.feature_map, m.ansatz):
             raise ValueError(
                 f"{m.method_id} must carry feature_map {m.feature_map!r} and ansatz "
-                f"{m.ansatz!r}, got {row['feature_map']!r}/{row['ansatz']!r}")
+                f"{m.ansatz!r}, got {feature_map!r}/{ansatz!r}")
         return m
 
-    return ExperimentReport(methods=_read_csv(
-        path, [c for c in RESULTS_COLUMNS if c != "status"], parse))
+    methods, _ = read_table(path, RESULTS_COLUMNS, parse, defaults={"status": ""})
+    return ExperimentReport(methods=methods)
 
 
 def write_results_markdown(report: ExperimentReport, path: str) -> None:
@@ -222,26 +179,21 @@ def write_results_markdown(report: ExperimentReport, path: str) -> None:
 
 
 def write_trace_csv(trace: Sequence[Tuple[int, float]], path: str) -> None:
-    _write_csv(path, TRACE_COLUMNS, ([str(i), _fmt(v)] for i, v in trace))
+    write_table(path, TRACE_COLUMNS,
+                zip((str(i) for i, _ in trace), format_column([v for _, v in trace])))
 
 
 def read_trace_csv(path: str) -> List[Tuple[int, float]]:
-    return _read_csv(path, TRACE_COLUMNS,
-                     lambda row: (int(row["iteration"]), _finite(row["objective"])))
-
-
-def _column(values) -> Iterator[str]:
-    # _fmt of every value, formatted from Python floats a column at a time
-    return map(repr, np.asarray(values, dtype=float).tolist())
+    trace, _ = read_table(path, TRACE_COLUMNS, lambda cells: (int(cells[0]), _finite(cells[1])))
+    return trace
 
 
 def write_predictions_csv(actual, predicted, path: str) -> None:
-    _write_csv(path, PREDICTION_COLUMNS, zip(_column(actual), _column(predicted)))
+    write_table(path, PREDICTION_COLUMNS, zip(format_column(actual), format_column(predicted)))
 
 
 def read_predictions_csv(path: str) -> Tuple[np.ndarray, np.ndarray]:
-    pairs = _read_csv(path, PREDICTION_COLUMNS,
-                      lambda row: (_finite(row["actual_kW"]), _finite(row["predicted_kW"])))
+    pairs, _ = read_table(path, PREDICTION_COLUMNS, lambda cells: [*map(_finite, cells)])
     return np.array([a for a, _ in pairs]), np.array([p for _, p in pairs])
 
 

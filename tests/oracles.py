@@ -279,7 +279,7 @@ def load_csv_oracle(path: str, column_names=None):
         header = reader.fieldnames or []
         for canonical in columns:
             if names[canonical] not in header:
-                raise DataError(f"missing column {names[canonical]!r} (for {canonical})")
+                raise DataError(f"{path}: missing column {names[canonical]!r}")
         rows = []
         dropped = 0
         for record in reader:

@@ -23,6 +23,18 @@ from windqnn.data import (
     write_csv,
 )
 
+from windqnn.report import (
+    METHOD_ORDER,
+    ExperimentReport,
+    MethodResult,
+    read_predictions_csv,
+    read_results_csv,
+    read_trace_csv,
+    write_predictions_csv,
+    write_results_csv,
+    write_trace_csv,
+)
+
 from oracles import fisher_yates_oracle, load_csv_oracle
 
 HEADER = "timestamp,wind_speed,wind_direction,pressure,temperature,power\n"
@@ -192,6 +204,93 @@ def test_load_matches_the_dictreader_oracle(tmp_path, case):
     path = tmp_path / "data.csv"
     path.write_text(text, encoding="utf-8")
     _same_load(str(path), column_names)
+
+
+# --- the CSV codec: every table reads back bit for bit -------------------------
+
+# any finite float64, the awkward ones drawn often: subnormals, -0.0, +-1.7e308
+_FINITE = st.one_of(
+    st.sampled_from([5e-324, -5e-324, 1e-310, -0.0, 0.0, 1.7e308, -1.7e308,
+                     1.7976931348623157e308, 2.2250738585072014e-308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_CODEC = settings(max_examples=100, deadline=None,
+                  suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+@_CODEC
+@given(st.lists(st.tuples(_FINITE, _FINITE), min_size=1, max_size=20))
+def test_predictions_csv_reads_back_bit_for_bit(tmp_path, pairs):
+    actual, predicted = (np.array(column) for column in zip(*pairs))
+    path = str(tmp_path / "predictions.csv")
+    write_predictions_csv(actual, predicted, path)
+    got_actual, got_predicted = read_predictions_csv(path)
+    assert _bits(got_actual) == _bits(actual) and _bits(got_predicted) == _bits(predicted)
+
+
+@_CODEC
+@given(st.lists(_FINITE, min_size=1, max_size=20))
+def test_trace_csv_reads_back_bit_for_bit(tmp_path, values):
+    trace = list(enumerate(values))
+    path = str(tmp_path / "trace.csv")
+    write_trace_csv(trace, path)
+    got = read_trace_csv(path)
+    assert [i for i, _ in got] == [i for i, _ in trace]
+    assert _bits([v for _, v in got]) == _bits(values)
+
+
+@_CODEC
+@given(st.lists(st.tuples(_FINITE, _FINITE, _FINITE), min_size=1, max_size=len(METHOD_ORDER)))
+def test_results_csv_numbers_read_back_bit_for_bit(tmp_path, numbers):
+    report = ExperimentReport(methods=[
+        MethodResult(method_id=method_id, r2=r2, mae=mae, wall_time_s=wall, seed=7)
+        for method_id, (r2, mae, wall) in zip(METHOD_ORDER, numbers)])
+    path = str(tmp_path / "results.csv")
+    write_results_csv(report, path)
+    got = read_results_csv(path).methods
+    assert [m.method_id for m in got] == list(METHOD_ORDER[:len(numbers)])
+    assert _bits([(m.r2, m.mae, m.wall_time_s) for m in got]) == _bits(numbers)
+
+
+@_CODEC
+@given(st.lists(st.tuples(st.tuples(_FINITE, _FINITE, _FINITE, _FINITE),
+                          st.one_of(st.just(-0.0), st.floats(0.0, allow_infinity=False),
+                                    st.sampled_from([5e-324, 1.7e308]))),
+                min_size=1, max_size=20))
+def test_dataset_csv_reads_back_bit_for_bit(tmp_path, rows):
+    # negative power is dropped on load, so power draws from [-0.0, max]
+    dataset = Dataset(np.array([f for f, _ in rows]).reshape(-1, 4),
+                      np.array([p for _, p in rows]))
+    path = str(tmp_path / "data.csv")
+    write_csv(path, dataset)
+    loaded, dropped = load_csv(path)
+    assert dropped == 0
+    assert _bits(loaded.features) == _bits(dataset.features)
+    assert _bits(loaded.power) == _bits(dataset.power)
+
+
+@pytest.mark.parametrize("fault, message", [
+    (b"3,x\n", r"line 3: could not convert string to float: 'x'"),
+    (b'"' + b"9" * 131073 + b'"\n', r"line 3: field larger than field limit"),
+    (b"4,6\n" * 3000 + b"\xff\n", r"line 3003: not UTF-8"),
+], ids=["bad_cell", "oversized_field", "undecodable_byte_past_the_first_read"])
+def test_a_reader_stopped_by_a_fault_closes_its_files(tmp_path, monkeypatch, fault, message):
+    handles = []
+
+    def spy(*args, **kwargs):
+        handles.append(open(*args, **kwargs))
+        return handles[-1]
+
+    monkeypatch.setattr(data, "open", spy, raising=False)
+    path = tmp_path / "table.csv"
+    path.write_bytes(b"a,b\n1,2\n" + fault + b"5,6\n" * 3000)
+    with pytest.raises(DataError, match=message):
+        data.read_table(str(path), ("a", "b"), lambda cells: [*map(float, cells)])
+    assert handles and all(handle.closed for handle in handles)
 
 
 # --- split -------------------------------------------------------------------

@@ -117,6 +117,20 @@ def test_results_csv_without_status_column_still_reads(tmp_path):
     assert loaded.methods[0].wall_time_s == 1.25
 
 
+def test_results_csv_without_status_column_refuses_a_short_row(tmp_path):
+    # the status default stands after a full row; a row short of its seed is damage
+    path = tmp_path / "results.csv"
+    path.write_text(
+        "config_id,feature_map,ansatz,r2,mae,wall_time_s,seed\n"
+        "QNN-1,Z,linear,0.5,200.0,1.25,42\n"
+        "dt,,decision_tree,0.9,70.0,0.1\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(DataError) as caught:
+        read_results_csv(str(path))
+    assert str(caught.value) == f"{path} line 3: too few cells"
+
+
 def test_method_result_validates_config_pairing():
     # the method id alone names the feature map and ansatz
     labels = {m.method_id: (m.feature_map, m.ansatz, m.display_name)
