@@ -43,7 +43,6 @@ KNN_BLOCK_DISTANCES = 2**16
 @dataclass(frozen=True)
 class KnnModel:
     k: int
-    features: np.ndarray
     targets: np.ndarray
     axis: int  # the feature with the largest standard deviation
     order: np.ndarray  # the training rows sorted on that feature
@@ -56,7 +55,7 @@ def fit_knn(features: np.ndarray, targets: np.ndarray, k: int = 5) -> KnnModel:
         raise ValueError(f"k must be in [1, {targets.shape[0]}], got {k}")
     axis = int(np.argmax(features.std(axis=0)))
     order = np.argsort(features[:, axis], kind="stable")
-    return KnnModel(k=k, features=features, targets=targets, axis=axis, order=order,
+    return KnnModel(k=k, targets=targets, axis=axis, order=order,
                     columns=np.ascontiguousarray(features[order].T))
 
 

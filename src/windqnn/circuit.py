@@ -211,33 +211,24 @@ def build_ansatz(n_qubits: int, reps: int, strategy: str) -> CircuitTemplate:
     )
 
 
-def _shift_angle(angle: Optional[AngleSource], f_off: int, p_off: int):
-    if isinstance(angle, FeatureAngle):
-        return FeatureAngle(angle.index + f_off)
-    if isinstance(angle, PairProductAngle):
-        return PairProductAngle(angle.index_a + f_off, angle.index_b + f_off)
-    if isinstance(angle, ParamAngle):
-        return ParamAngle(angle.index + p_off)
-    return angle
-
-
 def compose(first: CircuitTemplate, second: CircuitTemplate) -> CircuitTemplate:
-    """Concatenate gate lists; the second template's slots are renumbered
-    after the first's so both stay dense."""
+    """Join a feature map to an ansatz: ``first`` has no parameters and
+    ``second`` reads no features, so every slot keeps its number.  Raises
+    ValueError for any other pair, or when the qubit counts differ."""
     if first.n_qubits != second.n_qubits:
         raise ValueError(
             f"qubit counts differ: {first.n_qubits} vs {second.n_qubits}"
         )
-    shifted = tuple(
-        GateSpec(g.kind, g.qubits,
-                 _shift_angle(g.angle, first.n_feature_slots, first.n_parameter_slots))
-        for g in second.gates
-    )
+    if first.n_parameter_slots or second.n_feature_slots:
+        raise ValueError(
+            f"compose joins a feature map to an ansatz, got {first.n_parameter_slots} "
+            f"parameter slots first and {second.n_feature_slots} feature slots second"
+        )
     return CircuitTemplate(
         first.n_qubits,
-        first.gates + shifted,
-        n_feature_slots=first.n_feature_slots + second.n_feature_slots,
-        n_parameter_slots=first.n_parameter_slots + second.n_parameter_slots,
+        first.gates + second.gates,
+        n_feature_slots=first.n_feature_slots,
+        n_parameter_slots=second.n_parameter_slots,
     )
 
 

@@ -18,7 +18,6 @@ import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
-from datetime import datetime, timezone
 from typing import List, Optional, Tuple
 
 from . import __version__
@@ -408,7 +407,7 @@ def cmd_run(config_path: str) -> int:
         print(f"data: {exc}", file=sys.stderr)
         return 3
 
-    run_id = cfg.run_id or datetime.now(timezone.utc).strftime("run-%Y%m%d-%H%M%S")
+    run_id = cfg.run_id or time.strftime("run-%Y%m%d-%H%M%S", time.gmtime())
     run_dir = os.path.join(cfg.output_directory, run_id)
     try:
         write_run_artifact(report, run_dir)

@@ -61,10 +61,11 @@ def read_table(path: str, columns: Sequence[str], parse, defaults: Optional[dict
     too short for the columns, or one that parse rejects with a ValueError,
     is dropped and counted if drop, and otherwise raises a DataError naming
     the file and line; so does a line the CSV parser refuses or a byte that
-    is not UTF-8.  A missing column raises a DataError naming the file.
+    is not UTF-8.  A leading byte-order mark is ignored.  A missing column
+    raises a DataError naming the file.
     """
     try:
-        handle = open(path, newline="", encoding="utf-8")
+        handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     with handle:

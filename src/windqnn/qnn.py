@@ -31,8 +31,8 @@ So the work splits three ways.
 * Once per feature map and row set: ``encode`` runs the prefix over the
   rows, and ``gram_form`` folds the training rows into (G, h, c) in row
   chunks.  ``windqnn run`` does both once for the six QNNs of a map.
-* Once per model: the constant blocks K_j and L_j below, which
-  ``build_model`` makes and the model's training and predictions share.
+* Once per model: the constant blocks K_j and L_j below, which a
+  ``QnnModel`` makes and its training and predictions share.
   An empty run of constant gates is the identity, and the RY(pi) turn of
   each qubit is simulated once, however many trainable gates it carries.
   ``windqnn run`` trains a model only when no earlier model of its group
@@ -51,9 +51,10 @@ So the work splits three ways.
   ``predict_scaled``.
 
 A template with a feature gate after a parameterized gate has no such
-split; ``encode`` and ``_DenseSuffix`` reject it, and so ``train``,
-``predict_scaled`` and the gradients do.  ``evaluate_batch`` and ``loss_mse``
-still run any template gate by gate: the reference for the fast path.
+split, and ``encode`` rejects it.  A ``QnnModel`` builds its dense suffix
+when it is made, so it refuses such a template, a trainable gate that is not
+RY and a complex constant in the suffix, all at once.  ``evaluate_batch``
+still runs any template gate by gate: the reference for the fast path.
 """
 from __future__ import annotations
 
@@ -100,10 +101,14 @@ CONFIG_IDS = tuple(CONFIG_TABLE)
 
 @dataclass(frozen=True)
 class QnnModel:
+    """A template and its parameters.  The dense suffix is built when the
+    model is made, and ``with_parameters`` passes it on; so a template with no
+    feature prefix, a trainable gate that is not RY or a complex suffix
+    constant raises ValueError here."""
+
     template: CircuitTemplate
     parameters: np.ndarray
-    # the template's constant suffix blocks; with_parameters keeps them
-    suffix: Optional[_DenseSuffix] = field(default=None, repr=False, compare=False)
+    suffix: _DenseSuffix = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.parameters.shape != (self.template.n_parameter_slots,):
@@ -111,6 +116,8 @@ class QnnModel:
                 f"parameter vector shape {self.parameters.shape} does not match "
                 f"{self.template.n_parameter_slots} template slots"
             )
+        if self.suffix is None:
+            object.__setattr__(self, "suffix", _DenseSuffix(self.template))
 
 
 def initial_parameters(n: int, seed: int) -> np.ndarray:
@@ -138,7 +145,7 @@ def build_model(
         fm = build_zz_feature_map(N_QUBITS, feature_map_reps, zz_entanglement)
     template = compose(fm, build_ansatz(N_QUBITS, ansatz_reps, entanglement))
     params = initial_parameters(template.n_parameter_slots, init_seed)
-    return QnnModel(template=template, parameters=params, suffix=_DenseSuffix(template))
+    return QnnModel(template=template, parameters=params)
 
 
 def with_parameters(model: QnnModel, parameters: np.ndarray) -> QnnModel:
@@ -162,7 +169,7 @@ def predict_scaled(model: QnnModel, features_scaled,
     elif states.shape[0] != features.shape[0]:
         raise ValueError(
             f"got {states.shape[0]} state rows for {features.shape[0]} feature rows")
-    observable = (model.suffix or _DenseSuffix(model.template)).observable(model.parameters)
+    observable = model.suffix.observable(model.parameters)
     # Re(conj(a) b) = Re(a conj(b)) bit for bit, and conj(a) b can be formed
     # in place in a = states @ M^T: one (N, d) temporary, not three
     readout = states @ observable.T
@@ -254,27 +261,29 @@ class _Forward(NamedTuple):
 
     angles: np.ndarray  # theta of each parameterized gate, shape (P,)
     factors: np.ndarray  # F_j, shape (P, d, d)
-    before: np.ndarray  # before[j] = F_{j-1} ... F_1 C_0, shape (P, d, d)
-    unitary: np.ndarray  # U(theta) = F_P ... F_1 C_0, shape (d, d)
+    before: np.ndarray  # before[j] = F_{j-1} ... F_1, I for j = 1, shape (P, d, d)
+    unitary: np.ndarray  # U(theta) = F_P ... F_1, shape (d, d)
 
 
 class _DenseSuffix:
     """U(theta) of a template's trainable suffix as P dense factors.
 
     With t_j the angle of the j-th parameterized RY and C_j the constant
-    gates between it and the next one, U = F_P ... F_1 C_0 where
+    gates between it and the next one, U = F_P ... F_1 where
     F_j = C_j RY(t_j) = cos(t_j/2) K_j + sin(t_j/2) L_j, K_j = C_j and
     L_j = C_j RY(pi), since RY(t) = cos(t/2) I + sin(t/2) RY(pi).  The
-    constant matrices are built once per template: an empty run is the
-    identity, a run of gates and each qubit's RY(pi) turn are run over the
-    identity.  They are kept real: a constant gate after the first trainable
-    RY must be real (H, CX, RY), so that M(theta) is real symmetric.
+    suffix starts at the first trainable gate, since the prefix takes every
+    gate before it.  The constant matrices are built once per template: an
+    empty run is the identity, a run of gates and each qubit's RY(pi) turn
+    are run over the identity.  They are kept real: a constant gate after
+    the first trainable RY must be real (H, CX, RY), so that M(theta) is
+    real symmetric.
     """
 
     def __init__(self, template: CircuitTemplate):
         n_qubits = template.n_qubits
         self._n_qubits = n_qubits
-        runs, qubits, turns, slots = [[]], [], {}, []
+        runs, qubits, turns, slots = [], [], {}, []
         for g in template.gates[_split(template):]:
             if not isinstance(g.angle, ParamAngle):
                 runs[-1].append(g)
@@ -287,8 +296,7 @@ class _DenseSuffix:
             slots.append(g.angle.index)
             runs.append([])
         dim = 2**n_qubits
-        self._lead = self._matrix(runs[0])
-        self._cos = np.array([self._matrix(run) for run in runs[1:]]).reshape(-1, dim, dim)
+        self._cos = np.array([self._matrix(run) for run in runs]).reshape(-1, dim, dim)
         self._sin = self._cos @ np.array([turns[q] for q in qubits]).reshape(-1, dim, dim)
         self.slots = np.array(slots, dtype=int)
         self.n_slots = template.n_parameter_slots
@@ -319,7 +327,7 @@ class _DenseSuffix:
         angles = theta[self.slots]
         factors = self._factors(angles)
         before = np.empty_like(factors)
-        u = self._lead
+        u = np.eye(self._cos.shape[-1])
         for j in range(factors.shape[0]):
             before[j] = u
             u = factors[j] @ u
@@ -338,7 +346,7 @@ class _DenseSuffix:
         """
         factors = forward.factors
         after = np.empty_like(factors)
-        u = np.eye(self._lead.shape[0])
+        u = np.eye(self._cos.shape[-1])
         for j in reversed(range(factors.shape[0])):
             after[j] = u
             u = u @ factors[j]
@@ -354,9 +362,8 @@ class _GramObjective:
     seen reuses them.  Thetas are matched by value, not identity.
     """
 
-    def __init__(self, template: CircuitTemplate, gram: Gram,
-                 suffix: Optional[_DenseSuffix] = None):
-        self.suffix = suffix or _DenseSuffix(template)
+    def __init__(self, suffix: _DenseSuffix, gram: Gram):
+        self.suffix = suffix
         self.gram = gram
         self._theta = None
 
@@ -405,17 +412,17 @@ def gradient_parameter_shift(model: QnnModel, features_scaled, targets_scaled) -
     the MSE chain rule then gives (2/N) sum_s (f_s - y_s) * df_s/dtheta_k.
     """
     gram = gram_form(encode(model.template, features_scaled), targets_scaled)
-    return _GramObjective(model.template, gram, model.suffix).shift_gradient(model.parameters)
+    return _GramObjective(model.suffix, gram).shift_gradient(model.parameters)
 
 
 def same_training(a: QnnModel, b: QnnModel) -> bool:
     """True when ``train`` takes a and b through the same steps on any Gram
     form: their initial parameters are equal, and their suffixes have equal
     constant blocks and slots.  QNN-5 and QNN-11 match QNN-2 and QNN-8."""
-    sa, sb = (m.suffix or _DenseSuffix(m.template) for m in (a, b))
+    sa, sb = a.suffix, b.suffix
     return all(np.array_equal(x, y) for x, y in (
         (a.parameters, b.parameters), (sa.slots, sb.slots),
-        (sa._lead, sb._lead), (sa._cos, sb._cos), (sa._sin, sb._sin)))
+        (sa._cos, sb._cos), (sa._sin, sb._sin)))
 
 
 def train(model: QnnModel, gram: Gram,
@@ -423,5 +430,5 @@ def train(model: QnnModel, gram: Gram,
     """Minimize the training MSE ``gram`` (see ``gram_form``) over the
     parameters with the exact parameter-shift gradient.  Returns minimize's
     result; ``best_point`` is the fitted parameter vector."""
-    objective = _GramObjective(model.template, gram, model.suffix)
+    objective = _GramObjective(model.suffix, gram)
     return minimize(objective.loss, objective.shift_gradient, model.parameters, options)

@@ -274,7 +274,7 @@ def load_csv_oracle(path: str, column_names=None):
     columns = FEATURE_COLUMNS + (TARGET_COLUMN,)
     names = {c: c for c in columns}
     names.update(column_names or {})
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.DictReader(handle)
         header = reader.fieldnames or []
         for canonical in columns:

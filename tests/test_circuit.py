@@ -219,6 +219,13 @@ def test_compose_rejects_qubit_mismatch():
         compose(build_z_feature_map(4, 1), build_ansatz(2, 1, "full"))
 
 
+def test_compose_refuses_parameters_first_or_features_second():
+    fm, ans = build_z_feature_map(4, 1), build_ansatz(4, 1, "linear")
+    for first, second in ((ans, ans), (fm, fm), (ans, fm)):
+        with pytest.raises(ValueError, match="feature map to an ansatz"):
+            compose(first, second)
+
+
 def test_compose_matches_sequential_execution():
     rng = np.random.default_rng(5)
     fm = build_zz_feature_map(4, 2, "full")

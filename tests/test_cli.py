@@ -1,8 +1,10 @@
 """Tests for config parsing, the argparse surface, and the run pipeline."""
 import csv
 import os
+import re
 import subprocess
 import sys
+import time
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
@@ -21,7 +23,7 @@ from windqnn.data import (
     split,
 )
 from windqnn.optimizer import OptimizerOptions
-from windqnn.report import METHOD_ORDER
+from windqnn.report import METHOD_ORDER, REFERENCE_RESULTS
 
 
 def write_config(tmp_path, text, name="config.yaml"):
@@ -455,8 +457,48 @@ class TestRun:
         rows = read_rows(run_dir / "results.csv")
         assert [r["config_id"] for r in rows] == ["QNN-1", "dt", "ols"]
         out = capsys.readouterr().out
-        assert "QNN-1" in out and "decision_tree" in out
-        assert str(run_dir) in out
+        lines = out.splitlines()
+        header = ("method   feature_map  ansatz               "
+                  "      r2     mae_kW   wall_s     dR2      dMAE")
+        assert lines[:2] == [header, "-" * len(header)]
+        # the header's column widths, one space between; text flush left,
+        # numbers flush right
+        layout = re.compile(r"(.{8}) (.{12}) (.{20}) (.{8}) (.{10}) (.{8}) (.{7}) (.{9})")
+        for line, row in zip(lines[2:5], rows, strict=True):
+            cells = layout.fullmatch(line).groups()
+            assert all(c == c.strip().ljust(len(c)) for c in cells[:3])
+            assert all(c == c.strip().rjust(len(c)) for c in cells[3:])
+            method, family, ansatz, r2, mae, wall, dr2, dmae = (c.strip() for c in cells)
+            assert [method, family, ansatz] == [row["config_id"], row["feature_map"],
+                                                row["ansatz"]]
+            assert r2 == f"{float(row['r2']):.4f}" and mae == f"{float(row['mae']):.2f}"
+            assert wall == f"{float(row['wall_time_s']):.1f}"
+            ref_r2, ref_mae = REFERENCE_RESULTS[method]
+            assert dr2[0] in "+-" and dmae[0] in "+-"
+            assert abs(float(dr2) - (float(row["r2"]) - ref_r2)) <= 0.005
+            assert abs(float(dmae) - (float(row["mae"]) - ref_mae)) <= 0.005
+        assert lines[5:] == ["", f"artifacts: {run_dir}"]
+
+    def test_default_run_id_is_the_utc_clock(self, tmp_path, monkeypatch):
+        out_dir = tmp_path / "runs"
+        path = write_config(tmp_path, f"""
+data: {{n_rows: 80, seed: 42}}
+selection: [ols]
+output: {{directory: "{out_dir}"}}
+""")
+        # five hours ahead of UTC, so a local-time id would differ
+        monkeypatch.setenv("TZ", "XYZ-5")
+        time.tzset()
+        try:
+            before = time.strftime("run-%Y%m%d-%H%M%S", time.gmtime())
+            assert main(["run", "--config", path]) == 0
+            after = time.strftime("run-%Y%m%d-%H%M%S", time.gmtime())
+        finally:
+            monkeypatch.undo()
+            time.tzset()
+        (run_id,) = os.listdir(out_dir)
+        assert re.fullmatch(r"run-\d{8}-\d{6}", run_id)
+        assert before <= run_id <= after
 
     def test_repeat_run_matches_except_wall_time(self, tmp_path):
         out_dir = tmp_path / "runs"
@@ -839,6 +881,15 @@ class TestReportCommand:
         path = write_config(tmp_path, SMALL_RUN % (tmp_path / "runs"))
         assert main(["run", "--config", path]) == 0
         return tmp_path / "runs" / "fixed"
+
+    def test_reads_a_results_csv_that_starts_with_a_byte_order_mark(self, tmp_path):
+        # as Excel's "CSV UTF-8" export writes it
+        run_dir = self._run_dir(tmp_path)
+        markdown = (run_dir / "results.md").read_bytes()
+        results = run_dir / "results.csv"
+        results.write_bytes(b"\xef\xbb\xbf" + results.read_bytes())
+        assert main(["report", "--run-dir", str(run_dir)]) == 0
+        assert (run_dir / "results.md").read_bytes() == markdown
 
     def test_results_without_a_column_exits_3(self, tmp_path, capsys):
         run_dir = self._run_dir(tmp_path)

@@ -142,6 +142,18 @@ def _same_load(path, column_names=None):
     return got
 
 
+def test_a_leading_byte_order_mark_is_ignored(tmp_path):
+    # Excel's "CSV UTF-8" export starts the file with one
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    write_csv(str(plain), generate_synthetic(50, seed=3))
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    want, _ = load_csv(str(plain))
+    got, dropped = _same_load(str(marked))
+    assert dropped == 0
+    for a, b in ((got.features, want.features), (got.power, want.power)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def test_awkward_rows_match_the_dictreader_oracle(tmp_path):
     # power appears twice: the last column counts
     header = "timestamp,wind_speed,power,wind_direction,pressure,temperature,power\n"

@@ -240,7 +240,7 @@ def test_observable_cache_matches_full_evaluation():
 
 def test_template_without_a_feature_prefix_is_rejected():
     # A feature gate after a parameterized gate leaves no parameter-free
-    # prefix to encode, so the fast path refuses the template; the
+    # prefix to encode, so no model can be made of the template; the
     # gate-level reference still evaluates it.
     template = CircuitTemplate(
         1,
@@ -250,23 +250,18 @@ def test_template_without_a_feature_prefix_is_rejected():
         n_parameter_slots=2,
     )
     xs = np.array([[0.4], [1.1]])
-    ys = np.array([0.2, -0.5])
-    model = QnnModel(template=template, parameters=np.array([0.7, -0.3]))
-    gram = gram_form(np.eye(2, dtype=complex), ys)  # two one-qubit rows, |0> and |1>
+    parameters = np.array([0.7, -0.3])
     for call in (lambda: encode(template, xs),
-                 lambda: predict_scaled(model, xs),
-                 lambda: train(model, gram),
-                 lambda: gradient_parameter_shift(model, xs, ys)):
+                 lambda: QnnModel(template=template, parameters=parameters)):
         with pytest.raises(ValueError, match="feature gate follows a parameterized gate"):
             call()
-    assert evaluate_batch(template, xs, model.parameters).shape == (2,)
-    assert loss_mse(model, xs, ys) >= 0.0
+    assert evaluate_batch(template, xs, parameters).shape == (2,)
 
 
 def test_only_rotations_carry_trainable_angles():
     template = CircuitTemplate(1, (GateSpec("P", (0,), ParamAngle(0)),), n_parameter_slots=1)
     with pytest.raises(ValueError, match="only RY"):
-        _DenseSuffix(template)
+        QnnModel(template=template, parameters=np.zeros(1))
 
 
 def test_a_complex_constant_gate_in_the_suffix_is_rejected():
@@ -280,8 +275,9 @@ def test_a_complex_constant_gate_in_the_suffix_is_rejected():
         n_parameter_slots=2,
     )
     with pytest.raises(ValueError, match="suffix must be real"):
-        _DenseSuffix(template)
-    _DenseSuffix(CircuitTemplate(1, template.gates[:2], n_parameter_slots=1))
+        QnnModel(template=template, parameters=np.zeros(2))
+    QnnModel(template=CircuitTemplate(1, template.gates[:2], n_parameter_slots=1),
+             parameters=np.zeros(1))
 
 
 @pytest.mark.parametrize("config_id", CONFIG_IDS)
@@ -328,9 +324,12 @@ def test_full_and_reverse_linear_ansatz_share_one_observable():
 # --- constant blocks of the dense suffix ---------------------------------------
 
 def _assert_blocks_equal_oracle(template):
+    # the oracle runs the constant gates ahead of the first trainable RY as
+    # a lead block; the split moves them into the prefix, so it is always I
     suffix = _DenseSuffix(template)
-    for block, oracle in zip((suffix._lead, suffix._cos, suffix._sin),
-                             dense_suffix_blocks(template)):
+    lead, cos, sin = dense_suffix_blocks(template)
+    assert np.array_equal(lead, np.eye(2**template.n_qubits))
+    for block, oracle in ((suffix._cos, cos), (suffix._sin, sin)):
         assert block.shape == oracle.shape
         assert np.array_equal(block, oracle)
 
@@ -474,7 +473,7 @@ def test_dense_products_match_dense_template_matrix(case):
 def test_gram_loss_and_gradient_match_rowwise_oracle(case):
     prefix, suffix, xs, theta, ys = case
     template = compose(prefix, suffix)
-    objective = _GramObjective(template, gram_form(encode(template, xs), ys))
+    objective = _GramObjective(_DenseSuffix(template), gram_form(encode(template, xs), ys))
     loss, gradient = rowwise_loss_and_shift_gradient(prefix, suffix, xs, theta, ys)
     assert objective.loss(theta) == pytest.approx(loss, rel=0, abs=1e-12)
     np.testing.assert_allclose(objective.shift_gradient(theta), gradient, rtol=0, atol=1e-12)
@@ -500,14 +499,15 @@ def test_gradient_after_objective_equals_fresh_gradient(case, offset):
     prefix, suffix, xs, theta, ys = case
     template = compose(prefix, suffix)
     gram = gram_form(encode(template, xs), ys)
-    fresh = _GramObjective(template, gram).shift_gradient(theta)
-    same = _GramObjective(template, gram)
+    suffix = _DenseSuffix(template)
+    fresh = _GramObjective(suffix, gram).shift_gradient(theta)
+    same = _GramObjective(suffix, gram)
     same.loss(theta.copy())
-    moved = _GramObjective(template, gram)
+    moved = _GramObjective(suffix, gram)
     moved.loss(theta + offset)
     assert np.array_equal(same.shift_gradient(theta), fresh)
     assert np.array_equal(moved.shift_gradient(theta), fresh)
-    assert moved.loss(theta) == _GramObjective(template, gram).loss(theta)
+    assert moved.loss(theta) == _GramObjective(suffix, gram).loss(theta)
 
 
 def test_gradient_builds_the_observable_only_at_a_new_theta():
@@ -515,7 +515,7 @@ def test_gradient_builds_the_observable_only_at_a_new_theta():
     model = build_model("QNN-8", init_seed=5)
     xs = rng.uniform(0, np.pi, size=(7, 4))
     ys = rng.uniform(-1, 1, size=7)
-    objective = _GramObjective(model.template, _gram(model, xs, ys))
+    objective = _GramObjective(model.suffix, _gram(model, xs, ys))
     built = []
     forward = objective.suffix.forward
     objective.suffix.forward = lambda theta: built.append(1) or forward(theta)
