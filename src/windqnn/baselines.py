@@ -161,6 +161,64 @@ class CartModel:
         return nodes[0]
 
 
+# a pass of fit_cart splits every pending row count above this share of its largest
+CART_BAND_RATIO = 0.75
+
+
+def _split_band(ranks: np.ndarray, shift: int, block: np.ndarray, t: np.ndarray,
+                sizes: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The best split of each of b nodes, scored in one numpy pass.
+
+    ``block`` holds the nodes' rows padded to N with the sentinel, ``t``
+    their targets and ``sizes`` their row counts.  Returns the nodes with a
+    cut (row indices k of ``block``), and for each its split feature, the
+    sorted position its left part ends at, and its rows in that feature's
+    sorted order.  The work arrays are (d, b, N), so the sort and the prefix
+    sums run along the contiguous axis.
+    """
+    b, n = block.shape
+    keys = np.take(ranks, block, axis=1)
+    keys |= np.arange(n, dtype=keys.dtype)  # a row's position in its node, below its rank
+    keys.sort(axis=2)  # distinct keys: any sort is the stable sort of the ranks
+    low = (1 << shift) - 1
+    # order[f, j]: node j's block positions in feature f's sorted order, as flat indices
+    order = np.bitwise_and(keys, low, dtype=int)
+    order += np.arange(0, b * n, n)[:, None]
+    s1 = np.take(t, order)  # the targets in each feature's sorted order
+    del order
+    sorted_ranks = keys >> shift
+    tied = sorted_ranks[:, :, 1:] == sorted_ranks[:, :, :-1]  # [..., i]: no cut after row i
+    del sorted_ranks
+    s2 = np.square(s1)
+    np.cumsum(s1, axis=2, out=s1)
+    np.cumsum(s2, axis=2, out=s2)
+    # (left2 - left1**2 / n_left) + ((total2 - left2) - (total1 - left1)**2 / n_right),
+    # the right part in place in s1 and s2
+    left1, left2 = s1[:, :, :-1], s2[:, :, :-1]
+    total1, total2 = s1[:, :, -1:].copy(), s2[:, :, -1:].copy()  # apart from the output
+    n_left = np.arange(1.0, n)
+    sse = np.square(left1)
+    sse /= n_left
+    np.subtract(left2, sse, out=sse)
+    np.subtract(total1, left1, out=left1)
+    np.square(left1, out=left1)
+    n_right = sizes[:, None] - n_left
+    left1 /= np.maximum(n_right, 1.0, out=n_right)
+    np.subtract(total2, left2, out=left2)
+    left2 -= left1
+    sse += left2
+    del s1, s2, left1, left2
+    np.copyto(sse, np.inf, where=tied)
+    short = np.flatnonzero(sizes < n)
+    sse[:, short, sizes[short] - 1] = np.inf  # the cut between a node and its padding
+    cuts = sse.argmin(axis=2)  # each feature's first minimum: its lowest threshold
+    best = np.take_along_axis(sse, cuts[:, :, None], axis=2)[:, :, 0]
+    k = np.flatnonzero(np.isfinite(best.min(axis=0)))
+    f = best[:, k].argmin(axis=0)  # the first feature holding the smallest minimum
+    positions = np.bitwise_and(keys[f, k], low, dtype=int)
+    return k, f, cuts[f, k], np.take_along_axis(block[k], positions, axis=1)
+
+
 def fit_cart(
     features: np.ndarray,
     targets: np.ndarray,
@@ -175,95 +233,122 @@ def fit_cart(
     feature, then to the lowest threshold.  A split node's rows pass to its
     children in the split feature's sorted order, left part first.
 
+    Columns are sorted on their dense ranks, taken once per fit: equal
+    values (-0.0 and 0.0 too) share a rank.  A sort key holds the rank in
+    its high half and the row's position in its node in the low half, so
+    the keys of a node are distinct and sorting them is the stable sort of
+    the values.  Ranks are ``np.min_scalar_type(rows)`` integers, so the
+    keys are 32 bits up to 65 535 rows.
+
     The tree grows by node size, not depth first.  ``rows`` is one
     permutation of the training rows, and every pending node owns a
-    contiguous segment of it.  The largest pending row count n is taken
-    next, and all its b nodes are split in one numpy pass over a (b, n)
-    block; a child is smaller than its parent, so each n comes up once, and
-    the segments are disjoint, so b * n never exceeds the training rows.
-    The tree equals a node-by-node build bit for bit: each block row goes
-    through the same elementwise operations, ``cumsum`` adds sequentially
-    along any axis, the stable sort is taken per row, and the mean of a row
-    of a C-contiguous block equals the 1-D mean of that row.  A pass gives
-    its split nodes' children the next free ids and writes the node arrays
-    once.
+    contiguous segment of it.  A pass takes the largest pending row count N
+    and the next ones down while they exceed ``CART_BAND_RATIO`` * N and
+    all b nodes taken fit b * N <= rows; a child is smaller than its
+    parent, so each band comes up once.  Each node is padded to N rows with
+    a sentinel that ranks last in every column and has target 0.0, and the
+    b nodes are split in one numpy pass (``_split_band``); a cut at or past
+    a node's own row count is no cut.  The tree equals a node-by-node build
+    bit for bit: each block row goes through the same elementwise
+    operations, the padding adds 0.0 after a node's last row, ``cumsum``
+    adds sequentially along any axis, the sort is taken per row, and a
+    node's mean is the mean of a row slice of its own length, which equals
+    the 1-D mean.  A pass gives its split nodes' children the next free ids
+    and writes the node arrays once.
     """
     features, targets = _check_rows(features, targets)
-    if targets.shape[0] == 0:
+    n_rows, d = features.shape
+    if n_rows == 0:
         raise ValueError("cannot fit a tree on an empty training set")
     if min_samples_split < 2:
         raise ValueError(f"min_samples_split must be >= 2, got {min_samples_split}")
 
+    # each column's dense rank, shifted to the high half of a sort key; row
+    # n_rows is the sentinel, last in every column
+    rank_type = np.min_scalar_type(n_rows)
+    shift = 8 * rank_type.itemsize
+    ranks = np.empty((d, n_rows + 1), f"u{2 * rank_type.itemsize}")
+    ranks[:, n_rows] = n_rows
+    for f in range(d):
+        order = np.argsort(features[:, f], kind="stable")
+        column = features[order, f]
+        ranks[f, order[0]] = 0
+        ranks[f, order[1:]] = np.cumsum(column[1:] != column[:-1])
+    ranks <<= shift
+    padded_targets = np.append(targets, 0.0)
+
     # node arrays by id, sized for the largest tree on these rows; a page of
     # them is touched only when a node on it comes up
-    feature, left, threshold, value = (np.empty(2 * targets.shape[0] - 1, dtype)
+    feature, left, threshold, value = (np.empty(2 * n_rows - 1, dtype)
                                        for dtype in (int, int, float, float))
-    count = 1  # node ids in use
-    rows = np.arange(targets.shape[0])
+    # the segments' permutation; slot n_rows holds the sentinel, which padding reads and writes
+    rows = np.arange(n_rows + 1)
     # row count -> chunks of pending nodes, (3, m) arrays of node ids, segment starts, depths
-    pending: Dict[int, List[np.ndarray]] = {targets.shape[0]: [np.zeros((3, 1), dtype=int)]}
+    pending: Dict[int, List[np.ndarray]] = {n_rows: [np.zeros((3, 1), dtype=int)]}
 
-    while pending:
-        n = max(pending)
-        ids, starts, depths = np.concatenate(pending.pop(n), axis=1)
-        block = rows[starts[:, None] + np.arange(n)]
-        t = targets[block]
-        value[ids] = t.mean(axis=1)
+    def grow(count: int) -> int:
+        """Split the next band of pending nodes; returns the node ids now in use."""
+        n, taken, band, chunks = max(pending), 0, [], []  # band: (row count, nodes) pairs
+        for size in sorted(pending, reverse=True):
+            m = sum(chunk.shape[1] for chunk in pending[size])
+            if band and (size <= CART_BAND_RATIO * n or (taken + m) * n > n_rows):
+                break
+            chunks += pending.pop(size)
+            band.append((size, m))
+            taken += m
+        ids, starts, depths = np.concatenate(chunks, axis=1)
+        del chunks
+        sizes = np.repeat(*zip(*band))
+        position = np.arange(n)
+        slots = starts[:, None] + position
+        slots[position >= sizes[:, None]] = n_rows  # padding
+        block = rows[slots]
+        t = padded_targets[block]
+        live, a = np.zeros(taken, bool), 0
+        for size, m in band:
+            value[ids[a : a + m]] = t[a : a + m, :size].mean(axis=1)
+            if size >= min_samples_split:  # constant targets make a leaf
+                live[a : a + m] = np.any(t[a : a + m, :size] != t[a : a + m, :1], axis=1)
+            a += m
         feature[ids], left[ids], threshold[ids] = -1, -1, np.nan  # a leaf unless split below
-        if n < min_samples_split:
-            continue
-        live = np.any(t != t[:, :1], axis=1)  # constant targets make a leaf
         if max_depth is not None:
             live &= depths < max_depth
         live = np.flatnonzero(live)
         if live.size == 0:
-            continue
+            return count
+        if live.size < taken:  # the band is in falling size order, so live[0] is the largest
+            n = int(sizes[live[0]])
+            slots, block, t, sizes = slots[live, :n], block[live, :n], t[live, :n], sizes[live]
 
-        block = block[live]
-        x = features[block]  # (b, n, d)
-        order = np.argsort(x, axis=1, kind="stable")
-        x = np.take_along_axis(x, order, axis=1)
-        tied = x[:, 1:] <= x[:, :-1]  # [:, i]: no cut between sorted rows i and i + 1
-        ranked = np.take_along_axis(block[:, :, None], order, axis=1)
-        del x, order  # each (b, n, d) array goes once spent, to keep the peak low
-        t = targets[ranked]  # the targets in each column's sorted order
-        s1 = np.cumsum(t, axis=1)
-        t *= t
-        s2 = np.cumsum(t, axis=1)
-        del t
-        left1, left2 = s1[:, :-1], s2[:, :-1]
-        n_left = np.arange(1.0, n)[:, None]
-        sse = (left2 - left1**2 / n_left) + (
-            (s2[:, -1:] - left2) - (s1[:, -1:] - left1) ** 2 / (n - n_left))
-        del s1, s2, left1, left2
-        sse[tied] = np.inf
-        best = sse.min(axis=1)
-        k = np.flatnonzero(np.isfinite(best.min(axis=1)))  # the nodes with a cut
-        f = best[k].argmin(axis=1)  # the first feature holding the smallest minimum
-        cut = sse[k, :, f].argmin(axis=1)  # the first minimum: the lowest threshold
+        k, f, cut, ranked = _split_band(ranks, shift, block, t, sizes)
+        rows[slots[k]] = ranked
+
         split = live[k]
-        starts = starts[split]
-        rows[starts[:, None] + np.arange(n)] = ranked[k, :, f]
-
         ids, m = ids[split], 2 * split.size
         feature[ids], left[ids] = f, np.arange(count, count + m, 2)
-        threshold[ids] = 0.5 * (features[ranked[k, cut, f], f]
-                                + features[ranked[k, cut + 1, f], f])
+        at = np.arange(k.size)
+        threshold[ids] = 0.5 * (features[ranked[at, cut], f] + features[ranked[at, cut + 1], f])
         # each split node's left child, then its right one
         children = np.empty((3, m), dtype=int)
         children[0] = np.arange(count, count + m)
-        children[1, 0::2], children[1, 1::2] = starts, starts + cut + 1
+        children[1, 0::2], children[1, 1::2] = starts[split], starts[split] + cut + 1
         children[2] = np.repeat(depths[split] + 1, 2)
         count += m
-        sizes = np.empty(m, dtype=int)
-        sizes[0::2], sizes[1::2] = cut + 1, n - 1 - cut
-        order = np.argsort(sizes, kind="stable")
-        sizes, children = sizes[order], children[:, order]
-        runs = np.flatnonzero(np.diff(sizes, prepend=-1)).tolist()  # where a size begins
+        child_sizes = np.empty(m, dtype=int)
+        child_sizes[0::2], child_sizes[1::2] = cut + 1, sizes[k] - 1 - cut
+        order = np.argsort(child_sizes, kind="stable")
+        child_sizes, children = child_sizes[order], children[:, order]
+        runs = np.flatnonzero(np.diff(child_sizes, prepend=-1)).tolist()  # where a size begins
         for a, b in zip(runs, runs[1:] + [m]):
-            pending.setdefault(int(sizes[a]), []).append(children[:, a:b])
+            # a copy: a pending chunk keeps no other pass's nodes alive
+            pending.setdefault(int(child_sizes[a]), []).append(children[:, a:b].copy())
+        return count
+
+    count = 1  # node ids in use
+    while pending:  # a pass's arrays are freed before the next pass allocates
+        count = grow(count)
     return CartModel(feature=feature[:count], threshold=threshold[:count], left=left[:count],
-                     value=value[:count], n_features=features.shape[1])
+                     value=value[:count], n_features=d)
 
 
 def predict_cart(model: CartModel, queries: np.ndarray) -> np.ndarray:

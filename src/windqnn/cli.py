@@ -11,6 +11,7 @@ failed to train (partial artifacts are still written).
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -395,6 +396,22 @@ def _summary_table(report: ExperimentReport) -> str:
     return "\n".join(lines)
 
 
+def _new_run_dir(directory: str, run_id: str) -> str:
+    """Create directory/run_id, or run_id-2, run_id-3, ... if it exists; returns its path.
+
+    ``os.mkdir`` fails on an existing directory, so two runs started in the
+    same second never share one.
+    """
+    os.makedirs(directory, exist_ok=True)
+    for n in itertools.count(1):
+        path = os.path.join(directory, run_id if n == 1 else f"{run_id}-{n}")
+        try:
+            os.mkdir(path)
+            return path
+        except FileExistsError:
+            pass
+
+
 def cmd_run(config_path: str) -> int:
     try:
         cfg = load_config(config_path)
@@ -407,9 +424,12 @@ def cmd_run(config_path: str) -> int:
         print(f"data: {exc}", file=sys.stderr)
         return 3
 
-    run_id = cfg.run_id or time.strftime("run-%Y%m%d-%H%M%S", time.gmtime())
-    run_dir = os.path.join(cfg.output_directory, run_id)
     try:
+        if cfg.run_id:  # a rerun replaces the artifacts
+            run_dir = os.path.join(cfg.output_directory, cfg.run_id)
+        else:
+            run_dir = _new_run_dir(cfg.output_directory,
+                                   time.strftime("run-%Y%m%d-%H%M%S", time.gmtime()))
         write_run_artifact(report, run_dir)
     except OSError as exc:
         print(f"report: {exc}", file=sys.stderr)

@@ -466,6 +466,36 @@ def test_cart_matches_depth_first_reference_on_3000_rows():
     assert _with_values(model.root) == cart_tree_oracle(features, targets)
 
 
+def test_cart_ranks_wider_than_16_bits_match_the_depth_first_reference():
+    # more than 65 535 rows take 32-bit ranks; -0.0 and 0.0 are one value and
+    # share a rank, so rows holding either keep their order in a sort
+    rng = np.random.default_rng(37)
+    codes = rng.integers(0, 4, size=(70_000, 3))
+    features = np.array([-0.0, 0.0, 0.5, 1.0])[codes]
+    # the target depends on the distinct row alone, so the tree stays small,
+    # and its sums round differently in another order
+    distinct = np.maximum(codes - 1, 0)
+    targets = rng.normal(scale=100.0, size=(3, 3, 3))[tuple(distinct.T)]
+    model = fit_cart(features, targets)
+    assert _with_values(model.root) == cart_tree_oracle(features, targets)
+    assert model.value.size == 2 * 3**3 - 1
+
+
+def test_cart_fit_holds_its_work_arrays_in_a_few_megabytes():
+    # a pass's arrays are freed before the next pass allocates; the node
+    # arrays (2 * rows - 1 entries each) are about 0.8 MB of the peak
+    rng = np.random.default_rng(36)
+    features = rng.uniform(size=(12800, 4))
+    targets = 2000.0 * features[:, 0] ** 3 + rng.normal(scale=30.0, size=12800)
+    tracemalloc.start()
+    try:
+        fit_cart(features, targets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+
+
 def test_cart_memorizes_distinct_features():
     rng = np.random.default_rng(31)
     features = rng.normal(size=(25, 3))

@@ -500,6 +500,28 @@ output: {{directory: "{out_dir}"}}
         assert re.fullmatch(r"run-\d{8}-\d{6}", run_id)
         assert before <= run_id <= after
 
+    def test_runs_in_the_same_second_get_their_own_directories(self, tmp_path, monkeypatch,
+                                                                capsys):
+        # the later run silently replaced the earlier one's artifacts
+        out_dir = tmp_path / "runs"
+        paths = [write_config(tmp_path, f"""
+data: {{n_rows: 80, seed: 42}}
+selection: [{method}]
+output: {{directory: "{out_dir}"}}
+""", name=f"{method}.yaml") for method in ("ols", "knn", "dt")]
+        frozen = time.gmtime(1767225600)  # 2026-01-01 00:00:00 UTC
+        monkeypatch.setattr(time, "gmtime", lambda *seconds: frozen)
+        for path in paths:
+            assert main(["run", "--config", path]) == 0
+        run_ids = ["run-20260101-000000", "run-20260101-000000-2", "run-20260101-000000-3"]
+        assert sorted(os.listdir(out_dir)) == run_ids
+        for run_id, method in zip(run_ids, ("ols", "knn", "dt")):
+            rows = read_rows(out_dir / run_id / "results.csv")
+            assert [row["config_id"] for row in rows] == [method]
+            assert os.path.isfile(out_dir / run_id / method / "predictions.csv")
+        printed = re.findall(r"artifacts: (\S+)", capsys.readouterr().out)
+        assert printed == [str(out_dir / run_id) for run_id in run_ids]
+
     def test_repeat_run_matches_except_wall_time(self, tmp_path):
         out_dir = tmp_path / "runs"
         path = write_config(tmp_path, SMALL_RUN % out_dir)
