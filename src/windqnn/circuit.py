@@ -80,7 +80,8 @@ class GateSpec:
             raise ValueError(f"{self.kind} acts on exactly one qubit, got {self.qubits}")
 
 
-def _feature_indices(angle: Optional[AngleSource]) -> tuple:
+def feature_indices(angle: Optional[AngleSource]) -> tuple:
+    """The feature slots an angle source reads, () for none."""
     if isinstance(angle, FeatureAngle):
         return (angle.index,)
     if isinstance(angle, PairProductAngle):
@@ -102,7 +103,7 @@ class CircuitTemplate:
             for q in g.qubits:
                 if not 0 <= q < self.n_qubits:
                     raise ValueError(f"gate qubit {q} outside 0..{self.n_qubits - 1}")
-            for i in _feature_indices(g.angle):
+            for i in feature_indices(g.angle):
                 if not 0 <= i < self.n_feature_slots:
                     raise ValueError(f"feature slot {i} outside declared count")
             if isinstance(g.angle, ParamAngle):
@@ -232,9 +233,9 @@ def compose(first: CircuitTemplate, second: CircuitTemplate) -> CircuitTemplate:
     )
 
 
-def _resolve_angle(angle: AngleSource, features: np.ndarray, params: np.ndarray):
-    # features has shape (..., n_feature_slots) and params (..., n_parameter_slots);
-    # returns a scalar or an array over their leading axes
+def resolve_angle(angle: AngleSource, features: np.ndarray, params: np.ndarray):
+    """The angle in radians: a scalar, or an array over the leading axes of
+    features (..., n_feature_slots) and params (..., n_parameter_slots)."""
     if isinstance(angle, ConstAngle):
         return angle.value
     if isinstance(angle, FeatureAngle):
@@ -260,10 +261,10 @@ def run_gates(amps: np.ndarray, gates, n_qubits: int,
         elif g.kind == "CX":
             apply_cx_array(amps, g.qubits[0], g.qubits[1], n_qubits)
         elif g.kind == "P":
-            apply_phase_array(amps, _resolve_angle(g.angle, features, params),
+            apply_phase_array(amps, resolve_angle(g.angle, features, params),
                               g.qubits[0], n_qubits)
         else:  # RY
-            apply_ry_array(amps, _resolve_angle(g.angle, features, params),
+            apply_ry_array(amps, resolve_angle(g.angle, features, params),
                            g.qubits[0], n_qubits)
 
 
@@ -318,7 +319,7 @@ def feature_prefix_length(template: CircuitTemplate) -> Optional[int]:
             k = i
             break
     for g in template.gates[k:]:
-        if _feature_indices(g.angle):
+        if feature_indices(g.angle):
             return None
     return k
 

@@ -383,14 +383,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 def _summary_table(report: ExperimentReport) -> str:
     header = (
         f"{'method':<8} {'feature_map':<12} {'ansatz':<20} "
-        f"{'r2':>8} {'mae_kW':>10} {'wall_s':>8} {'dR2':>7} {'dMAE':>9}"
+        f"{'r2':>8} {'mae_kW':>10} {'wall_ms':>8} {'dR2':>7} {'dMAE':>9}"
     )
     lines = [header, "-" * len(header)]
     for m in report.ordered():
         ref_r2, ref_mae = REFERENCE_RESULTS[m.method_id]
         lines.append(
             f"{m.method_id:<8} {m.feature_map:<12} {m.ansatz:<20} "
-            f"{m.r2:>8.4f} {m.mae:>10.2f} {m.wall_time_s:>8.1f} "
+            f"{m.r2:>8.4f} {m.mae:>10.2f} {m.wall_time_s * 1e3:>8.1f} "
             f"{m.r2 - ref_r2:>+7.2f} {m.mae - ref_mae:>+9.2f}"
         )
     return "\n".join(lines)

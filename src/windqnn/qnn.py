@@ -31,6 +31,12 @@ So the work splits three ways.
 * Once per feature map and row set: ``encode`` runs the prefix over the
   rows, and ``gram_form`` folds the training rows into (G, h, c) in row
   chunks.  ``windqnn run`` does both once for the six QNNs of a map.
+  ``encode`` compiles a prefix once into constant blocks, each a 2**n x
+  2**n product of constant gates, and phase groups, each a diagonal
+  exp(i theta(x) @ incidence) of feature P gates whose CX gates are folded
+  into the incidence (``_compile_prefix``).  Both benchmark maps at two
+  repetitions become block, phase, block, phase; the ZZ map's CX pairs
+  cancel, and its two equal groups take their exponentials once.
 * Once per model: the constant blocks K_j and L_j below, which a
   ``QnnModel`` makes and its training and predictions share.
   An empty run of constant gates is the identity, and the RY(pi) turn of
@@ -73,7 +79,9 @@ from .circuit import (
     build_zz_feature_map,
     compose,
     evaluate_batch,
+    feature_indices,
     feature_prefix_length,
+    resolve_angle,
     run_gates,
 )
 from .optimizer import OptimizeResult, OptimizerOptions, minimize
@@ -188,11 +196,115 @@ def _split(template: CircuitTemplate) -> int:
     return split
 
 
+# Widest register whose prefix is compiled.  A block is 4**n complex entries
+# (1 MiB at 8 qubits); past about 9 qubits it also costs more per row than
+# its gates, measured on the Z map.
+COMPILED_PREFIX_QUBITS = 8
+
+
+def _gate_rows(gates, n_qubits: int) -> np.ndarray:
+    """U^T of a run of constant gates, complex: row j is U e_j, the gates
+    run over the identity."""
+    rows = np.eye(2**n_qubits, dtype=complex)
+    run_gates(rows, gates, n_qubits, np.zeros(0), np.zeros(0))
+    return rows
+
+
+class _Encoding(NamedTuple):
+    """A feature prefix compiled by ``_compile_prefix``."""
+
+    # in order: ("block", R) multiplies every row by R = U^T of a run of
+    # constant gates, ("phase", i) by the diagonal of distinct group i, and
+    # ("gates", (g,)) runs a gate the compiler cannot place
+    steps: tuple
+    groups: tuple  # (angle sources, (K, 2**n) 0/1 incidence) of each distinct group
+
+
+@lru_cache(maxsize=32)  # a run compiles one prefix per feature map
+def _compile_prefix(gates: tuple, n_qubits: int) -> _Encoding:
+    """Constant blocks and phase groups of a parameter-free gate list.
+
+    A phase group is a run of P and CX gates opened by a feature P.  Its CX
+    gates permute basis states and its P gates multiply them by a phase, so
+    it takes a basis state z to C z, C its CX network, times
+    exp(i sum_k theta_k bit_{q_k}(z_k)), where z_k is what z has become when
+    the k-th P, on qubit q_k, acts.  The group is thus C D(x) with D(x)
+    diagonal, D_zz = exp(i sum_k theta_k(x) incidence_kz), and C opens the
+    next block.  A constant gate on a qubit that no gate of the open group
+    touches commutes with the group and joins the block before it; any
+    other constant gate closes the group.  A feature-angle RY closes both
+    and stays a gate, as does every gate of a register wider than
+    COMPILED_PREFIX_QUBITS.  A block whose product is the identity, such as the
+    ZZ map's CX network (a CX pair around each interaction phase), is
+    dropped.
+    """
+    dim = 2**n_qubits
+    steps, groups, keys, block, group = [], [], {}, [], []
+
+    def flush_block():
+        if block:
+            rows = _gate_rows(block, n_qubits)
+            if not np.array_equal(rows, np.eye(dim)):
+                rows.flags.writeable = False
+                steps.append(("block", rows))
+            block.clear()
+
+    def close_group():
+        if not group:
+            return
+        flush_block()
+        image, angles, incidence = np.arange(dim), [], []
+        for g in group:
+            if g.kind == "CX":
+                control, target = g.qubits
+                image = image ^ (((image >> control) & 1) << target)
+                block.append(g)
+            else:
+                angles.append(g.angle)
+                incidence.append((image >> g.qubits[0]) & 1)
+        angles, incidence = tuple(angles), np.array(incidence, dtype=float)
+        index = keys.setdefault((angles, incidence.tobytes()), len(groups))
+        if index == len(groups):
+            incidence.flags.writeable = False
+            groups.append((angles, incidence))
+        steps.append(("phase", index))
+        group.clear()
+
+    for g in gates:
+        if n_qubits > COMPILED_PREFIX_QUBITS or g.kind == "RY" and feature_indices(g.angle):
+            close_group()
+            flush_block()
+            steps.append(("gates", (g,)))
+        elif g.kind == "P" and (group or feature_indices(g.angle)) or g.kind == "CX" and group:
+            group.append(g)
+        else:
+            if any(g.qubits[0] in h.qubits for h in group):
+                close_group()
+            block.append(g)
+    close_group()
+    flush_block()
+    return _Encoding(tuple(steps), tuple(groups))
+
+
+def _phase_diagonal(group: tuple, features: np.ndarray) -> np.ndarray:
+    """exp(i theta(x) @ incidence) of every row, shape (N, 2**n)."""
+    angles, incidence = group
+    theta = np.empty((features.shape[0], len(angles)))
+    for k, angle in enumerate(angles):
+        theta[:, k] = resolve_angle(angle, features, np.zeros(0))
+    diagonal = np.zeros((features.shape[0], incidence.shape[1]), dtype=complex)
+    diagonal.imag = (theta[:, None, :] @ incidence)[:, 0]
+    return np.exp(diagonal, out=diagonal)
+
+
 def encode(template: CircuitTemplate, features) -> np.ndarray:
     """State of every row after the feature prefix, shape (N, 2**n).
 
     Raises ValueError unless ``features`` is (N, n_feature_slots), and when
     a feature gate follows a parameterized gate (the template has no split).
+    The prefix is compiled once per gate list (``_compile_prefix``).  Every
+    product is a stack of one-row products, so a row's state does not
+    depend on the other rows, bit for bit.
     """
     features = np.asarray(features, dtype=float)
     if features.ndim != 2:
@@ -201,7 +313,19 @@ def encode(template: CircuitTemplate, features) -> np.ndarray:
         raise ValueError(f"expected {template.n_feature_slots} features, got {features.shape[1]}")
     split = _split(template)
     states = zero_states(features.shape[:1], template.n_qubits)
-    run_gates(states, template.gates[:split], template.n_qubits, features, np.zeros(0))
+    encoding = _compile_prefix(template.gates[:split], template.n_qubits)
+    diagonals = {}
+    for i, (kind, value) in enumerate(encoding.steps):
+        if kind == "block" and i == 0:
+            states[:] = value[0]  # |0...0> @ R: every row is R's first row
+        elif kind == "block":
+            states = (states[:, None, :] @ value)[:, 0]
+        elif kind == "phase":
+            if value not in diagonals:
+                diagonals[value] = _phase_diagonal(encoding.groups[value], features)
+            states *= diagonals[value]
+        else:
+            run_gates(states, value, template.n_qubits, features, np.zeros(0))
     return states
 
 
@@ -306,8 +430,7 @@ class _DenseSuffix:
     def _matrix(self, gates) -> np.ndarray:
         if not gates:
             return np.eye(2**self._n_qubits)
-        columns = np.eye(2**self._n_qubits, dtype=complex)  # row j becomes U e_j
-        run_gates(columns, gates, self._n_qubits, np.zeros(0), np.zeros(0))
+        columns = _gate_rows(gates, self._n_qubits)
         if np.any(columns.imag):
             kinds = ", ".join(sorted({g.kind for g in gates}))
             raise ValueError(f"the trainable suffix must be real, but its constant "

@@ -459,7 +459,7 @@ class TestRun:
         out = capsys.readouterr().out
         lines = out.splitlines()
         header = ("method   feature_map  ansatz               "
-                  "      r2     mae_kW   wall_s     dR2      dMAE")
+                  "      r2     mae_kW  wall_ms     dR2      dMAE")
         assert lines[:2] == [header, "-" * len(header)]
         # the header's column widths, one space between; text flush left,
         # numbers flush right
@@ -472,7 +472,7 @@ class TestRun:
             assert [method, family, ansatz] == [row["config_id"], row["feature_map"],
                                                 row["ansatz"]]
             assert r2 == f"{float(row['r2']):.4f}" and mae == f"{float(row['mae']):.2f}"
-            assert wall == f"{float(row['wall_time_s']):.1f}"
+            assert wall == f"{float(row['wall_time_s']) * 1e3:.1f}"
             ref_r2, ref_mae = REFERENCE_RESULTS[method]
             assert dr2[0] in "+-" and dmae[0] in "+-"
             assert abs(float(dr2) - (float(row["r2"]) - ref_r2)) <= 0.005
