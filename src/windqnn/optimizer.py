@@ -196,6 +196,7 @@ def minimize(
     status = STATUS_MAX_ITERATIONS
 
     for iteration in range(1, opts.max_iterations + 1):
+        # x0 is checked here, and every later iterate right after its step
         if np.max(np.abs(g)) <= opts.gradient_tolerance:
             status = STATUS_CONVERGED
             break
@@ -258,7 +259,8 @@ def minimize(
         f, g = f_new, g_new
         trace.append((iteration, f))
 
-        if decrease <= opts.relative_f_tolerance * max(abs(f_new), abs(trace[-2][1]), 1.0):
+        if (np.max(np.abs(g)) <= opts.gradient_tolerance
+                or decrease <= opts.relative_f_tolerance * max(abs(f_new), abs(trace[-2][1]), 1.0)):
             status = STATUS_CONVERGED
             break
 

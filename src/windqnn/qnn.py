@@ -44,15 +44,14 @@ So the work splits three ways.
   ``windqnn run`` trains a model only when no earlier model of its group
   has equal blocks, slots and initial parameters (``same_training``), so
   QNN-5 and QNN-11 take the results of QNN-2 and QNN-8.
-* Once per theta: M(theta) and the 2P shifted M come from dense real
-  2**n x 2**n products.  RY_q(t) = cos(t/2) I + sin(t/2) RY_q(pi) and every
-  other suffix gate is constant, so U(theta) is a product of P factors
-  cos(t_j/2) K_j + sin(t_j/2) L_j.  One forward pass makes the factors and
-  their prefix products; the suffix products behind each factor then give
-  every shifted U at once.  The objective keeps the forward pass, m and
-  G m - h of the last theta, so the gradient at a point the objective has
-  just seen computes only the suffix products.  No step of training
-  touches a row.
+* Once per theta: one forward pass of dense real 2**n x 2**n products.
+  RY_q(t) = cos(t/2) I + sin(t/2) RY_q(pi) and every other suffix gate is
+  constant, so U(theta) is a product of P factors cos(t_j/2) K_j +
+  sin(t_j/2) L_j; the pass keeps M(theta) and the factors' prefix
+  products.  No shifted circuit is built: each gate's shift difference is
+  a closed form in those (``_DenseSuffix.shift_differences``), so a
+  gradient at the theta the objective has just seen costs one commutator
+  and two batched products.  No step of training touches a row.
 * Per row: only the test predictions, read out through M(theta) by
   ``predict_scaled``.
 
@@ -383,10 +382,8 @@ def gram_form(states: np.ndarray, targets) -> Gram:
 class _Forward(NamedTuple):
     """One pass of a dense suffix at theta."""
 
-    angles: np.ndarray  # theta of each parameterized gate, shape (P,)
-    factors: np.ndarray  # F_j, shape (P, d, d)
     before: np.ndarray  # before[j] = F_{j-1} ... F_1, I for j = 1, shape (P, d, d)
-    unitary: np.ndarray  # U(theta) = F_P ... F_1, shape (d, d)
+    observable: np.ndarray  # M(theta) = U^T diag(parity) U, U = F_P ... F_1, shape (d, d)
 
 
 class _DenseSuffix:
@@ -395,13 +392,13 @@ class _DenseSuffix:
     With t_j the angle of the j-th parameterized RY and C_j the constant
     gates between it and the next one, U = F_P ... F_1 where
     F_j = C_j RY(t_j) = cos(t_j/2) K_j + sin(t_j/2) L_j, K_j = C_j and
-    L_j = C_j RY(pi), since RY(t) = cos(t/2) I + sin(t/2) RY(pi).  The
-    suffix starts at the first trainable gate, since the prefix takes every
-    gate before it.  The constant matrices are built once per template: an
-    empty run is the identity, a run of gates and each qubit's RY(pi) turn
-    are run over the identity.  They are kept real: a constant gate after
-    the first trainable RY must be real (H, CX, RY), so that M(theta) is
-    real symmetric.
+    L_j = C_j T_j with T_j the RY(pi) turn of gate j's qubit, since
+    RY(t) = cos(t/2) I + sin(t/2) RY(pi).  The suffix starts at the first
+    trainable gate, since the prefix takes every gate before it.  The
+    constant matrices are built once per template: an empty run is the
+    identity, a run of gates and each qubit's turn are run over the
+    identity.  They are kept real: a constant gate after the first trainable
+    RY must be real (H, CX, RY), so that M(theta) is real symmetric.
     """
 
     def __init__(self, template: CircuitTemplate):
@@ -420,10 +417,16 @@ class _DenseSuffix:
             slots.append(g.angle.index)
             runs.append([])
         dim = 2**n_qubits
+        gate_turns = np.array([turns[q] for q in qubits]).reshape(-1, dim, dim)
         self._cos = np.array([self._matrix(run) for run in runs]).reshape(-1, dim, dim)
-        self._sin = self._cos @ np.array([turns[q] for q in qubits]).reshape(-1, dim, dim)
+        self._sin = self._cos @ gate_turns
         self.slots = np.array(slots, dtype=int)
         self.n_slots = template.n_parameter_slots
+        # a turn is a signed permutation: T_j[i, a] = turn_signs[j, a] at the one
+        # row i of column a, and turn_entries[j, a] is (j, a, i) in a raveled stack
+        rows = np.argmax(np.abs(gate_turns), axis=1)
+        self._turn_signs = np.take_along_axis(gate_turns, rows[:, None], axis=1)[:, 0]
+        self._turn_entries = np.arange(rows.size).reshape(rows.shape) * dim + rows
         # parity readout of each basis state: the diagonal of Z x ... x Z
         self._signs = expect_z_all_array(np.eye(dim))
 
@@ -437,44 +440,37 @@ class _DenseSuffix:
                              f"gates ({kinds}) give a complex matrix")
         return columns.real.T
 
-    def _factors(self, angles: np.ndarray) -> np.ndarray:
-        """F_j for angles (..., P) of the parameterized gates, shape (..., P, d, d)."""
-        half = angles[..., None, None] / 2.0
-        return np.cos(half) * self._cos + np.sin(half) * self._sin
-
-    def _observe(self, unitaries: np.ndarray) -> np.ndarray:
-        return np.swapaxes(unitaries, -1, -2) @ (self._signs[:, None] * unitaries)
-
     def forward(self, theta: np.ndarray) -> _Forward:
-        """The factors at theta, their prefix products and U(theta)."""
-        angles = theta[self.slots]
-        factors = self._factors(angles)
+        """The prefix products of the factors at theta and M(theta)."""
+        half = theta[self.slots][:, None, None] / 2.0
+        factors = np.cos(half) * self._cos + np.sin(half) * self._sin
         before = np.empty_like(factors)
         u = np.eye(self._cos.shape[-1])
         for j in range(factors.shape[0]):
             before[j] = u
             u = factors[j] @ u
-        return _Forward(angles, factors, before, u)
+        return _Forward(before, u.T @ (self._signs[:, None] * u))
 
     def observable(self, theta: np.ndarray) -> np.ndarray:
         """M(theta), shape (d, d)."""
-        return self._observe(self.forward(theta).unitary)
+        return self.forward(theta).observable
 
-    def shifted_observables(self, forward: _Forward) -> np.ndarray:
-        """M with the angle of parameterized gate j moved by +pi/2 (row 0)
-        and -pi/2 (row 1) from the forward pass's theta, shape (2, P, d, d).
+    def shift_differences(self, forward: _Forward, r: np.ndarray) -> np.ndarray:
+        """r . (m_+j - m_-j) for every parameterized gate j, shape (P,), where
+        m_+-j are the coordinates of M with gate j's angle moved by +-pi/2.
 
-        after[j] is the product of every factor behind F_j, so each shifted
-        U is after[j] @ F_j' @ before[j].
+        RY(t +- pi/2) = RY(t) (I +- T_j)/sqrt(2), so the shifted U is
+        U (I +- Q_j)/sqrt(2) with Q_j = B_j^T T_j B_j antisymmetric, B_j =
+        before[j], and M_+j - M_-j = M Q_j - Q_j M.  With R the symmetric
+        matrix of coordinates r, those off the diagonal halved, that is
+        tr(B_j [R, M] B_j^T T_j).  No shifted circuit is built.
         """
-        factors = forward.factors
-        after = np.empty_like(factors)
-        u = np.eye(self._cos.shape[-1])
-        for j in reversed(range(factors.shape[0])):
-            after[j] = u
-            u = u @ factors[j]
-        shifted = self._factors(forward.angles + np.array([[np.pi / 2], [-np.pi / 2]]))
-        return self._observe(after @ shifted @ forward.before)
+        rows, cols = _triangle(forward.observable.shape[0])
+        upper = np.zeros_like(forward.observable)
+        upper[rows, cols] = r / 2.0
+        rm = (upper + upper.T) @ forward.observable
+        turned = forward.before @ (rm - rm.T) @ np.swapaxes(forward.before, 1, 2)
+        return np.sum(turned.reshape(-1)[self._turn_entries] * self._turn_signs, axis=1)
 
 
 class _GramObjective:
@@ -493,7 +489,7 @@ class _GramObjective:
     def _at(self, theta: np.ndarray):
         if not np.array_equal(theta, self._theta):
             forward = self.suffix.forward(theta)
-            m = _coordinates(self.suffix._observe(forward.unitary))
+            m = _coordinates(forward.observable)
             self._forward, self._m, self._r = forward, m, self.gram.g @ m - self.gram.h
             self._theta = np.array(theta, dtype=float)
         return self._forward, self._m, self._r
@@ -503,12 +499,10 @@ class _GramObjective:
         _, m, r = self._at(theta)
         return float(np.sum(m * (r - self.gram.h)) + self.gram.c)
 
-    def shift_gradient(self, theta: np.ndarray) -> np.ndarray:
-        """Exact dL/dtheta: (G m - h) . (m_+k - m_-k), every shift in one batch."""
+    def gradient(self, theta: np.ndarray) -> np.ndarray:
+        """Exact dL/dtheta_k: (G m - h) . (m_+k - m_-k), summed over slot k's gates."""
         forward, _, r = self._at(theta)
-        plus, minus = self.suffix.shifted_observables(forward)
-        per_gate = _coordinates(plus - minus) @ r
-        return np.bincount(self.suffix.slots, weights=per_gate,
+        return np.bincount(self.suffix.slots, weights=self.suffix.shift_differences(forward, r),
                            minlength=self.suffix.n_slots)
 
 
@@ -535,7 +529,7 @@ def gradient_parameter_shift(model: QnnModel, features_scaled, targets_scaled) -
     the MSE chain rule then gives (2/N) sum_s (f_s - y_s) * df_s/dtheta_k.
     """
     gram = gram_form(encode(model.template, features_scaled), targets_scaled)
-    return _GramObjective(model.suffix, gram).shift_gradient(model.parameters)
+    return _GramObjective(model.suffix, gram).gradient(model.parameters)
 
 
 def same_training(a: QnnModel, b: QnnModel) -> bool:
@@ -554,4 +548,4 @@ def train(model: QnnModel, gram: Gram,
     parameters with the exact parameter-shift gradient.  Returns minimize's
     result; ``best_point`` is the fitted parameter vector."""
     objective = _GramObjective(model.suffix, gram)
-    return minimize(objective.loss, objective.shift_gradient, model.parameters, options)
+    return minimize(objective.loss, objective.gradient, model.parameters, options)

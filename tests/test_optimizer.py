@@ -133,6 +133,17 @@ def test_minimize_iteration_cap():
     assert len(result.trace) <= 26
 
 
+def test_a_last_step_within_tolerance_converges():
+    # x.x from [1, -2]: the first step lands on the minimizer, g = 0 there,
+    # so a cap of one iteration converges as a cap of two does
+    results = [minimize(lambda x: float(x @ x), lambda x: 2.0 * x, np.array([1.0, -2.0]),
+                        OptimizerOptions(max_iterations=cap)) for cap in (1, 2)]
+    for result in results:
+        assert result.status == STATUS_CONVERGED
+        assert np.array_equal(result.best_point, np.zeros(2))
+    assert results[0].trace == results[1].trace == [(0, 5.0), (1, 0.0)]
+
+
 def test_trace_strictly_decreases():
     options = OptimizerOptions(max_iterations=40)
     result = minimize(_rosenbrock, _rosenbrock_grad, np.array([-1.2, 1.0]), options)

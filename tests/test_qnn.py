@@ -23,6 +23,7 @@ from windqnn.optimizer import OptimizerOptions
 from windqnn.qnn import (
     CONFIG_IDS,
     CONFIG_TABLE,
+    Gram,
     QnnModel,
     _DenseSuffix,
     _GramObjective,
@@ -388,6 +389,15 @@ QUBITS = st.integers(0, 3)
 
 
 @st.composite
+def feature_maps(draw):
+    """A Z or ZZ feature map of one or two repetitions."""
+    reps = draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        return build_z_feature_map(4, reps)
+    return build_zz_feature_map(4, reps, draw(st.sampled_from(["full", "linear"])))
+
+
+@st.composite
 def prefixed_templates(draw):
     """A Z or ZZ feature map followed by a random feature-free suffix.
 
@@ -395,11 +405,7 @@ def prefixed_templates(draw):
     merely permute the basis; every RY owns one parameter slot.  Its gates
     are real, as the dense suffix requires.
     """
-    reps = draw(st.integers(1, 2))
-    if draw(st.booleans()):
-        prefix = build_z_feature_map(4, reps)
-    else:
-        prefix = build_zz_feature_map(4, reps, draw(st.sampled_from(["full", "linear"])))
+    prefix = draw(feature_maps())
     placed = [(kind, draw(st.permutations(range(4)))[:2])
               for kind in draw(st.lists(st.sampled_from(["RY", "H", "CX"]),
                                         max_size=10))]
@@ -421,8 +427,8 @@ def prefixed_templates(draw):
 
 
 @st.composite
-def bound_models(draw):
-    prefix, suffix = draw(prefixed_templates())
+def bound_models(draw, templates=prefixed_templates()):
+    prefix, suffix = draw(templates)
     rows = draw(st.integers(1, 4))
     xs = np.array(draw(st.lists(st.floats(0, np.pi), min_size=4 * rows,
                                 max_size=4 * rows))).reshape(rows, 4)
@@ -448,9 +454,11 @@ def test_collapsed_predict_matches_dense_observable(case):
 @settings(max_examples=60, deadline=None)
 @given(bound_models())
 def test_dense_products_match_dense_template_matrix(case):
-    # M(theta) and every M with one gate's angle moved by +-pi/2; each RY of
-    # these suffixes owns its slot, so gate j shifts slot j.  The split puts
-    # the suffix's leading constant gates into the encoded prefix.
+    # M(theta), and the change in every coordinate of m when one gate's
+    # angle moves by +pi/2 and by -pi/2.  Each RY of these suffixes owns its
+    # slot, so gate j shifts slot j, and with G = 0 and h = -e_k the gradient
+    # is coordinate k of every gate's difference.  The split puts the
+    # suffix's leading constant gates into the encoded prefix.
     prefix, suffix, _, theta, _ = case
     template = compose(prefix, suffix)
     rest = CircuitTemplate(4, template.gates[feature_prefix_length(template):],
@@ -458,14 +466,16 @@ def test_dense_products_match_dense_template_matrix(case):
     dense = _DenseSuffix(template)
     np.testing.assert_allclose(dense.observable(theta),
                                dense_suffix_observable(rest, theta), rtol=0, atol=1e-12)
-    plus, minus = dense.shifted_observables(dense.forward(theta))
-    for k, slot in enumerate(dense.slots):
+    upper = np.triu_indices(16)
+    zero = np.zeros((upper[0].size,) * 2)
+    differences = np.array([_GramObjective(dense, Gram(zero, -e, 0.0)).gradient(theta)
+                            for e in np.eye(upper[0].size)]).T
+    for slot in dense.slots:
         shift = np.zeros_like(theta)
         shift[slot] = np.pi / 2
-        np.testing.assert_allclose(plus[k], dense_suffix_observable(rest, theta + shift),
-                                   rtol=0, atol=1e-12)
-        np.testing.assert_allclose(minus[k], dense_suffix_observable(rest, theta - shift),
-                                   rtol=0, atol=1e-12)
+        want = (dense_suffix_observable(rest, theta + shift)
+                - dense_suffix_observable(rest, theta - shift))
+        np.testing.assert_allclose(differences[slot], want[upper], rtol=0, atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -476,12 +486,54 @@ def test_gram_loss_and_gradient_match_rowwise_oracle(case):
     objective = _GramObjective(_DenseSuffix(template), gram_form(encode(template, xs), ys))
     loss, gradient = rowwise_loss_and_shift_gradient(prefix, suffix, xs, theta, ys)
     assert objective.loss(theta) == pytest.approx(loss, rel=0, abs=1e-12)
-    np.testing.assert_allclose(objective.shift_gradient(theta), gradient, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(objective.gradient(theta), gradient, rtol=0, atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
 @given(bound_models())
 def test_batched_shift_gradient_matches_central_difference(case):
+    prefix, suffix, xs, theta, ys = case
+    model = QnnModel(template=compose(prefix, suffix), parameters=theta)
+    np.testing.assert_allclose(
+        gradient_parameter_shift(model, xs, ys), _central_difference(model, xs, ys),
+        rtol=0, atol=1e-7,
+    )
+
+
+def _slot_summed_oracle(prefix, suffix, xs, theta, ys):
+    """The rowwise oracle with one slot per RY, its gradient summed back
+    into the suffix's slots (the chain rule).  Shifting a slot that two
+    gates read moves both at once, which the two-term rule does not
+    differentiate exactly."""
+    gates, slots = [], []
+    for g in suffix.gates:
+        if isinstance(g.angle, ParamAngle):
+            slots.append(g.angle.index)
+            g = replace(g, angle=ParamAngle(len(slots) - 1))
+        gates.append(g)
+    own = CircuitTemplate(4, tuple(gates), n_parameter_slots=len(slots))
+    loss, per_gate = rowwise_loss_and_shift_gradient(prefix, own, xs, theta[slots], ys)
+    return loss, np.bincount(slots, weights=per_gate, minlength=suffix.n_parameter_slots)
+
+
+# suffixes whose RYs share slots and repeat on one qubit (``block_suffixes``)
+SHARED_SLOT_MODELS = bound_models(st.tuples(feature_maps(), block_suffixes()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(SHARED_SLOT_MODELS)
+def test_shared_slot_gradient_matches_rowwise_oracle(case):
+    prefix, suffix, xs, theta, ys = case
+    template = compose(prefix, suffix)
+    objective = _GramObjective(_DenseSuffix(template), gram_form(encode(template, xs), ys))
+    loss, gradient = _slot_summed_oracle(prefix, suffix, xs, theta, ys)
+    assert objective.loss(theta) == pytest.approx(loss, rel=0, abs=1e-12)
+    np.testing.assert_allclose(objective.gradient(theta), gradient, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SHARED_SLOT_MODELS)
+def test_shared_slot_gradient_matches_central_difference(case):
     prefix, suffix, xs, theta, ys = case
     model = QnnModel(template=compose(prefix, suffix), parameters=theta)
     np.testing.assert_allclose(
@@ -500,13 +552,13 @@ def test_gradient_after_objective_equals_fresh_gradient(case, offset):
     template = compose(prefix, suffix)
     gram = gram_form(encode(template, xs), ys)
     suffix = _DenseSuffix(template)
-    fresh = _GramObjective(suffix, gram).shift_gradient(theta)
+    fresh = _GramObjective(suffix, gram).gradient(theta)
     same = _GramObjective(suffix, gram)
     same.loss(theta.copy())
     moved = _GramObjective(suffix, gram)
     moved.loss(theta + offset)
-    assert np.array_equal(same.shift_gradient(theta), fresh)
-    assert np.array_equal(moved.shift_gradient(theta), fresh)
+    assert np.array_equal(same.gradient(theta), fresh)
+    assert np.array_equal(moved.gradient(theta), fresh)
     assert moved.loss(theta) == _GramObjective(suffix, gram).loss(theta)
 
 
@@ -520,9 +572,9 @@ def test_gradient_builds_the_observable_only_at_a_new_theta():
     forward = objective.suffix.forward
     objective.suffix.forward = lambda theta: built.append(1) or forward(theta)
     objective.loss(model.parameters.copy())
-    objective.shift_gradient(model.parameters.copy())
+    objective.gradient(model.parameters.copy())
     assert len(built) == 1  # an equal theta in a new array is a hit
-    objective.shift_gradient(model.parameters + 0.5)
+    objective.gradient(model.parameters + 0.5)
     assert len(built) == 2
 
 
