@@ -26,6 +26,7 @@ from .statevector import (
 )
 
 ENTANGLEMENTS = ("linear", "reverse_linear", "full", "circular", "sca", "pairwise")
+GATE_KINDS = ("H", "P", "RY", "CX")
 
 
 @dataclass(frozen=True)
@@ -69,6 +70,8 @@ class GateSpec:
     angle: Optional[AngleSource] = None
 
     def __post_init__(self):
+        if self.kind not in GATE_KINDS:
+            raise ValueError(f"unknown gate kind {self.kind!r}, expected one of {GATE_KINDS}")
         if self.kind in ("H", "CX") and self.angle is not None:
             raise ValueError(f"{self.kind} carries no angle")
         if self.kind in ("P", "RY") and self.angle is None:

@@ -37,21 +37,25 @@ So the work splits three ways.
   into the incidence (``_compile_prefix``).  Both benchmark maps at two
   repetitions become block, phase, block, phase; the ZZ map's CX pairs
   cancel, and its two equal groups take their exponentials once.
-* Once per model: the constant blocks K_j and L_j below, which a
-  ``QnnModel`` makes and its training and predictions share.
-  An empty run of constant gates is the identity, and the RY(pi) turn of
-  each qubit is simulated once, however many trainable gates it carries.
-  ``windqnn run`` trains a model only when no earlier model of its group
-  has equal blocks, slots and initial parameters (``same_training``), so
-  QNN-5 and QNN-11 take the results of QNN-2 and QNN-8.
+* Once per model: the rotation layers and constant runs below, which a
+  ``QnnModel`` makes and its training and predictions share.  A run of
+  constant gates is simulated once per gate tuple and cached read-only
+  (``_run_matrix``), so QNN-7..12 reuse the runs of QNN-1..6; an empty run
+  is the identity, and the RY(pi) turns are signed permutations in closed
+  form.  ``windqnn run`` trains a model only when no earlier model of its
+  group has equal runs, layers, qubits, slots and initial parameters
+  (``same_training``), so QNN-5 and QNN-11 take the results of QNN-2 and
+  QNN-8.
 * Once per theta: one forward pass of dense real 2**n x 2**n products.
-  RY_q(t) = cos(t/2) I + sin(t/2) RY_q(pi) and every other suffix gate is
-  constant, so U(theta) is a product of P factors cos(t_j/2) K_j +
-  sin(t_j/2) L_j; the pass keeps M(theta) and the factors' prefix
-  products.  No shifted circuit is built: each gate's shift difference is
-  a closed form in those (``_DenseSuffix.shift_differences``), so a
-  gradient at the theta the objective has just seen costs one commutator
-  and two batched products.  No step of training touches a row.
+  The suffix's RYs fall into rotation layers, each a Kronecker product of
+  RYs on distinct qubits followed by a run of constant gates, so U(theta)
+  is a product of one factor per layer (4 for the benchmark ansaetze, which
+  hold 16 RYs).  One sine of the angles and one gather build every layer's
+  rotation; the pass keeps M(theta) and the factors' prefix products.  No
+  shifted circuit is built: each gate's shift difference is a closed form
+  in those (``_DenseSuffix.shift_differences``), so a gradient at the theta
+  the objective has just seen costs one commutator and two batched
+  products over the layer starts.  No step of training touches a row.
 * Per row: only the test predictions, read out through M(theta) by
   ``predict_scaled``.
 
@@ -71,7 +75,6 @@ import numpy as np
 
 from .circuit import (
     CircuitTemplate,
-    ConstAngle,
     ParamAngle,
     build_ansatz,
     build_z_feature_map,
@@ -382,74 +385,112 @@ def gram_form(states: np.ndarray, targets) -> Gram:
 class _Forward(NamedTuple):
     """One pass of a dense suffix at theta."""
 
-    before: np.ndarray  # before[j] = F_{j-1} ... F_1, I for j = 1, shape (P, d, d)
-    observable: np.ndarray  # M(theta) = U^T diag(parity) U, U = F_P ... F_1, shape (d, d)
+    before: np.ndarray  # before[g] = W_g = F_{g-1} ... F_1, I for g = 1, shape (G, d, d)
+    observable: np.ndarray  # M(theta) = U^T diag(parity) U, U = F_G ... F_1, shape (d, d)
+
+
+@lru_cache(maxsize=32)  # one entry per distinct entangler layer of a run's ansaetze
+def _run_matrix(gates: tuple, n_qubits: int) -> np.ndarray:
+    """C of a run of constant suffix gates, real and read-only: I for an
+    empty run, else the gates run over the identity.  Raises ValueError when
+    C is complex; an exception is not cached, so every build raises it."""
+    if not gates:
+        matrix = np.eye(2**n_qubits)
+    else:
+        columns = _gate_rows(gates, n_qubits)
+        if np.any(columns.imag):
+            kinds = ", ".join(sorted({g.kind for g in gates}))
+            raise ValueError(f"the trainable suffix must be real, but its constant "
+                             f"gates ({kinds}) give a complex matrix")
+        matrix = np.ascontiguousarray(columns.real.T)
+    matrix.flags.writeable = False
+    return matrix
+
+
+# RY(t) row by row is (cos, -sin, sin, cos)(t/2) = sin(t * _RY_HALF_SIGNS + _RY_PHASES),
+# and sin(0 * t + _RY_PHASES) is the identity exactly
+_RY_HALF_SIGNS = np.array([0.5, -0.5, 0.5, 0.5])
+_RY_PHASES = np.array([np.pi / 2, 0.0, 0.0, np.pi / 2])
 
 
 class _DenseSuffix:
-    """U(theta) of a template's trainable suffix as P dense factors.
+    """U(theta) of a template's trainable suffix as G dense layer factors.
 
-    With t_j the angle of the j-th parameterized RY and C_j the constant
-    gates between it and the next one, U = F_P ... F_1 where
-    F_j = C_j RY(t_j) = cos(t_j/2) K_j + sin(t_j/2) L_j, K_j = C_j and
-    L_j = C_j T_j with T_j the RY(pi) turn of gate j's qubit, since
-    RY(t) = cos(t/2) I + sin(t/2) RY(pi).  The suffix starts at the first
-    trainable gate, since the prefix takes every gate before it.  The
-    constant matrices are built once per template: an empty run is the
-    identity, a run of gates and each qubit's turn are run over the
-    identity.  They are kept real: a constant gate after the first trainable
-    RY must be real (H, CX, RY), so that M(theta) is real symmetric.
+    A rotation layer is a maximal run of parameterized RYs on distinct
+    qubits with no constant gate between them; a repeated qubit or a
+    constant gate opens the next layer.  With C_g the constant gates after
+    layer g and R_g the Kronecker product of its RYs, the identity on a
+    qubit it does not turn, U = F_G ... F_1 where F_g = C_g R_g.  Entry
+    (a, b) of R_g is the product over the qubits q of RY_q[bit_q(a),
+    bit_q(b)], so one sine of the angles, one gather through a (G, n, 4**n)
+    index and one product over the qubits make every R_g.  The benchmark
+    ansaetze have 4 layers of 4 RYs.  The suffix starts at the first
+    trainable gate, since the prefix takes every gate before it.
+
+    Each run C_g is built once per gate tuple (``_run_matrix``), so models
+    of one ansatz share them.  It must be real (H, CX, RY), so that M(theta)
+    is real symmetric.  The RY(pi) turn T_j of gate j is a signed
+    permutation in closed form: column a has its one entry 1 - 2 bit_q(a)
+    in row a ^ 2**q, q the gate's qubit.
     """
 
     def __init__(self, template: CircuitTemplate):
-        n_qubits = template.n_qubits
-        self._n_qubits = n_qubits
-        runs, qubits, turns, slots = [], [], {}, []
+        n_qubits, dim = template.n_qubits, 2**template.n_qubits
+        runs, layers, qubits, slots, taken = [], [], [], [], set()
         for g in template.gates[_split(template):]:
             if not isinstance(g.angle, ParamAngle):
                 runs[-1].append(g)
                 continue
             if g.kind != "RY":
                 raise ValueError(f"only RY gates may carry a trainable angle, got {g.kind}")
-            if g.qubits not in turns:
-                turns[g.qubits] = self._matrix([replace(g, angle=ConstAngle(np.pi))])
-            qubits.append(g.qubits)
+            if not runs or runs[-1] or g.qubits[0] in taken:
+                runs.append([])
+                taken = set()
+            taken.add(g.qubits[0])
+            layers.append(len(runs) - 1)
+            qubits.append(g.qubits[0])
             slots.append(g.angle.index)
-            runs.append([])
-        dim = 2**n_qubits
-        gate_turns = np.array([turns[q] for q in qubits]).reshape(-1, dim, dim)
-        self._cos = np.array([self._matrix(run) for run in runs]).reshape(-1, dim, dim)
-        self._sin = self._cos @ gate_turns
-        self.slots = np.array(slots, dtype=int)
+        self._runs = np.array([_run_matrix(tuple(run), n_qubits)
+                               for run in runs]).reshape(-1, dim, dim)
+        self.layers, self.qubits, self.slots = (np.array(v, dtype=int)
+                                                for v in (layers, qubits, slots))
         self.n_slots = template.n_parameter_slots
-        # a turn is a signed permutation: T_j[i, a] = turn_signs[j, a] at the one
-        # row i of column a, and turn_entries[j, a] is (j, a, i) in a raveled stack
-        rows = np.argmax(np.abs(gate_turns), axis=1)
-        self._turn_signs = np.take_along_axis(gate_turns, rows[:, None], axis=1)[:, 0]
-        self._turn_entries = np.arange(rows.size).reshape(rows.shape) * dim + rows
+        # row j of forward's (P + 1, 4) table holds gate j's RY and row P, whose
+        # angle is multiplied by 0, the identity: a qubit without a gate in a
+        # layer reads row P, and entry (a, b) of R_g reads entry (bit_q(a),
+        # bit_q(b)) of qubit q's row
+        self._angles = np.append(self.slots, 0)
+        self._half_signs = np.zeros((len(slots) + 1, 4))
+        self._half_signs[:-1] = _RY_HALF_SIGNS
+        rows = np.full((len(runs), n_qubits), len(slots))
+        rows[self.layers, self.qubits] = np.arange(len(slots))
+        columns = np.arange(dim)
+        bits = (columns >> np.arange(n_qubits)[:, None]) & 1
+        entries = (2 * bits[:, :, None] + bits[:, None, :]).reshape(n_qubits, -1)
+        self._rotations = rows[:, :, None] * 4 + entries
+        # T_j[a ^ 2**q, a] = turn_signs[j, a], and turn_entries[j, a] is
+        # (g_j, a, a ^ 2**q) in a raveled (G, d, d) stack
+        self._turn_entries = ((self.layers[:, None] * dim + columns) * dim
+                              + (columns ^ (1 << self.qubits[:, None])))
+        self._turn_signs = 1.0 - 2.0 * bits[self.qubits]
         # parity readout of each basis state: the diagonal of Z x ... x Z
         self._signs = expect_z_all_array(np.eye(dim))
 
-    def _matrix(self, gates) -> np.ndarray:
-        if not gates:
-            return np.eye(2**self._n_qubits)
-        columns = _gate_rows(gates, self._n_qubits)
-        if np.any(columns.imag):
-            kinds = ", ".join(sorted({g.kind for g in gates}))
-            raise ValueError(f"the trainable suffix must be real, but its constant "
-                             f"gates ({kinds}) give a complex matrix")
-        return columns.real.T
+    def factors(self, theta: np.ndarray) -> np.ndarray:
+        """The layer factors F_g = C_g R_g at theta, shape (G, d, d)."""
+        table = np.sin(theta[self._angles][:, None] * self._half_signs + _RY_PHASES)
+        rotations = np.multiply.reduce(table.reshape(-1)[self._rotations], axis=1)
+        return self._runs @ rotations.reshape(self._runs.shape)
 
     def forward(self, theta: np.ndarray) -> _Forward:
-        """The prefix products of the factors at theta and M(theta)."""
-        half = theta[self.slots][:, None, None] / 2.0
-        factors = np.cos(half) * self._cos + np.sin(half) * self._sin
-        before = np.empty_like(factors)
-        u = np.eye(self._cos.shape[-1])
-        for j in range(factors.shape[0]):
-            before[j] = u
-            u = factors[j] @ u
-        return _Forward(before, u.T @ (self._signs[:, None] * u))
+        """The prefix products of the layer factors at theta and M(theta)."""
+        factors = self.factors(theta)
+        products = np.empty((factors.shape[0] + 1,) + factors.shape[1:])
+        products[0] = np.eye(factors.shape[-1])
+        for g, factor in enumerate(factors):
+            np.matmul(factor, products[g], out=products[g + 1])
+        u = products[-1]
+        return _Forward(products[:-1], u.T @ (self._signs[:, None] * u))
 
     def observable(self, theta: np.ndarray) -> np.ndarray:
         """M(theta), shape (d, d)."""
@@ -459,11 +500,13 @@ class _DenseSuffix:
         """r . (m_+j - m_-j) for every parameterized gate j, shape (P,), where
         m_+-j are the coordinates of M with gate j's angle moved by +-pi/2.
 
-        RY(t +- pi/2) = RY(t) (I +- T_j)/sqrt(2), so the shifted U is
-        U (I +- Q_j)/sqrt(2) with Q_j = B_j^T T_j B_j antisymmetric, B_j =
-        before[j], and M_+j - M_-j = M Q_j - Q_j M.  With R the symmetric
-        matrix of coordinates r, those off the diagonal halved, that is
-        tr(B_j [R, M] B_j^T T_j).  No shifted circuit is built.
+        RY(t +- pi/2) = RY(t) (I +- T_j)/sqrt(2), and T_j commutes with the
+        other RYs of gate j's layer g, so the shifted U is U (I +- Q_j)/sqrt(2)
+        with Q_j = W_g^T T_j W_g antisymmetric, W_g = before[g], and
+        M_+j - M_-j = M Q_j - Q_j M.  With R the symmetric matrix of
+        coordinates r, those off the diagonal halved, that is
+        tr(W_g [R, M] W_g^T T_j): one conjugation per layer, not per gate.
+        No shifted circuit is built.
         """
         rows, cols = _triangle(forward.observable.shape[0])
         upper = np.zeros_like(forward.observable)
@@ -535,11 +578,12 @@ def gradient_parameter_shift(model: QnnModel, features_scaled, targets_scaled) -
 def same_training(a: QnnModel, b: QnnModel) -> bool:
     """True when ``train`` takes a and b through the same steps on any Gram
     form: their initial parameters are equal, and their suffixes have equal
-    constant blocks and slots.  QNN-5 and QNN-11 match QNN-2 and QNN-8."""
+    constant runs, and gates of equal layers, qubits and slots.  QNN-5 and
+    QNN-11 match QNN-2 and QNN-8."""
     sa, sb = a.suffix, b.suffix
     return all(np.array_equal(x, y) for x, y in (
-        (a.parameters, b.parameters), (sa.slots, sb.slots),
-        (sa._cos, sb._cos), (sa._sin, sb._sin)))
+        (a.parameters, b.parameters), (sa._runs, sb._runs), (sa.layers, sb.layers),
+        (sa.qubits, sb.qubits), (sa.slots, sb.slots)))
 
 
 def train(model: QnnModel, gram: Gram,

@@ -138,9 +138,11 @@ def dense_suffix_observable(suffix, params) -> np.ndarray:
 
 
 def dense_suffix_blocks(template) -> tuple:
-    """(lead, cos, sin): the constant blocks C_0, K_j and L_j = K_j RY(pi) of
-    a template's trainable suffix, with every run of constant gates, empty or
-    not, and every RY(pi) turn run through the simulator over the identity."""
+    """(lead, runs, turns) of a template's trainable suffix: C_0, the
+    constant gates ahead of its first trainable RY, then per trainable RY j
+    the run K_j of constant gates after it and T_j = RY(pi) on its qubit,
+    with every run, empty or not, and every turn run through the simulator
+    over the identity.  Gate j's factor is cos(t_j/2) K_j + sin(t_j/2) K_j T_j."""
     from windqnn.circuit import ConstAngle, ParamAngle, feature_prefix_length, run_gates
 
     dim = 2**template.n_qubits
@@ -148,6 +150,7 @@ def dense_suffix_blocks(template) -> tuple:
     def matrix(gates):
         columns = np.eye(dim, dtype=complex)  # row j becomes U e_j
         run_gates(columns, gates, template.n_qubits, np.zeros(0), np.zeros(0))
+        assert not np.any(columns.imag)
         return columns.real.T
 
     runs, turns = [[]], []
@@ -157,9 +160,8 @@ def dense_suffix_blocks(template) -> tuple:
             runs.append([])
         else:
             runs[-1].append(g)
-    cos = np.array([matrix(run) for run in runs[1:]]).reshape(-1, dim, dim)
-    sin = cos @ np.array([matrix([t]) for t in turns]).reshape(-1, dim, dim)
-    return matrix(runs[0]), cos, sin
+    blocks = np.array([matrix(run) for run in runs[1:]]).reshape(-1, dim, dim)
+    return matrix(runs[0]), blocks, np.array([matrix([t]) for t in turns]).reshape(-1, dim, dim)
 
 
 def rowwise_loss_and_shift_gradient(prefix, suffix, features, params, targets):

@@ -194,6 +194,23 @@ def test_gate_spec_invariants():
         GateSpec("CX", (1, 1))
 
 
+def test_gate_spec_refuses_unknown_kinds():
+    # run_gates once ran any unknown kind as an RY: an "RZ" turned |0> to |1>,
+    # and an angle-free "X" failed deep inside evaluate
+    with pytest.raises(ValueError, match="unknown gate kind 'RZ'"):
+        GateSpec("RZ", (0,), ConstAngle(np.pi))
+    with pytest.raises(ValueError, match="unknown gate kind 'X'"):
+        GateSpec("X", (0,))
+
+
+@pytest.mark.parametrize("strategy", ENTANGLEMENTS)
+def test_every_builder_still_constructs(strategy):
+    ansatz = build_ansatz(4, 3, strategy)
+    for feature_map in (build_z_feature_map(4, 2), build_zz_feature_map(4, 2, strategy)):
+        template = compose(feature_map, ansatz)
+        assert {g.kind for g in template.gates} == {"H", "P", "RY", "CX"}
+
+
 def test_template_rejects_out_of_range_slots():
     with pytest.raises(ValueError, match="feature slot"):
         CircuitTemplate(2, (GateSpec("P", (0,), FeatureAngle(3)),), n_feature_slots=2)

@@ -18,6 +18,7 @@ from windqnn.circuit import (
     compose,
     evaluate_batch,
     feature_prefix_length,
+    run_gates,
 )
 from windqnn.optimizer import OptimizerOptions
 from windqnn.qnn import (
@@ -27,6 +28,7 @@ from windqnn.qnn import (
     QnnModel,
     _DenseSuffix,
     _GramObjective,
+    _run_matrix,
     build_model,
     encode,
     gradient_parameter_shift,
@@ -322,22 +324,131 @@ def test_full_and_reverse_linear_ansatz_share_one_observable():
                                    rtol=0, atol=1e-12)
 
 
-# --- constant blocks of the dense suffix ---------------------------------------
+# --- rotation layers of the dense suffix --------------------------------------
+
+def _dense_turns(suffix):
+    """T_j of every gate, rebuilt as dense matrices from the suffix's
+    (g_j, a, i) entries and signs, and the layer each entry points into."""
+    dim = suffix._runs.shape[-1]
+    layer, column, row = np.unravel_index(suffix._turn_entries, suffix._runs.shape)
+    turns = np.zeros((suffix.slots.size, dim, dim))
+    gate = np.arange(suffix.slots.size)[:, None]
+    turns[gate, row, column] = suffix._turn_signs
+    assert np.array_equal(column, np.broadcast_to(np.arange(dim), column.shape))
+    return turns, layer
+
 
 def _assert_blocks_equal_oracle(template):
     # the oracle runs the constant gates ahead of the first trainable RY as
     # a lead block; the split moves them into the prefix, so it is always I
     suffix = _DenseSuffix(template)
-    lead, cos, sin = dense_suffix_blocks(template)
+    lead, blocks, turns = dense_suffix_blocks(template)
     assert np.array_equal(lead, np.eye(2**template.n_qubits))
-    for block, oracle in ((suffix._cos, cos), (suffix._sin, sin)):
-        assert block.shape == oracle.shape
-        assert np.array_equal(block, oracle)
+    last = [np.flatnonzero(suffix.layers == g)[-1] for g in range(suffix._runs.shape[0])]
+    # a layer's run is the run after its last gate, bit for bit; no constant
+    # gate stands between two gates of one layer
+    assert np.array_equal(suffix._runs, blocks[last])
+    inner = np.setdiff1d(np.arange(suffix.slots.size), last)
+    assert np.array_equal(blocks[inner], np.broadcast_to(lead, blocks[inner].shape))
+    # the closed-form turns take the simulated RY(pi) turns' rows and signs
+    # exactly; the simulation leaves cos(pi/2) = 6.1e-17 on the diagonal
+    dense, layer = _dense_turns(suffix)
+    rows = np.argmax(np.abs(turns), axis=1)
+    assert np.array_equal(rows, np.argmax(np.abs(dense), axis=1))
+    assert np.array_equal(np.take_along_axis(turns, rows[:, None], axis=1),
+                          np.take_along_axis(dense, rows[:, None], axis=1))
+    assert np.max(np.abs(turns - dense), initial=0.0) <= np.cos(np.pi / 2)
+    assert np.array_equal(layer, np.broadcast_to(suffix.layers[:, None], layer.shape))
+    # each layer factor is the product of its gates' factors cos K_j + sin L_j
+    rng = np.random.default_rng(77)
+    for theta in rng.uniform(-2 * np.pi, 2 * np.pi, size=(3, template.n_parameter_slots)):
+        half = theta[suffix.slots] / 2.0
+        gate_factors = (np.cos(half)[:, None, None] * blocks
+                        + np.sin(half)[:, None, None] * (blocks @ turns))
+        for g, factor in enumerate(suffix.factors(theta)):
+            want = lead
+            for j in np.flatnonzero(suffix.layers == g):
+                want = gate_factors[j] @ want
+            np.testing.assert_allclose(factor, want, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("config_id", CONFIG_IDS)
 def test_benchmark_blocks_match_the_simulated_oracle(config_id):
     _assert_blocks_equal_oracle(build_model(config_id).template)
+
+
+@pytest.mark.parametrize("config_id", CONFIG_IDS)
+def test_benchmark_suffixes_have_four_layers_of_four_gates(config_id):
+    suffix = build_model(config_id).suffix
+    assert suffix._runs.shape == (4, 16, 16)
+    assert suffix.layers.tolist() == [g for g in range(4) for _ in range(4)]
+    assert suffix.qubits.tolist() == [0, 1, 2, 3] * 4
+
+
+def _suffix_of(*gates):
+    slots = sum(isinstance(g.angle, ParamAngle) for g in gates)
+    return _DenseSuffix(CircuitTemplate(4, gates, n_parameter_slots=slots))
+
+
+def test_rotations_on_distinct_qubits_share_a_layer():
+    suffix = _suffix_of(GateSpec("RY", (2,), ParamAngle(0)), GateSpec("RY", (0,), ParamAngle(1)),
+                        GateSpec("RY", (3,), ParamAngle(2)))
+    assert suffix.layers.tolist() == [0, 0, 0]
+    assert np.array_equal(suffix._runs, np.eye(16)[None])
+
+
+def test_a_repeated_qubit_opens_a_new_layer():
+    suffix = _suffix_of(GateSpec("RY", (1,), ParamAngle(0)), GateSpec("RY", (2,), ParamAngle(1)),
+                        GateSpec("RY", (1,), ParamAngle(2)), GateSpec("RY", (2,), ParamAngle(3)))
+    assert suffix.layers.tolist() == [0, 0, 1, 1]
+    assert np.array_equal(suffix._runs, np.broadcast_to(np.eye(16), (2, 16, 16)))
+
+
+def test_a_constant_gate_opens_a_new_layer():
+    # the RYs sit on distinct qubits, yet the constant gate between them ends the layer
+    for constant in (GateSpec("H", (1,)), GateSpec("CX", (3, 1)),
+                     GateSpec("RY", (3,), ConstAngle(0.4))):
+        suffix = _suffix_of(GateSpec("RY", (0,), ParamAngle(0)), constant,
+                            GateSpec("RY", (2,), ParamAngle(1)))
+        assert suffix.layers.tolist() == [0, 1]
+        assert not np.array_equal(suffix._runs[0], np.eye(16))
+
+
+# --- the run cache -------------------------------------------------------------
+
+def test_a_second_model_of_an_ansatz_simulates_no_run(monkeypatch):
+    build_model("QNN-2")
+    calls = []
+    monkeypatch.setattr("windqnn.qnn.run_gates",
+                        lambda *a: calls.append(a) or run_gates(*a))
+    second = build_model("QNN-8")
+    assert calls == []
+    np.testing.assert_allclose(second.suffix.observable(second.parameters),
+                               dense_suffix_observable(build_ansatz(4, 3, "full"),
+                                                       second.parameters).real,
+                               rtol=0, atol=1e-12)
+
+
+def test_cached_runs_are_read_only():
+    entangler = tuple(g for g in build_ansatz(4, 3, "full").gates if g.kind == "CX")[:6]
+    for run in (entangler, ()):
+        matrix = _run_matrix(run, 4)
+        assert matrix is _run_matrix(run, 4)
+        with pytest.raises(ValueError, match="read-only"):
+            matrix[0, 0] = 2.0
+    suffix = build_model("QNN-2").suffix
+    suffix._runs[0, 0, 0] = 2.0  # a model's stack is its own copy
+    assert build_model("QNN-5").suffix._runs[0, 0, 0] != 2.0
+
+
+def test_a_complex_run_raises_on_every_build():
+    # ValueError is not cached: the second build simulates the run again and raises
+    template = CircuitTemplate(
+        1, (GateSpec("RY", (0,), ParamAngle(0)), GateSpec("P", (0,), ConstAngle(0.7))),
+        n_parameter_slots=1)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"suffix must be real, but its constant gates \(P\)"):
+            QnnModel(template=template, parameters=np.zeros(1))
 
 
 @st.composite
