@@ -133,7 +133,9 @@ CONFIG_KEYS = {
     "baselines.cart_min_samples_split": ("cart_min_samples_split", int, ">= 2",
                                          lambda v: v >= 2),
     "output.directory": ("output_directory", str, "", None),
-    "output.run_id": ("run_id", str, "", None),
+    "output.run_id": ("run_id", str, "one directory name, not '', '.' or '..' and without a "
+                      "path separator", lambda v: v not in ("", ".", "..")
+                      and not set(v) & {"/", os.sep, os.altsep}),
     "parallelism": ("parallelism", int, ">= 1", lambda v: v >= 1),
 }
 _SECTIONS = {key.partition(".")[0] for key in CONFIG_KEYS if "." in key}

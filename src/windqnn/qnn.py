@@ -40,12 +40,13 @@ So the work splits three ways.
 * Once per model: the rotation layers and constant runs below, which a
   ``QnnModel`` makes and its training and predictions share.  A run of
   constant gates is simulated once per gate tuple and cached read-only
-  (``_run_matrix``), so QNN-7..12 reuse the runs of QNN-1..6; an empty run
-  is the identity, and the RY(pi) turns are signed permutations in closed
-  form.  ``windqnn run`` trains a model only when no earlier model of its
-  group has equal runs, layers, qubits, slots and initial parameters
-  (``same_training``), so QNN-5 and QNN-11 take the results of QNN-2 and
-  QNN-8.
+  (``_run_matrix``), one cache for the prefix's blocks and the suffix's
+  runs, so QNN-7..12 reuse the runs of QNN-1..6 and both maps share their
+  leading H block; an empty run is the identity, and the RY(pi) turns are
+  signed permutations in closed form.  ``windqnn run`` trains a model only
+  when no earlier model of its group has equal runs, layers, qubits, slots
+  and initial parameters (``same_training``), so QNN-5 and QNN-11 take the
+  results of QNN-2 and QNN-8.
 * Once per theta: one forward pass of dense real 2**n x 2**n products.
   The suffix's RYs fall into rotation layers, each a Kronecker product of
   RYs on distinct qubits followed by a run of constant gates, so U(theta)
@@ -204,27 +205,24 @@ def _split(template: CircuitTemplate) -> int:
 COMPILED_PREFIX_QUBITS = 8
 
 
-def _gate_rows(gates, n_qubits: int) -> np.ndarray:
-    """U^T of a run of constant gates, complex: row j is U e_j, the gates
-    run over the identity."""
+@lru_cache(maxsize=32)  # the twelve benchmark QNNs hold 11 distinct runs
+def _run_matrix(gates: tuple, n_qubits: int) -> np.ndarray:
+    """U^T of a run of constant gates, complex and read-only: row j is U e_j,
+    the gates run over the identity, so an empty run is the identity.  The
+    prefix's blocks and the suffix's runs both come from this one cache."""
     rows = np.eye(2**n_qubits, dtype=complex)
     run_gates(rows, gates, n_qubits, np.zeros(0), np.zeros(0))
+    rows.flags.writeable = False
     return rows
 
 
-class _Encoding(NamedTuple):
-    """A feature prefix compiled by ``_compile_prefix``."""
-
-    # in order: ("block", R) multiplies every row by R = U^T of a run of
-    # constant gates, ("phase", i) by the diagonal of distinct group i, and
-    # ("gates", (g,)) runs a gate the compiler cannot place
-    steps: tuple
-    groups: tuple  # (angle sources, (K, 2**n) 0/1 incidence) of each distinct group
-
-
 @lru_cache(maxsize=32)  # a run compiles one prefix per feature map
-def _compile_prefix(gates: tuple, n_qubits: int) -> _Encoding:
-    """Constant blocks and phase groups of a parameter-free gate list.
+def _compile_prefix(gates: tuple, n_qubits: int) -> tuple:
+    """The steps of a parameter-free gate list, in order: ("block", R)
+    multiplies every row by R = U^T of a run of constant gates, from
+    ``_run_matrix``; ("phase", (angle sources, (K, 2**n) 0/1 incidence)) by
+    a phase group's diagonal, equal groups being one object; and ("gates",
+    (g,)) runs a gate the compiler cannot place.
 
     A phase group is a run of P and CX gates opened by a feature P.  Its CX
     gates permute basis states and its P gates multiply them by a phase, so
@@ -241,13 +239,12 @@ def _compile_prefix(gates: tuple, n_qubits: int) -> _Encoding:
     dropped.
     """
     dim = 2**n_qubits
-    steps, groups, keys, block, group = [], [], {}, [], []
+    steps, groups, block, group = [], {}, [], []
 
     def flush_block():
         if block:
-            rows = _gate_rows(block, n_qubits)
+            rows = _run_matrix(tuple(block), n_qubits)
             if not np.array_equal(rows, np.eye(dim)):
-                rows.flags.writeable = False
                 steps.append(("block", rows))
             block.clear()
 
@@ -265,11 +262,9 @@ def _compile_prefix(gates: tuple, n_qubits: int) -> _Encoding:
                 angles.append(g.angle)
                 incidence.append((image >> g.qubits[0]) & 1)
         angles, incidence = tuple(angles), np.array(incidence, dtype=float)
-        index = keys.setdefault((angles, incidence.tobytes()), len(groups))
-        if index == len(groups):
-            incidence.flags.writeable = False
-            groups.append((angles, incidence))
-        steps.append(("phase", index))
+        incidence.flags.writeable = False
+        steps.append(("phase", groups.setdefault((angles, incidence.tobytes()),
+                                                 (angles, incidence))))
         group.clear()
 
     for g in gates:
@@ -285,7 +280,7 @@ def _compile_prefix(gates: tuple, n_qubits: int) -> _Encoding:
             block.append(g)
     close_group()
     flush_block()
-    return _Encoding(tuple(steps), tuple(groups))
+    return tuple(steps)
 
 
 def _phase_diagonal(group: tuple, features: np.ndarray) -> np.ndarray:
@@ -315,17 +310,16 @@ def encode(template: CircuitTemplate, features) -> np.ndarray:
         raise ValueError(f"expected {template.n_feature_slots} features, got {features.shape[1]}")
     split = _split(template)
     states = zero_states(features.shape[:1], template.n_qubits)
-    encoding = _compile_prefix(template.gates[:split], template.n_qubits)
-    diagonals = {}
-    for i, (kind, value) in enumerate(encoding.steps):
+    diagonals = {}  # id of a distinct phase group -> its diagonal
+    for i, (kind, value) in enumerate(_compile_prefix(template.gates[:split], template.n_qubits)):
         if kind == "block" and i == 0:
             states[:] = value[0]  # |0...0> @ R: every row is R's first row
         elif kind == "block":
             states = (states[:, None, :] @ value)[:, 0]
         elif kind == "phase":
-            if value not in diagonals:
-                diagonals[value] = _phase_diagonal(encoding.groups[value], features)
-            states *= diagonals[value]
+            if id(value) not in diagonals:
+                diagonals[id(value)] = _phase_diagonal(value, features)
+            states *= diagonals[id(value)]
         else:
             run_gates(states, value, template.n_qubits, features, np.zeros(0))
     return states
@@ -389,24 +383,6 @@ class _Forward(NamedTuple):
     observable: np.ndarray  # M(theta) = U^T diag(parity) U, U = F_G ... F_1, shape (d, d)
 
 
-@lru_cache(maxsize=32)  # one entry per distinct entangler layer of a run's ansaetze
-def _run_matrix(gates: tuple, n_qubits: int) -> np.ndarray:
-    """C of a run of constant suffix gates, real and read-only: I for an
-    empty run, else the gates run over the identity.  Raises ValueError when
-    C is complex; an exception is not cached, so every build raises it."""
-    if not gates:
-        matrix = np.eye(2**n_qubits)
-    else:
-        columns = _gate_rows(gates, n_qubits)
-        if np.any(columns.imag):
-            kinds = ", ".join(sorted({g.kind for g in gates}))
-            raise ValueError(f"the trainable suffix must be real, but its constant "
-                             f"gates ({kinds}) give a complex matrix")
-        matrix = np.ascontiguousarray(columns.real.T)
-    matrix.flags.writeable = False
-    return matrix
-
-
 # RY(t) row by row is (cos, -sin, sin, cos)(t/2) = sin(t * _RY_HALF_SIGNS + _RY_PHASES),
 # and sin(0 * t + _RY_PHASES) is the identity exactly
 _RY_HALF_SIGNS = np.array([0.5, -0.5, 0.5, 0.5])
@@ -427,11 +403,11 @@ class _DenseSuffix:
     ansaetze have 4 layers of 4 RYs.  The suffix starts at the first
     trainable gate, since the prefix takes every gate before it.
 
-    Each run C_g is built once per gate tuple (``_run_matrix``), so models
-    of one ansatz share them.  It must be real (H, CX, RY), so that M(theta)
-    is real symmetric.  The RY(pi) turn T_j of gate j is a signed
-    permutation in closed form: column a has its one entry 1 - 2 bit_q(a)
-    in row a ^ 2**q, q the gate's qubit.
+    Each run is simulated once per gate tuple (``_run_matrix``), so models
+    of one ansatz share it; a model keeps its own copy of C_g, which must be
+    real (H, CX, RY), so that M(theta) is real symmetric.  The RY(pi) turn
+    T_j of gate j is a signed permutation in closed form: column a has its
+    one entry 1 - 2 bit_q(a) in row a ^ 2**q, q the gate's qubit.
     """
 
     def __init__(self, template: CircuitTemplate):
@@ -450,16 +426,22 @@ class _DenseSuffix:
             layers.append(len(runs) - 1)
             qubits.append(g.qubits[0])
             slots.append(g.angle.index)
-        self._runs = np.array([_run_matrix(tuple(run), n_qubits)
+        transposes = np.array([_run_matrix(tuple(run), n_qubits)
                                for run in runs]).reshape(-1, dim, dim)
+        if transposes.imag.any():
+            run = runs[np.argmax(transposes.imag.any(axis=(1, 2)))]
+            kinds = ", ".join(sorted({g.kind for g in run}))
+            raise ValueError(f"the trainable suffix must be real, but its constant "
+                             f"gates ({kinds}) give a complex matrix")
+        self._runs = transposes.real.transpose(0, 2, 1).copy()
         self.layers, self.qubits, self.slots = (np.array(v, dtype=int)
                                                 for v in (layers, qubits, slots))
         self.n_slots = template.n_parameter_slots
         # row j of forward's (P + 1, 4) table holds gate j's RY and row P, whose
-        # angle is multiplied by 0, the identity: a qubit without a gate in a
-        # layer reads row P, and entry (a, b) of R_g reads entry (bit_q(a),
-        # bit_q(b)) of qubit q's row
-        self._angles = np.append(self.slots, 0)
+        # angle (gate 0's, absent with no gate) is multiplied by 0, the identity:
+        # a qubit without a gate in a layer reads row P, and entry (a, b) of R_g
+        # reads entry (bit_q(a), bit_q(b)) of qubit q's row
+        self._angles = np.concatenate((self.slots, self.slots[:1]))
         self._half_signs = np.zeros((len(slots) + 1, 4))
         self._half_signs[:-1] = _RY_HALF_SIGNS
         rows = np.full((len(runs), n_qubits), len(slots))

@@ -9,6 +9,7 @@ same code run a single state of shape ``(2**n,)`` or a batch of shape
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -97,10 +98,14 @@ def apply_cx_array(amps: np.ndarray, control: int, target: int, n_qubits: int) -
     b[1, 1] = tmp
 
 
+@lru_cache(maxsize=None)
 def _parity_signs(n_qubits: int) -> np.ndarray:
+    """(-1)**popcount(b) of every basis state b, made once per width and read-only."""
     idx = np.arange(2**n_qubits)
     bits = (idx[:, None] >> np.arange(n_qubits)[None, :]) & 1
-    return 1.0 - 2.0 * (bits.sum(axis=1) % 2)
+    signs = 1.0 - 2.0 * (bits.sum(axis=1) % 2)
+    signs.flags.writeable = False
+    return signs
 
 
 def expect_z_all_array(amps: np.ndarray) -> np.ndarray:

@@ -369,6 +369,22 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("config: optimizer:") and "max_line_search_steps" in err
 
+    @pytest.mark.parametrize("run_id", ["", ".", "..", "../up", "a/b", "/abs", "a" + os.sep])
+    def test_a_run_id_that_is_not_one_directory_name_exits_2(self, tmp_path, capsys, run_id):
+        # ".." would write results.md and results.csv beside runs/, not in it
+        out_dir = tmp_path / "nest" / "runs"
+        path = write_config(tmp_path, f'selection: [ols]\n'
+                                      f'output: {{directory: "{out_dir}", run_id: "{run_id}"}}')
+        assert main(["run", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config:") and "output.run_id" in err
+        assert not (tmp_path / "nest").exists()
+
+    @pytest.mark.parametrize("run_id", ["r000", "run-20250101-120000-2", "..a", ".hidden", "a b"])
+    def test_a_single_directory_name_is_a_run_id(self, tmp_path, run_id):
+        cfg = load_config(write_config(tmp_path, f'output: {{run_id: "{run_id}"}}'))
+        assert cfg.run_id == run_id
+
     def test_missing_csv_exits_3(self, tmp_path, capsys):
         path = write_config(
             tmp_path, "data: {source: csv, csv_path: /tmp/absent.csv}"

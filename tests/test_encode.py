@@ -21,7 +21,7 @@ from windqnn.circuit import (
     build_zz_feature_map,
     feature_prefix_length,
 )
-from windqnn.qnn import _compile_prefix, build_model, encode
+from windqnn.qnn import _compile_prefix, _run_matrix, build_model, encode
 
 from oracles import dense_template_matrix
 
@@ -116,25 +116,35 @@ def test_benchmark_prefixes_compile_to_two_blocks_and_two_phase_groups(template)
     # Both maps are H on every qubit, then a diagonal phase, twice.  The ZZ
     # map's CX pairs cancel, and its two phase groups are one distinct
     # group, so one call takes its exponentials once.
-    encoding = _compile_prefix(template.gates[:feature_prefix_length(template)], 4)
-    assert [kind for kind, _ in encoding.steps] == ["block", "phase", "block", "phase"]
-    assert [value for kind, value in encoding.steps if kind == "phase"] == [0, 0]
-    assert len(encoding.groups) == 1
+    steps = _compile_prefix(template.gates[:feature_prefix_length(template)], 4)
+    assert [kind for kind, _ in steps] == ["block", "phase", "block", "phase"]
+    first, second = (value for kind, value in steps if kind == "phase")
+    assert first is second
+
+
+def test_both_maps_open_with_one_cached_block():
+    # H on every qubit: one read-only run matrix, shared with the run cache
+    (z_kind, z_block), (zz_kind, zz_block) = (
+        _compile_prefix(t.gates[:feature_prefix_length(t)], 4)[0]
+        for t in (build_model("QNN-1").template, build_model("QNN-7").template))
+    assert z_kind == zz_kind == "block"
+    assert z_block is zz_block is _run_matrix(tuple(GateSpec("H", (q,)) for q in range(4)), 4)
+    assert not z_block.flags.writeable
 
 
 def test_a_feature_rotation_stays_a_gate_between_blocks():
     template = CircuitTemplate(
         2, (GateSpec("H", (0,)), GateSpec("RY", (1,), FeatureAngle(0)), GateSpec("H", (1,)),
             GateSpec("P", (1,), FeatureAngle(1))), n_feature_slots=2)
-    encoding = _compile_prefix(template.gates, 2)
-    assert [kind for kind, _ in encoding.steps] == ["block", "gates", "block", "phase"]
+    steps = _compile_prefix(template.gates, 2)
+    assert [kind for kind, _ in steps] == ["block", "gates", "block", "phase"]
     _assert_matches_dense_oracle(template, np.array([[0.3, 1.2], [2.5, -0.7]]))
 
 
 def test_a_register_too_wide_to_compile_runs_gate_by_gate():
     # the blocks of a 9-qubit prefix would be 512 x 512
     template = build_z_feature_map(9, 1)
-    assert {kind for kind, _ in _compile_prefix(template.gates, 9).steps} == {"gates"}
+    assert {kind for kind, _ in _compile_prefix(template.gates, 9)} == {"gates"}
     _assert_matches_dense_oracle(template, np.random.default_rng(5).uniform(0, np.pi, (2, 9)))
 
 

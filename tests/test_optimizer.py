@@ -199,6 +199,14 @@ def test_minimize_rejects_non_finite_start():
         minimize(lambda x: float("nan"), lambda x: x, np.zeros(2))
 
 
+def test_an_empty_start_converges_where_it_is():
+    # an empty gradient has infinity norm 0
+    result = minimize(lambda x: 3.0, lambda x: np.zeros(0), np.zeros(0))
+    assert result.status == STATUS_CONVERGED
+    assert result.trace == [(0, 3.0)] and result.best_value == 3.0
+    assert result.best_point.shape == (0,)
+
+
 def test_minimize_line_search_failure_returns_best_so_far():
     # Unbounded-below linear objective: no Wolfe step exists.
     objective = lambda x: float(-x[0])

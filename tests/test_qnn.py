@@ -442,7 +442,7 @@ def test_cached_runs_are_read_only():
 
 
 def test_a_complex_run_raises_on_every_build():
-    # ValueError is not cached: the second build simulates the run again and raises
+    # ValueError is not cached: the second build reads the cached run and raises again
     template = CircuitTemplate(
         1, (GateSpec("RY", (0,), ParamAngle(0)), GateSpec("P", (0,), ConstAngle(0.7))),
         n_parameter_slots=1)
@@ -703,6 +703,21 @@ def test_predictions_match_gate_level_evaluation(config_id):
 
 
 # --- training ----------------------------------------------------------------
+
+def test_a_model_without_a_trainable_gate_reads_out_its_prefix():
+    # no rotation layer: M is the parity itself, and there is nothing to train
+    model = QnnModel(template=build_z_feature_map(2, 1), parameters=np.zeros(0))
+    xs = np.random.default_rng(61).uniform(0, np.pi, size=(5, 2))
+    ys = np.linspace(-1, 1, 5)
+    np.testing.assert_allclose(predict_scaled(model, xs),
+                               evaluate_batch(model.template, xs, model.parameters),
+                               rtol=0, atol=1e-12)
+    assert gradient_parameter_shift(model, xs, ys).shape == (0,)
+    result = train(model, _gram(model, xs, ys))
+    assert result.status == "converged"
+    assert result.trace == [(0, pytest.approx(loss_mse(model, xs, ys), abs=1e-12))]
+    assert result.best_point.shape == (0,)
+
 
 def test_train_already_optimal_stops_immediately():
     rng = np.random.default_rng(79)
