@@ -3,8 +3,8 @@
 A template is an ordered gate list over named angle sources.  Feature and
 parameter values are bound at evaluation time, so one template serves every
 sample and every optimizer step.  Gate application delegates to the batched
-statevector kernels, hence ``evaluate_batch`` runs a whole dataset through
-the circuit with one numpy op per gate.
+statevector kernels, hence ``simulate`` runs a whole dataset through the
+circuit with one numpy op per gate, and ``evaluate_batch`` reads its parity.
 """
 from __future__ import annotations
 
@@ -15,13 +15,11 @@ import numpy as np
 
 from .statevector import (
     HADAMARD,
-    Statevector,
     apply_1q_array,
     apply_cx_array,
     apply_phase_array,
     apply_ry_array,
     expect_z_all_array,
-    new_zero_state,
     zero_states,
 )
 
@@ -271,34 +269,28 @@ def run_gates(amps: np.ndarray, gates, n_qubits: int,
                            g.qubits[0], n_qubits)
 
 
-def _check_bindings(template: CircuitTemplate, features, params) -> tuple:
+def simulate(template: CircuitTemplate, features, params) -> np.ndarray:
+    """Run the bound template from |0...0> and return the amplitudes: shape
+    (2**n,) for one feature vector, (..., 2**n) for a stack of them
+    (..., n_feature_slots).  Raises ValueError unless the last feature axis
+    holds n_feature_slots values and params is a vector of n_parameter_slots."""
     features = np.asarray(features, dtype=float)
     params = np.asarray(params, dtype=float)
-    if features.ndim == 0:
-        features = features.reshape(0)
-    if features.shape[-1] != template.n_feature_slots:
-        raise ValueError(
-            f"expected {template.n_feature_slots} features, got {features.shape[-1]}"
-        )
-    if params.ndim != 1 or params.shape[0] != template.n_parameter_slots:
+    if features.shape[-1:] != (template.n_feature_slots,):
+        raise ValueError(f"expected {template.n_feature_slots} features, got "
+                         f"{features.shape[-1] if features.ndim else 'a scalar'}")
+    if params.shape != (template.n_parameter_slots,):
         raise ValueError(
             f"expected {template.n_parameter_slots} parameters, got shape {params.shape}"
         )
-    return features, params
-
-
-def simulate(template: CircuitTemplate, features, params) -> Statevector:
-    """Run the bound template from |0...0> and return the final state."""
-    features, params = _check_bindings(template, features, params)
-    state = new_zero_state(template.n_qubits)
-    run_gates(state.amplitudes, template.gates, template.n_qubits, features, params)
-    return state
+    amps = zero_states(features.shape[:-1], template.n_qubits)
+    run_gates(amps, template.gates, template.n_qubits, features, params)
+    return amps
 
 
 def evaluate(template: CircuitTemplate, features, params) -> float:
     """All-qubit Z expectation of the bound template, a value in [-1, 1]."""
-    state = simulate(template, features, params)
-    return float(expect_z_all_array(state.amplitudes))
+    return float(expect_z_all_array(simulate(template, features, params)))
 
 
 def evaluate_batch(template: CircuitTemplate, features, params) -> np.ndarray:
@@ -306,24 +298,20 @@ def evaluate_batch(template: CircuitTemplate, features, params) -> np.ndarray:
     features = np.asarray(features, dtype=float)
     if features.ndim != 2:
         raise ValueError(f"expected a 2-d feature matrix, got shape {features.shape}")
-    features, params = _check_bindings(template, features, params)
-    amps = zero_states(features.shape[:1], template.n_qubits)
-    run_gates(amps, template.gates, template.n_qubits, features, params)
-    return expect_z_all_array(amps)
+    return expect_z_all_array(simulate(template, features, params))
 
 
-def feature_prefix_length(template: CircuitTemplate) -> Optional[int]:
-    """Length of the leading parameter-free gate run, provided every gate
-    after it is feature-free.  Returns None when feature gates appear after
-    the first parameterized gate, which makes prefix caching unsafe."""
-    k = len(template.gates)
-    for i, g in enumerate(template.gates):
-        if isinstance(g.angle, ParamAngle):
-            k = i
-            break
-    for g in template.gates[k:]:
-        if feature_indices(g.angle):
-            return None
+def feature_prefix_length(template: CircuitTemplate) -> int:
+    """Length of the leading parameter-free gate run.  Raises ValueError when
+    a feature gate follows a parameterized gate, since then no prefix holds
+    every feature gate."""
+    k = next((i for i, g in enumerate(template.gates) if isinstance(g.angle, ParamAngle)),
+             len(template.gates))
+    if any(feature_indices(g.angle) for g in template.gates[k:]):
+        raise ValueError(
+            "a feature gate follows a parameterized gate, so the template has no "
+            "parameter-free prefix to encode"
+        )
     return k
 
 

@@ -113,7 +113,7 @@ _SEED = (">= 0", lambda v: v >= 0)
 # its own values.
 CONFIG_KEYS = {
     "data.source": ("data_source", str, *_one_of(("synthetic", "csv"))),
-    "data.csv_path": ("csv_path", str, "", None),
+    "data.csv_path": ("csv_path", str, "a path without a NUL byte", lambda v: "\0" not in v),
     "data.columns": ("columns", dict, "", None),
     "data.n_rows": ("n_rows", int, *_ROW_COUNT),
     "data.seed": ("data_seed", int, *_SEED),
@@ -132,10 +132,11 @@ CONFIG_KEYS = {
     "baselines.cart_max_depth": ("cart_max_depth", int, ">= 1 or null", lambda v: v >= 1),
     "baselines.cart_min_samples_split": ("cart_min_samples_split", int, ">= 2",
                                          lambda v: v >= 2),
-    "output.directory": ("output_directory", str, "", None),
+    "output.directory": ("output_directory", str, "a non-empty path without a NUL byte "
+                         "('.' names the working directory)", lambda v: v != "" and "\0" not in v),
     "output.run_id": ("run_id", str, "one directory name, not '', '.' or '..' and without a "
-                      "path separator", lambda v: v not in ("", ".", "..")
-                      and not set(v) & {"/", os.sep, os.altsep}),
+                      "path separator or a NUL byte", lambda v: v not in ("", ".", "..")
+                      and not set(v) & {"/", os.sep, os.altsep, "\0"}),
     "parallelism": ("parallelism", int, ">= 1", lambda v: v >= 1),
 }
 _SECTIONS = {key.partition(".")[0] for key in CONFIG_KEYS if "." in key}

@@ -189,16 +189,6 @@ def predict_scaled(model: QnnModel, features_scaled,
     return np.sum(readout, axis=1).real
 
 
-def _split(template: CircuitTemplate) -> int:
-    split = feature_prefix_length(template)
-    if split is None:
-        raise ValueError(
-            "a feature gate follows a parameterized gate, so the template has no "
-            "parameter-free prefix to encode"
-        )
-    return split
-
-
 # Widest register whose prefix is compiled.  A block is 4**n complex entries
 # (1 MiB at 8 qubits); past about 9 qubits it also costs more per row than
 # its gates, measured on the Z map.
@@ -308,7 +298,7 @@ def encode(template: CircuitTemplate, features) -> np.ndarray:
         raise ValueError(f"expected a 2-d feature matrix, got shape {features.shape}")
     if features.shape[1] != template.n_feature_slots:
         raise ValueError(f"expected {template.n_feature_slots} features, got {features.shape[1]}")
-    split = _split(template)
+    split = feature_prefix_length(template)
     states = zero_states(features.shape[:1], template.n_qubits)
     diagonals = {}  # id of a distinct phase group -> its diagonal
     for i, (kind, value) in enumerate(_compile_prefix(template.gates[:split], template.n_qubits)):
@@ -413,7 +403,7 @@ class _DenseSuffix:
     def __init__(self, template: CircuitTemplate):
         n_qubits, dim = template.n_qubits, 2**template.n_qubits
         runs, layers, qubits, slots, taken = [], [], [], [], set()
-        for g in template.gates[_split(template):]:
+        for g in template.gates[feature_prefix_length(template):]:
             if not isinstance(g.angle, ParamAngle):
                 runs[-1].append(g)
                 continue

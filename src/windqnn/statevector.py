@@ -8,7 +8,6 @@ same code run a single state of shape ``(2**n,)`` or a batch of shape
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -19,17 +18,6 @@ SQRT2_INV = 1.0 / np.sqrt(2.0)
 HADAMARD = np.array([[SQRT2_INV, SQRT2_INV], [SQRT2_INV, -SQRT2_INV]], dtype=complex)
 
 
-@dataclass
-class Statevector:
-    """Mutable state of an n-qubit register: 2**n complex amplitudes."""
-
-    n_qubits: int
-    amplitudes: np.ndarray
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-
 def zero_states(batch_shape: tuple, n_qubits: int) -> np.ndarray:
     """|0...0> for every batch index: shape batch_shape + (2**n_qubits,)."""
     if not 1 <= n_qubits <= MAX_QUBITS:
@@ -37,11 +25,6 @@ def zero_states(batch_shape: tuple, n_qubits: int) -> np.ndarray:
     amps = np.zeros(batch_shape + (2**n_qubits,), dtype=complex)
     amps[..., 0] = 1.0
     return amps
-
-
-def new_zero_state(n_qubits: int) -> Statevector:
-    """Allocate |0...0>: amplitude 1 at index 0, zeros elsewhere."""
-    return Statevector(n_qubits, zero_states((), n_qubits))
 
 
 def _qubit_view(amps: np.ndarray, n_qubits: int, qubit: int) -> np.ndarray:

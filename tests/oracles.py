@@ -265,6 +265,17 @@ def cart_tree_oracle(features, targets, max_depth=None, min_samples_split=2, dep
     )
 
 
+def cart_model_tree(model, node: int = 0):
+    """A fitted CartModel's node arrays as cart_tree_oracle's nested tuples:
+    a leaf is its value, a split node (value, feature, threshold, left,
+    right), the right child being node left + 1."""
+    if model.feature[node] == -1:
+        return float(model.value[node])
+    left = int(model.left[node])
+    return (float(model.value[node]), int(model.feature[node]), float(model.threshold[node]),
+            cart_model_tree(model, left), cart_model_tree(model, left + 1))
+
+
 def load_csv_oracle(path: str, column_names=None):
     """(dataset, dropped) of a CSV read row by row through csv.DictReader.
 

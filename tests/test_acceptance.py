@@ -80,8 +80,8 @@ def test_criterion_1_kernel_oracle_equivalence():
         state = simulate(template, empty, empty)
         matrix = dense_template_matrix(template, empty, empty)
         expected = matrix[:, 0]
-        max_amp_err = max(max_amp_err, float(np.abs(state.amplitudes - expected).max()))
-        max_norm_err = max(max_norm_err, abs(state.norm() - 1.0))
+        max_amp_err = max(max_amp_err, float(np.abs(state - expected).max()))
+        max_norm_err = max(max_norm_err, abs(np.linalg.norm(state) - 1.0))
     elapsed = time.perf_counter() - started
     ok = max_amp_err <= 1e-12 and max_norm_err <= 1e-10 and elapsed < 10.0
     verdict(1, "kernel oracle equivalence", ok,

@@ -17,7 +17,7 @@ from windqnn.baselines import (
 )
 from windqnn.evaluate import mae, r2
 
-from oracles import cart_tree_oracle, knn_predict_oracle
+from oracles import cart_model_tree, cart_tree_oracle, knn_predict_oracle
 
 
 # --- kNN ---------------------------------------------------------------------
@@ -331,25 +331,12 @@ def _oracle_tree(features, targets):
     _, f, thr = found
     mask = features[:, f] <= thr
     return (
+        float(targets.mean()),
         f,
         thr,
         _oracle_tree(features[mask], targets[mask]),
         _oracle_tree(features[~mask], targets[~mask]),
     )
-
-
-def _as_tuple(node):
-    if node.is_leaf:
-        return node.value
-    return (node.feature, node.threshold, _as_tuple(node.left), _as_tuple(node.right))
-
-
-def _with_values(node):
-    # the shape cart_tree_oracle builds: every split node keeps its mean too
-    if node.is_leaf:
-        return node.value
-    return (node.value, node.feature, node.threshold,
-            _with_values(node.left), _with_values(node.right))
 
 
 def test_cart_matches_exhaustive_oracle_on_hand_dataset():
@@ -359,11 +346,12 @@ def test_cart_matches_exhaustive_oracle_on_hand_dataset():
     ])
     targets = np.array([0.0, 0.0, 0.0, 0.0, 10.0, 10.0, 20.0, 20.0])
     model = fit_cart(features, targets)
-    assert _as_tuple(model.root) == _oracle_tree(features, targets)
+    assert cart_model_tree(model) == _oracle_tree(features, targets)
     # root split is x0 <= 3.5; the (x0, 5.5) vs (x1, 0.5) tie in the right
     # child resolves to the lower feature index
-    assert model.root.feature == 0 and model.root.threshold == 3.5
-    assert model.root.right.feature == 0 and model.root.right.threshold == 5.5
+    right = model.left[0] + 1
+    assert model.feature[0] == 0 and model.threshold[0] == 3.5
+    assert model.feature[right] == 0 and model.threshold[right] == 5.5
 
 
 @st.composite
@@ -389,7 +377,7 @@ def test_cart_matches_per_feature_scan_oracle(case):
     features, targets, max_depth, min_samples_split = case
     model = fit_cart(features, targets, max_depth, min_samples_split)
     want = cart_tree_oracle(features, targets, max_depth, min_samples_split)
-    assert _with_values(model.root) == want
+    assert cart_model_tree(model) == want
 
 
 @st.composite
@@ -421,14 +409,16 @@ def test_cart_batches_match_depth_first_reference(case):
     features, targets, max_depth, min_samples_split = case
     model = fit_cart(features, targets, max_depth, min_samples_split)
     want = cart_tree_oracle(features, targets, max_depth, min_samples_split)
-    assert _with_values(model.root) == want
+    assert cart_model_tree(model) == want
 
 
-def _walk(node, query):
+def _walk(model, query):
     # the node-by-node descent: q <= threshold goes left, anything else right
-    while not node.is_leaf:
-        node = node.left if query[node.feature] <= node.threshold else node.right
-    return node.value
+    node = 0
+    while model.feature[node] != -1:
+        left = model.left[node]
+        node = left if query[model.feature[node]] <= model.threshold[node] else left + 1
+    return model.value[node]
 
 
 @settings(max_examples=100, deadline=None)
@@ -453,8 +443,7 @@ def test_cart_array_descent_matches_a_walk_of_the_tree(case, data):
     flat = data.draw(st.lists(st.sampled_from(cells), min_size=width, max_size=30 * width))
     queries = np.array(flat[: len(flat) // width * width]).reshape(-1, width)
     queries = np.vstack([queries, features])
-    root = model.root
-    want = np.array([_walk(root, q) for q in queries])
+    want = np.array([_walk(model, q) for q in queries])
     np.testing.assert_array_equal(predict_cart(model, queries), want)
 
 
@@ -463,7 +452,7 @@ def test_cart_matches_depth_first_reference_on_3000_rows():
     features = rng.uniform(size=(3000, 4))
     targets = 2000.0 * features[:, 0] ** 3 + rng.normal(scale=30.0, size=3000)
     model = fit_cart(features, targets)
-    assert _with_values(model.root) == cart_tree_oracle(features, targets)
+    assert cart_model_tree(model) == cart_tree_oracle(features, targets)
 
 
 def test_cart_ranks_wider_than_16_bits_match_the_depth_first_reference():
@@ -477,7 +466,7 @@ def test_cart_ranks_wider_than_16_bits_match_the_depth_first_reference():
     distinct = np.maximum(codes - 1, 0)
     targets = rng.normal(scale=100.0, size=(3, 3, 3))[tuple(distinct.T)]
     model = fit_cart(features, targets)
-    assert _with_values(model.root) == cart_tree_oracle(features, targets)
+    assert cart_model_tree(model) == cart_tree_oracle(features, targets)
     assert model.value.size == 2 * 3**3 - 1
 
 
@@ -507,7 +496,7 @@ def test_cart_memorizes_distinct_features():
 def test_cart_constant_targets_single_leaf():
     features = np.arange(12, dtype=float).reshape(6, 2)
     model = fit_cart(features, np.full(6, 3.25))
-    assert model.root.is_leaf
+    assert model.feature[0] == -1
     np.testing.assert_allclose(predict_cart(model, features), np.full(6, 3.25))
 
 
@@ -528,20 +517,20 @@ def test_cart_respects_stopping_controls():
     targets = rng.normal(size=64)
 
     stump = fit_cart(features, targets, max_depth=1)
-    assert not stump.root.is_leaf
-    assert stump.root.left.is_leaf and stump.root.right.is_leaf
+    assert stump.feature[0] != -1
+    assert stump.feature[stump.left[0]] == -1 and stump.feature[stump.left[0] + 1] == -1
 
     model = fit_cart(features, targets, min_samples_split=8)
 
     def check(node, idx):  # every split node must hold >= 8 samples
-        if node.is_leaf:
+        if model.feature[node] == -1:
             return
         assert len(idx) >= 8
-        mask = features[idx, node.feature] <= node.threshold
-        check(node.left, idx[mask])
-        check(node.right, idx[~mask])
+        mask = features[idx, model.feature[node]] <= model.threshold[node]
+        check(model.left[node], idx[mask])
+        check(model.left[node] + 1, idx[~mask])
 
-    check(model.root, np.arange(64))
+    check(0, np.arange(64))
 
 
 def test_cart_rejects_bad_arguments():

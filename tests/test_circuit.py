@@ -114,7 +114,7 @@ def test_z_feature_map_is_identity_at_x_zero():
     state = simulate(fm, np.zeros(4), [])
     expected = np.zeros(16)
     expected[0] = 1.0
-    np.testing.assert_allclose(state.amplitudes, expected, atol=1e-12)
+    np.testing.assert_allclose(state, expected, atol=1e-12)
 
 
 def test_z_feature_map_rejects_bad_reps():
@@ -252,9 +252,9 @@ def test_compose_matches_sequential_execution():
     theta = rng.uniform(-np.pi, np.pi, size=16)
 
     state = simulate(fm, x, [])
-    run_gates(state.amplitudes, ans.gates, 4, np.zeros(0), theta)
+    run_gates(state, ans.gates, 4, np.zeros(0), theta)
     combined = simulate(qnn, x, theta)
-    np.testing.assert_allclose(combined.amplitudes, state.amplitudes, atol=1e-12)
+    np.testing.assert_allclose(combined, state, atol=1e-12)
 
 
 # --- evaluate ---------------------------------------------------------------
@@ -286,7 +286,7 @@ def test_evaluate_matches_dense_matrix_oracle():
         zero[0] = 1.0
         amps = op @ zero
         state = simulate(qnn, x, theta)
-        np.testing.assert_allclose(state.amplitudes, amps, atol=1e-10)
+        np.testing.assert_allclose(state, amps, atol=1e-10)
 
 
 def test_evaluate_rejects_wrong_lengths():
@@ -295,6 +295,21 @@ def test_evaluate_rejects_wrong_lengths():
         evaluate(qnn, np.zeros(3), np.zeros(8))
     with pytest.raises(ValueError, match="parameters"):
         evaluate(qnn, np.zeros(4), np.zeros(7))
+    with pytest.raises(ValueError, match="expected 1 features, got a scalar"):
+        simulate(build_z_feature_map(1, 1), 0.5, [])
+
+
+def test_simulate_returns_one_state_per_feature_vector():
+    rng = np.random.default_rng(21)
+    qnn = compose(build_zz_feature_map(4, 2, "full"), build_ansatz(4, 3, "pairwise"))
+    xs = rng.uniform(0, np.pi, size=(2, 3, 4))
+    theta = rng.uniform(-np.pi, np.pi, size=16)
+    assert simulate(qnn, xs[0, 0], theta).shape == (16,)
+    assert simulate(qnn, xs[0], theta).shape == (3, 16)
+    stack = simulate(qnn, xs, theta)
+    assert isinstance(stack, np.ndarray) and stack.shape == (2, 3, 16)
+    for index in np.ndindex(2, 3):
+        np.testing.assert_allclose(stack[index], simulate(qnn, xs[index], theta), atol=1e-12)
 
 
 @pytest.mark.parametrize("strategy", ENTANGLEMENTS)
@@ -303,7 +318,7 @@ def test_norm_preserved_for_all_strategies(strategy):
     qnn = compose(build_zz_feature_map(4, 2, "full"), build_ansatz(4, 3, strategy))
     x = rng.uniform(0, np.pi, size=4)
     theta = rng.uniform(-np.pi, np.pi, size=16)
-    assert simulate(qnn, x, theta).norm() == pytest.approx(1.0, abs=1e-10)
+    assert np.linalg.norm(simulate(qnn, x, theta)) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_evaluate_batch_matches_per_sample_loop():
@@ -334,7 +349,8 @@ def test_feature_prefix_length_unsafe_interleaving():
         n_feature_slots=1,
         n_parameter_slots=1,
     )
-    assert feature_prefix_length(t) is None
+    with pytest.raises(ValueError, match="no parameter-free prefix"):
+        feature_prefix_length(t)
 
 
 def test_render_z_feature_map():

@@ -6,13 +6,14 @@ import subprocess
 import sys
 import time
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from windqnn import __version__, cli, qnn
+from windqnn import __version__, cli, qnn, statevector
+from windqnn.circuit import CircuitTemplate, feature_prefix_length
 from windqnn.cli import ConfigError, load_config, main, run_experiment
 from windqnn.data import (
     fit_scaler,
@@ -24,6 +25,8 @@ from windqnn.data import (
 )
 from windqnn.optimizer import OptimizerOptions
 from windqnn.report import METHOD_ORDER, REFERENCE_RESULTS
+
+from oracles import dense_suffix_observable, dense_template_matrix
 
 
 def write_config(tmp_path, text, name="config.yaml"):
@@ -379,6 +382,29 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("config:") and "output.run_id" in err
         assert not (tmp_path / "nest").exists()
+
+    @pytest.mark.parametrize("section, key", [
+        ('output: {directory: ""}', "output.directory"),
+        ('output: {directory: "runs\\0"}', "output.directory"),
+        ('output: {directory: runs, run_id: "a\\0b"}', "output.run_id"),
+        ('data: {source: csv, csv_path: "rows\\0.csv"}', "data.csv_path"),
+    ], ids=["empty-directory", "nul-directory", "nul-run-id", "nul-csv-path"])
+    def test_a_path_key_no_path_can_hold_exits_2(self, tmp_path, monkeypatch, capsys,
+                                                 section, key):
+        # refused before training: no file or directory can be opened at
+        # such a path, so the run would fail only after every method trained
+        path = write_config(tmp_path, f"selection: [ols]\n{section}")
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert main(["run", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config:") and key in err
+        assert os.listdir(work) == [] and sorted(os.listdir(tmp_path)) == ["config.yaml", "work"]
+
+    def test_the_working_directory_is_an_output_directory(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, 'output: {directory: "."}'))
+        assert cfg.output_directory == "."
 
     @pytest.mark.parametrize("run_id", ["r000", "run-20250101-120000-2", "..a", ".hidden", "a b"])
     def test_a_single_directory_name_is_a_run_id(self, tmp_path, run_id):
@@ -895,6 +921,97 @@ parallelism: {degree}
         assert np.array_equal(fitted["QNN-5"], best_point)
         assert method.method_id == "QNN-5" and method.trace == trace
         assert method.status == status and np.array_equal(method.predicted, predicted)
+
+
+class TestWholeRun:
+    """All 15 methods on the cached fast path, against the run's own variants
+    and the dense oracles: the module caches (``_run_matrix``,
+    ``_compile_prefix``, ``_triangle``, ``_parity_signs``), the read-only
+    arrays the pool's threads share and ``same_training``'s reuse."""
+
+    CFG = cli.ExperimentConfig(n_rows=200, optimizer=OptimizerOptions(max_iterations=3),
+                               parallelism=1)
+    CACHES = (qnn._run_matrix, qnn._compile_prefix, qnn._triangle, statevector._parity_signs)
+    # the largest deviations from the dense oracles, measured over data seeds
+    # 0-9 of this config, were 3.3e-16 (training loss) and 3.6e-12 kW (test
+    # predictions); the bounds leave about ten times that
+    LOSS_TOLERANCE, KW_TOLERANCE = 4e-15, 4e-11
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """run(cfg) -> (r2, mae, status, trace and prediction bytes of each
+        method, the (model, parameters) each QNN predicts with, the results
+        that trained, the run's scaled data)."""
+        train, with_parameters, run_group = cli.train, cli.with_parameters, cli._run_group
+        results, fitted, bundles = [], {}, []
+        templates = {qnn.build_model(c).template: c for c in qnn.CONFIG_IDS}
+
+        def recording_train(*args):
+            results.append(train(*args))
+            return results[-1]
+
+        def recording_with_parameters(model, parameters):
+            fitted[templates[model.template]] = model, parameters
+            return with_parameters(model, parameters)
+
+        def recording_run_group(method_ids, cfg, bundle):
+            bundles.append(bundle)
+            return run_group(method_ids, cfg, bundle)
+
+        monkeypatch.setattr(cli, "train", recording_train)
+        monkeypatch.setattr(cli, "with_parameters", recording_with_parameters)
+        monkeypatch.setattr(cli, "_run_group", recording_run_group)
+
+        def run(cfg):
+            results.clear(), fitted.clear(), bundles.clear()
+            report = run_experiment(cfg)
+            assert report.failures == [] and len(report.methods) == len(cfg.selection)
+            facts = {m.method_id: (m.r2, m.mae, m.status, m.trace, m.predicted.tobytes())
+                     for m in report.methods}
+            return facts, dict(fitted), list(results), bundles[0]
+        return run
+
+    def _clear_caches(self):
+        for cache in self.CACHES:
+            cache.cache_clear()
+
+    def test_every_variant_matches_and_every_qnn_meets_the_dense_oracles(self, monkeypatch):
+        run = self._spy(monkeypatch)
+        facts, fitted, results, bundle = run(self.CFG)
+        # QNN-5 and QNN-11 take the results of QNN-2 and QNN-8
+        assert len(results) == 10 and fitted["QNN-5"][1] is fitted["QNN-2"][1]
+
+        assert run(replace(self.CFG, parallelism=2))[0] == facts
+        self._clear_caches()
+        assert run(self.CFG)[0] == facts
+        self._clear_caches()
+        run_experiment(replace(self.CFG, selection=qnn.CONFIG_IDS[6:]))  # the ZZ map first
+        assert run(self.CFG)[0] == facts
+        reverse = replace(self.CFG, selection=qnn.CONFIG_IDS[::-1] + ("dt", "knn", "ols"))
+        reverse_facts, reverse_fitted, reverse_results, _ = run(reverse)
+        assert reverse_facts == facts and len(reverse_results) == 10
+        assert reverse_fitted["QNN-2"][1] is reverse_fitted["QNN-5"][1]
+
+        scaling, x_train, y_train, _, x_test, _ = bundle
+        states = {}  # prefix -> dense states of the training and test rows
+        for method_id in qnn.CONFIG_IDS:
+            model, point = fitted[method_id]
+            (result,) = [r for r in results if r.best_point is point]
+            split_at = feature_prefix_length(model.template)
+            prefix = CircuitTemplate(4, model.template.gates[:split_at], n_feature_slots=4)
+            suffix = CircuitTemplate(4, model.template.gates[split_at:],
+                                     n_parameter_slots=model.template.n_parameter_slots)
+            if prefix not in states:
+                states[prefix] = [np.array([dense_template_matrix(prefix, x, np.zeros(0))[:, 0]
+                                            for x in rows]) for rows in (x_train, x_test)]
+            observable = dense_suffix_observable(suffix, point)
+            train_readout, test_readout = (np.einsum("si,ij,sj->s", psi.conj(), observable,
+                                                     psi).real for psi in states[prefix])
+            loss = np.mean((train_readout - y_train) ** 2)
+            assert abs(result.best_value - loss) <= self.LOSS_TOLERANCE, method_id
+            predicted = np.frombuffer(facts[method_id][4])
+            np.testing.assert_allclose(predicted, invert_target(scaling, test_readout),
+                                       rtol=0, atol=self.KW_TOLERANCE, err_msg=method_id)
 
 
 class TestReportCommand:

@@ -11,7 +11,7 @@ from windqnn.statevector import (
     apply_phase_array,
     apply_ry_array,
     expect_z_all_array,
-    new_zero_state,
+    zero_states,
 )
 
 from oracles import (
@@ -27,17 +27,17 @@ from oracles import (
 RT2 = 1.0 / np.sqrt(2.0)
 
 
-def test_new_zero_state_amplitudes():
-    state = new_zero_state(2)
-    np.testing.assert_allclose(state.amplitudes, [1, 0, 0, 0], atol=0)
-    assert state.n_qubits == 2
-    assert state.norm() == pytest.approx(1.0)
+def test_zero_states_amplitudes():
+    amps = zero_states((), 2)
+    np.testing.assert_allclose(amps, [1, 0, 0, 0], atol=0)
+    assert amps.shape == (4,)
+    assert np.linalg.norm(amps) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("bad_n", [0, -1, 25])
-def test_new_zero_state_rejects_bad_qubit_count(bad_n):
+def test_zero_states_rejects_bad_qubit_count(bad_n):
     with pytest.raises(ValueError):
-        new_zero_state(bad_n)
+        zero_states((), bad_n)
     # the batch paths share the guard and raise before allocating: 2**20
     # rows of 2**25 amplitudes could not be allocated at all
     template = CircuitTemplate(bad_n, ())
@@ -49,7 +49,7 @@ def test_new_zero_state_rejects_bad_qubit_count(bad_n):
 
 
 def test_hadamard_on_qubit0():
-    amps = new_zero_state(2).amplitudes
+    amps = zero_states((), 2)
     apply_1q_array(amps, HADAMARD, 0, 2)
     np.testing.assert_allclose(amps, [RT2, RT2, 0, 0], atol=1e-15)
 
@@ -57,20 +57,20 @@ def test_hadamard_on_qubit0():
 def test_bell_state_via_h_then_cx():
     # H on qubit 0 puts weight on indices 0 and 1; CX(control=0, target=1)
     # moves index 1 (qubit 0 set) to index 3.
-    amps = new_zero_state(2).amplitudes
+    amps = zero_states((), 2)
     apply_1q_array(amps, HADAMARD, 0, 2)
     apply_cx_array(amps, 0, 1, 2)
     np.testing.assert_allclose(amps, [RT2, 0, 0, RT2], atol=1e-15)
 
 
 def test_phase_gate_fixes_zero_state():
-    amps = new_zero_state(1).amplitudes
+    amps = zero_states((), 1)
     apply_phase_array(amps, 1.234, 0, 1)
     np.testing.assert_allclose(amps, [1, 0], atol=1e-15)
 
 
 def test_phase_gate_rotates_one_component():
-    amps = new_zero_state(1).amplitudes
+    amps = zero_states((), 1)
     apply_1q_array(amps, HADAMARD, 0, 1)
     apply_phase_array(amps, np.pi / 3, 0, 1)
     expected = [RT2, RT2 * np.exp(1j * np.pi / 3)]
@@ -78,7 +78,7 @@ def test_phase_gate_rotates_one_component():
 
 
 def test_expect_z_all_basis_states():
-    amps = new_zero_state(2).amplitudes
+    amps = zero_states((), 2)
     assert expect_z_all_array(amps) == pytest.approx(1.0)
     amps[:] = [0, 1, 0, 0]  # qubit 0 set: odd parity
     assert expect_z_all_array(amps) == pytest.approx(-1.0)
@@ -87,7 +87,7 @@ def test_expect_z_all_basis_states():
 
 
 def test_expect_z_all_uniform_superposition_is_zero():
-    amps = new_zero_state(3).amplitudes
+    amps = zero_states((), 3)
     for q in range(3):
         apply_1q_array(amps, HADAMARD, q, 3)
     assert expect_z_all_array(amps) == pytest.approx(0.0, abs=1e-12)
@@ -149,15 +149,14 @@ def test_expectations_match_dense_oracle():
 
 def test_norm_preserved_under_random_gate_sequence():
     rng = np.random.default_rng(31)
-    state = new_zero_state(4)
+    amps = zero_states((), 4)
     for _ in range(40):
         if rng.random() < 0.7:
-            apply_1q_array(state.amplitudes, random_unitary_2x2(rng),
-                           int(rng.integers(4)), 4)
+            apply_1q_array(amps, random_unitary_2x2(rng), int(rng.integers(4)), 4)
         else:
             control, target = rng.choice(4, size=2, replace=False)
-            apply_cx_array(state.amplitudes, int(control), int(target), 4)
-    assert state.norm() == pytest.approx(1.0, abs=1e-12)
+            apply_cx_array(amps, int(control), int(target), 4)
+    assert np.linalg.norm(amps) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_batched_kernels_match_per_sample_loop():
