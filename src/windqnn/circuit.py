@@ -289,7 +289,11 @@ def simulate(template: CircuitTemplate, features, params) -> np.ndarray:
 
 
 def evaluate(template: CircuitTemplate, features, params) -> float:
-    """All-qubit Z expectation of the bound template, a value in [-1, 1]."""
+    """All-qubit Z expectation of the bound template, a value in [-1, 1], for
+    one feature vector; evaluate_batch takes a feature matrix."""
+    features = np.asarray(features, dtype=float)
+    if features.ndim != 1:
+        raise ValueError(f"expected one feature vector, got shape {features.shape}")
     return float(expect_z_all_array(simulate(template, features, params)))
 
 

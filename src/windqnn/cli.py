@@ -265,65 +265,44 @@ def _train_method(method_id: str, cfg: ExperimentConfig, bundle):
     return predict_ols(model, x_test)
 
 
-def _build_qnn(method_id: str, cfg: ExperimentConfig):
-    return build_model(
-        method_id,
-        feature_map_reps=cfg.feature_map_reps,
-        ansatz_reps=cfg.ansatz_reps,
-        zz_entanglement=cfg.zz_entanglement,
-        init_seed=cfg.init_seed,
-    )
-
-
-def _failure(method_id: str, exc: Exception) -> MethodFailure:
-    """The failure of a method, called while ``exc`` is being handled."""
-    return MethodFailure(method_id, f"{type(exc).__name__}: {exc}", traceback.format_exc())
-
-
 def _run_group(method_ids, cfg: ExperimentConfig, bundle) -> list:
     """Train one group's methods in order: one MethodResult or MethodFailure
-    per method; a failure does not stop the methods after it.  A QNN group,
-    the selected QNNs of one feature map, encodes the map once from its first
-    model's template, the Gram form of the training rows and the test-row
-    states, and trains each QNN on that; if building that model or encoding
-    raises, every QNN of the group fails.  A QNN that trains like an earlier
-    one of the group (``same_training``) takes that one's result instead of
-    training; a training that raised is never taken.  Each method's wall
-    time runs from the end of the one before, so the first QNN's includes
-    the encoding, and a QNN that takes a result counts only its build and
-    predictions."""
+    per method; a failure does not stop the methods after it.  In a QNN group
+    (the selected QNNs of one feature map) each QNN builds its model, and the
+    first that builds encodes the map for all: the Gram form of the training
+    rows and the test-row states.  If a build or the encoding raises, only
+    that QNN fails and the next one tries again.  A QNN that trains like an
+    earlier one (``same_training``) takes its result; a training that raised
+    is never taken.  Each method's wall time runs from the end of the one
+    before, so the first QNN's includes the encoding."""
     scaling, x_train, y_train_scaled, _, x_test, test_power = bundle
     started = time.perf_counter()
-    if method_ids[0] in CONFIG_TABLE:
-        try:
-            model = _build_qnn(method_ids[0], cfg)
-            gram = gram_form(encode(model.template, x_train), y_train_scaled)
-            test_states = encode(model.template, x_test)
-        except Exception as exc:  # recorded, surfaced as exit 4 at the end
-            return [_failure(method_id, exc) for method_id in method_ids]
-    outcomes, trained = [], []  # trained: (model, result) of each QNN that trained
-    for i, method_id in enumerate(method_ids):
+    outcomes, trained, encoding = [], [], None  # trained: (model, result) of each QNN that trained
+    for method_id in method_ids:
         try:
             if method_id in CONFIG_TABLE:
-                if i:  # the first model was built for the encoding
-                    model = _build_qnn(method_id, cfg)
+                model = build_model(method_id, feature_map_reps=cfg.feature_map_reps,
+                                    ansatz_reps=cfg.ansatz_reps,
+                                    zz_entanglement=cfg.zz_entanglement, init_seed=cfg.init_seed)
+                if encoding is None:  # one pair, so a half-made encoding is never kept
+                    encoding = (gram_form(encode(model.template, x_train), y_train_scaled),
+                                encode(model.template, x_test))
+                gram, test_states = encoding
                 result = next((r for m, r in trained if same_training(m, model)), None)
                 if result is None:
                     result = train(model, gram, cfg.optimizer)
                     trained.append((model, result))
                 fitted = with_parameters(model, result.best_point)
-                predictions = invert_target(
-                    scaling, predict_scaled(fitted, x_test, test_states))
+                predictions = invert_target(scaling, predict_scaled(fitted, x_test, test_states))
                 trace, status, seed = result.trace, result.status, cfg.init_seed
             else:
                 predictions = _train_method(method_id, cfg, bundle)
                 trace, status, seed = [], "", cfg.split_seed
-            elapsed = time.perf_counter() - started
             outcomes.append(MethodResult(
                 method_id=method_id,
+                wall_time_s=time.perf_counter() - started,
                 r2=r2(test_power, predictions),
                 mae=mae(test_power, predictions),
-                wall_time_s=elapsed,
                 seed=seed,
                 status=status,
                 trace=trace,
@@ -331,7 +310,8 @@ def _run_group(method_ids, cfg: ExperimentConfig, bundle) -> list:
                 predicted=predictions,
             ))
         except Exception as exc:  # recorded, surfaced as exit 4 at the end
-            outcomes.append(_failure(method_id, exc))
+            outcomes.append(MethodFailure(method_id, f"{type(exc).__name__}: {exc}",
+                                          traceback.format_exc()))
         started = time.perf_counter()
     return outcomes
 
@@ -371,7 +351,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         groups.setdefault(key, []).append(method_id)
 
     workers = cfg.parallelism or os.cpu_count() or 1
-    if workers == 1:
+    if workers == 1:  # a one-worker pool measured slower and larger on small_serial
         outcomes = [o for group in groups.values() for o in _run_group(group, cfg, bundle)]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -421,6 +401,12 @@ def cmd_run(config_path: str) -> int:
     except ConfigError as exc:
         print(f"config: {exc}", file=sys.stderr)
         return 2
+    existing = os.path.abspath(os.path.join(cfg.output_directory, cfg.run_id or ""))
+    while not os.path.lexists(existing):  # the run directory's nearest existing path
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):  # the write would fail only after every method trained
+        print(f"report: {existing} is not a directory", file=sys.stderr)
+        return 3
     try:
         report = run_experiment(cfg)
     except DataError as exc:
@@ -468,8 +454,7 @@ def cmd_inspect_circuit(config_id: str) -> int:
             file=sys.stderr,
         )
         return 2
-    model = build_model(config_id)
-    template = model.template
+    template = build_model(config_id).template
     print(render(template))
     print()
     print(f"gates: {len(template.gates)}")

@@ -297,6 +297,10 @@ def test_evaluate_rejects_wrong_lengths():
         evaluate(qnn, np.zeros(4), np.zeros(7))
     with pytest.raises(ValueError, match="expected 1 features, got a scalar"):
         simulate(build_z_feature_map(1, 1), 0.5, [])
+    with pytest.raises(ValueError, match=r"one feature vector, got shape \(3, 2\)"):
+        evaluate(build_z_feature_map(2, 1), np.zeros((3, 2)), [])
+    with pytest.raises(ValueError, match=r"one feature vector, got shape \(\)"):
+        evaluate(build_z_feature_map(1, 1), 0.5, [])
 
 
 def test_simulate_returns_one_state_per_feature_vector():

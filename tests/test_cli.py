@@ -457,6 +457,26 @@ class TestRun:
         assert "so R^2 is undefined" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("case", ["directory_is_a_file", "directory_under_a_file",
+                                      "run_id_is_a_file"])
+    def test_an_output_that_cannot_be_a_directory_exits_3_before_training(
+            self, tmp_path, capsys, monkeypatch, case):
+        def no_training(*args, **kwargs):
+            raise AssertionError("a method trained for a run that cannot be written")
+
+        for name in ("build_model", "fit_cart", "fit_knn", "fit_ols"):
+            monkeypatch.setattr(cli, name, no_training)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a regular file\n", encoding="utf-8")
+        output = {"directory_is_a_file": f"{{directory: {blocker}}}",
+                  "directory_under_a_file": f"{{directory: {blocker / 'runs'}, run_id: x}}",
+                  "run_id_is_a_file": f"{{directory: {tmp_path}, run_id: blocker}}"}[case]
+        path = write_config(tmp_path, f"data: {{n_rows: 60}}\noutput: {output}\n")
+        assert main(["run", "--config", path]) == 3
+        assert capsys.readouterr().err == f"report: {blocker} is not a directory\n"
+        assert sorted(os.listdir(tmp_path)) == ["blocker", "config.yaml"]
+        assert blocker.read_text(encoding="utf-8") == "a regular file\n"
+
     @pytest.mark.parametrize("fault", CSV_FAULTS)
     def test_unreadable_csv_exits_3(self, tmp_path, capsys, fault):
         csv_path = tmp_path / "bad.csv"
@@ -689,6 +709,61 @@ parallelism: {degree}
             assert error.startswith("Traceback") and "exploding_encode" in error
         rows = read_rows(out_dir / "unencoded" / "results.csv")
         assert [r["config_id"] for r in rows] == ["QNN-1", "dt", "ols"]
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_a_failed_build_fails_only_its_qnn(self, tmp_path, monkeypatch, degree):
+        build_model = cli.build_model
+
+        def exploding_build_model(method_id, **kwargs):
+            if method_id == "QNN-7":
+                raise RuntimeError("QNN-7 cannot be built")
+            return build_model(method_id, **kwargs)
+
+        reports = {}
+        for failing in (False, True):
+            if failing:
+                monkeypatch.setattr(cli, "build_model", exploding_build_model)
+            cfg = load_config(write_config(tmp_path, f"""
+data: {{n_rows: 60, seed: 42}}
+optimizer: {{max_iterations: 1}}
+selection: [{"QNN-7, " if failing else ""}QNN-1, QNN-8, QNN-9, dt]
+parallelism: {degree}
+"""))
+            reports[failing] = run_experiment(cfg)
+        report = reports[True]
+        assert [(f.method_id, f.message) for f in report.failures] == [
+            ("QNN-7", "RuntimeError: QNN-7 cannot be built")]
+        # the ZZ map is encoded from QNN-8, the first of its QNNs that built
+        assert reports[False].failures == []
+        for alone, after in zip(reports[False].ordered(), report.ordered(), strict=True):
+            assert alone.method_id == after.method_id and alone.r2 == after.r2
+            assert np.array_equal(alone.predicted, after.predicted)
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_a_failed_test_row_encoding_fails_only_its_qnn(self, tmp_path, monkeypatch,
+                                                           degree):
+        encoded = []
+        encode = cli.encode
+
+        def flaky_encode(template, features):
+            encoded.append(features.shape[0])
+            if len(encoded) == 2:  # QNN-1's test rows, after its Gram form was made
+                raise RuntimeError("test rows diverged")
+            return encode(template, features)
+
+        monkeypatch.setattr(cli, "encode", flaky_encode)
+        cfg = load_config(write_config(tmp_path, f"""
+data: {{n_rows: 60, seed: 42}}
+optimizer: {{max_iterations: 1}}
+selection: [QNN-1, QNN-2, dt, QNN-3]
+parallelism: {degree}
+"""))
+        report = run_experiment(cfg)
+        assert [(f.method_id, f.message) for f in report.failures] == [
+            ("QNN-1", "RuntimeError: test rows diverged")]
+        assert [m.method_id for m in report.methods] == ["QNN-2", "dt", "QNN-3"]
+        # QNN-2 encodes the map afresh, training rows first, and QNN-3 keeps that
+        assert encoded == [48, 12, 48, 12]
 
     @pytest.mark.parametrize("degree", [1, 2])
     def test_failures_keep_selection_order_and_spare_the_group(
