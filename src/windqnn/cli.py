@@ -218,11 +218,16 @@ def load_config(path: str) -> ExperimentConfig:
         else:
             values[name] = value
 
-    for canonical, header in values.get("columns", {}).items():
+    columns = values.get("columns", {})
+    for canonical, header in columns.items():
         if canonical not in FEATURE_COLUMNS + (TARGET_COLUMN,):
             raise ConfigError(f"unknown key data.columns.{canonical}")
         if not isinstance(header, str):
             raise ConfigError(f"data.columns.{canonical} must be a string, got {header!r}")
+    for first, second in itertools.combinations(FEATURE_COLUMNS + (TARGET_COLUMN,), 2):
+        if columns.get(first, first) == columns.get(second, second):
+            raise ConfigError(f"data.columns reads {first} and {second} from one header "
+                              f"{columns.get(first, first)!r}")
     if values.get("data_source") == "csv" and not values.get("csv_path"):
         raise ConfigError("data.csv_path is required when data.source is 'csv'")
 
@@ -407,6 +412,7 @@ def cmd_run(config_path: str) -> int:
     if not os.path.isdir(existing):  # the write would fail only after every method trained
         print(f"report: {existing} is not a directory", file=sys.stderr)
         return 3
+    started = time.gmtime()  # the default run id is the start second
     try:
         report = run_experiment(cfg)
     except DataError as exc:
@@ -418,7 +424,7 @@ def cmd_run(config_path: str) -> int:
             run_dir = os.path.join(cfg.output_directory, cfg.run_id)
         else:
             run_dir = _new_run_dir(cfg.output_directory,
-                                   time.strftime("run-%Y%m%d-%H%M%S", time.gmtime()))
+                                   time.strftime("run-%Y%m%d-%H%M%S", started))
         write_run_artifact(report, run_dir)
     except OSError as exc:
         print(f"report: {exc}", file=sys.stderr)

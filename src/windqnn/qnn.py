@@ -61,9 +61,11 @@ So the work splits three ways.
   ``predict_scaled``.
 
 A template with a feature gate after a parameterized gate has no such
-split, and ``encode`` rejects it.  A ``QnnModel`` builds its dense suffix
-when it is made, so it refuses such a template, a trainable gate that is not
-RY and a complex constant in the suffix, all at once.  ``evaluate_batch``
+split, and ``encode`` rejects it, as it rejects an RY that reads a feature:
+every feature enters through a P gate, as in both benchmark maps.  A
+``QnnModel`` builds its dense suffix when it is made, so it refuses such a
+template, a trainable gate that is not RY and a complex constant in the
+suffix, all at once.  ``evaluate_batch``
 still runs any template gate by gate: the reference for the fast path.
 """
 from __future__ import annotations
@@ -189,12 +191,6 @@ def predict_scaled(model: QnnModel, features_scaled,
     return np.sum(readout, axis=1).real
 
 
-# Widest register whose prefix is compiled.  A block is 4**n complex entries
-# (1 MiB at 8 qubits); past about 9 qubits it also costs more per row than
-# its gates, measured on the Z map.
-COMPILED_PREFIX_QUBITS = 8
-
-
 @lru_cache(maxsize=32)  # the twelve benchmark QNNs hold 11 distinct runs
 def _run_matrix(gates: tuple, n_qubits: int) -> np.ndarray:
     """U^T of a run of constant gates, complex and read-only: row j is U e_j,
@@ -211,8 +207,7 @@ def _compile_prefix(gates: tuple, n_qubits: int) -> tuple:
     """The steps of a parameter-free gate list, in order: ("block", R)
     multiplies every row by R = U^T of a run of constant gates, from
     ``_run_matrix``; ("phase", (angle sources, (K, 2**n) 0/1 incidence)) by
-    a phase group's diagonal, equal groups being one object; and ("gates",
-    (g,)) runs a gate the compiler cannot place.
+    a phase group's diagonal, equal groups being one object.
 
     A phase group is a run of P and CX gates opened by a feature P.  Its CX
     gates permute basis states and its P gates multiply them by a phase, so
@@ -222,11 +217,10 @@ def _compile_prefix(gates: tuple, n_qubits: int) -> tuple:
     diagonal, D_zz = exp(i sum_k theta_k(x) incidence_kz), and C opens the
     next block.  A constant gate on a qubit that no gate of the open group
     touches commutes with the group and joins the block before it; any
-    other constant gate closes the group.  A feature-angle RY closes both
-    and stays a gate, as does every gate of a register wider than
-    COMPILED_PREFIX_QUBITS.  A block whose product is the identity, such as the
-    ZZ map's CX network (a CX pair around each interaction phase), is
-    dropped.
+    other constant gate closes the group.  A block whose product is the
+    identity, such as the ZZ map's CX network (a CX pair around each
+    interaction phase), is dropped.  An RY that reads a feature has no place
+    in either, so it raises ValueError naming its qubit.
     """
     dim = 2**n_qubits
     steps, groups, block, group = [], {}, [], []
@@ -258,11 +252,10 @@ def _compile_prefix(gates: tuple, n_qubits: int) -> tuple:
         group.clear()
 
     for g in gates:
-        if n_qubits > COMPILED_PREFIX_QUBITS or g.kind == "RY" and feature_indices(g.angle):
-            close_group()
-            flush_block()
-            steps.append(("gates", (g,)))
-        elif g.kind == "P" and (group or feature_indices(g.angle)) or g.kind == "CX" and group:
+        if g.kind == "RY" and feature_indices(g.angle):
+            raise ValueError(f"the RY on qubit {g.qubits[0]} reads a feature; only P "
+                             f"gates may encode one")
+        if g.kind == "P" and (group or feature_indices(g.angle)) or g.kind == "CX" and group:
             group.append(g)
         else:
             if any(g.qubits[0] in h.qubits for h in group):
@@ -287,11 +280,12 @@ def _phase_diagonal(group: tuple, features: np.ndarray) -> np.ndarray:
 def encode(template: CircuitTemplate, features) -> np.ndarray:
     """State of every row after the feature prefix, shape (N, 2**n).
 
-    Raises ValueError unless ``features`` is (N, n_feature_slots), and when
-    a feature gate follows a parameterized gate (the template has no split).
-    The prefix is compiled once per gate list (``_compile_prefix``).  Every
-    product is a stack of one-row products, so a row's state does not
-    depend on the other rows, bit for bit.
+    Raises ValueError unless ``features`` is (N, n_feature_slots), when a
+    feature gate follows a parameterized gate (the template has no split),
+    and when an RY reads a feature.  The prefix is compiled once per gate
+    list, at any width, into constant blocks and phase groups only
+    (``_compile_prefix``).  Every product is a stack of one-row products, so
+    a row's state does not depend on the other rows, bit for bit.
     """
     features = np.asarray(features, dtype=float)
     if features.ndim != 2:
@@ -306,12 +300,10 @@ def encode(template: CircuitTemplate, features) -> np.ndarray:
             states[:] = value[0]  # |0...0> @ R: every row is R's first row
         elif kind == "block":
             states = (states[:, None, :] @ value)[:, 0]
-        elif kind == "phase":
+        else:  # a phase group
             if id(value) not in diagonals:
                 diagonals[id(value)] = _phase_diagonal(value, features)
             states *= diagonals[id(value)]
-        else:
-            run_gates(states, value, template.n_qubits, features, np.zeros(0))
     return states
 
 

@@ -255,6 +255,23 @@ parallelism: 2
         err = capsys.readouterr().err
         assert err.startswith("config:") and key in err and ">= 0" in err
 
+    @pytest.mark.parametrize("columns, message", [
+        ("{power: wind_speed}", "wind_speed and power from one header 'wind_speed'"),
+        ("{pressure: wind_speed}", "wind_speed and pressure from one header 'wind_speed'"),
+        ("{wind_speed: WS, temperature: WS}", "wind_speed and temperature from one header 'WS'"),
+    ], ids=["target_onto_a_feature", "feature_onto_a_feature", "two_features_onto_a_new_header"])
+    def test_two_columns_reading_one_header_exit_2(self, tmp_path, capsys, columns, message):
+        # such a mapping feeds the target in as a feature or a feature in twice;
+        # the csv file does not exist, so exit 2 shows that no data was read
+        out_dir = tmp_path / "runs"
+        path = write_config(tmp_path, f"""
+data: {{source: csv, csv_path: "{tmp_path / 'absent.csv'}", columns: {columns}}}
+output: {{directory: "{out_dir}"}}
+""")
+        assert main(["run", "--config", path]) == 2
+        assert capsys.readouterr().err == f"config: data.columns reads {message}\n"
+        assert not out_dir.exists()
+
     def test_zero_seeds_load(self, tmp_path):
         cfg = load_config(write_config(
             tmp_path, "data: {seed: 0}\nsplit: {seed: 0}\nqnn: {init_seed: 0}"))
@@ -561,6 +578,27 @@ output: {{directory: "{out_dir}"}}
         (run_id,) = os.listdir(out_dir)
         assert re.fullmatch(r"run-\d{8}-\d{6}", run_id)
         assert before <= run_id <= after
+
+    def test_default_run_id_is_the_second_the_run_started(self, tmp_path, monkeypatch):
+        # training moves the clock one second; the id keeps the second the run started
+        out_dir = tmp_path / "runs"
+        path = write_config(tmp_path, f"""
+data: {{n_rows: 80, seed: 42}}
+selection: [ols]
+output: {{directory: "{out_dir}"}}
+""")
+        gmtime, run = time.gmtime, cli.run_experiment
+        clock = [1767225600]  # 2026-01-01 00:00:00 UTC
+
+        def one_second_run(cfg):
+            report = run(cfg)
+            clock[0] += 1
+            return report
+
+        monkeypatch.setattr(time, "gmtime", lambda *seconds: gmtime(clock[0]))
+        monkeypatch.setattr(cli, "run_experiment", one_second_run)
+        assert main(["run", "--config", path]) == 0
+        assert os.listdir(out_dir) == ["run-20260101-000000"]
 
     def test_runs_in_the_same_second_get_their_own_directories(self, tmp_path, monkeypatch,
                                                                 capsys):

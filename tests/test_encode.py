@@ -1,8 +1,8 @@
 """The compiled feature-prefix encoding against the dense oracle.
 
-``qnn.encode`` runs a prefix as constant blocks, phase groups and, for a
-gate the compiler cannot place, single gates.  Every state must match the
-dense matrix product of the prefix, and every row must come out as it
+``qnn.encode`` runs a prefix as constant blocks and phase groups only, at
+any width, and refuses an RY that reads a feature.  Every state must match
+the dense matrix product of the prefix, and every row must come out as it
 would alone, bit for bit.
 """
 import numpy as np
@@ -52,8 +52,7 @@ def test_feature_maps_match_the_dense_oracle(template):
 @st.composite
 def feature_prefixes(draw):
     """A parameter-free gate list over 1-3 qubits and 1-3 features: H, CX,
-    constant P and RY, P of one feature or of a feature pair, and RY of a
-    feature, which the compiler leaves as a gate."""
+    constant P and RY, and P of one feature or of a feature pair."""
     n_qubits = draw(st.integers(1, 3))
     n_features = draw(st.integers(1, 3))
     qubit = st.integers(0, n_qubits - 1)
@@ -64,7 +63,7 @@ def feature_prefixes(draw):
         "pair": lambda: PairProductAngle(draw(feature), draw(feature)),
     }
     kinds = [("H", None), ("P", "constant"), ("RY", "constant"), ("P", "feature"),
-             ("P", "pair"), ("RY", "feature")]
+             ("P", "pair")]
     if n_qubits > 1:
         kinds += [("CX", None)] * 2
     gates = []
@@ -132,19 +131,18 @@ def test_both_maps_open_with_one_cached_block():
     assert not z_block.flags.writeable
 
 
-def test_a_feature_rotation_stays_a_gate_between_blocks():
+def test_encode_refuses_a_rotation_that_reads_a_feature():
     template = CircuitTemplate(
         2, (GateSpec("H", (0,)), GateSpec("RY", (1,), FeatureAngle(0)), GateSpec("H", (1,)),
             GateSpec("P", (1,), FeatureAngle(1))), n_feature_slots=2)
-    steps = _compile_prefix(template.gates, 2)
-    assert [kind for kind, _ in steps] == ["block", "gates", "block", "phase"]
-    _assert_matches_dense_oracle(template, np.array([[0.3, 1.2], [2.5, -0.7]]))
+    with pytest.raises(ValueError, match="RY on qubit 1 reads a feature"):
+        encode(template, np.array([[0.3, 1.2], [2.5, -0.7]]))
 
 
-def test_a_register_too_wide_to_compile_runs_gate_by_gate():
-    # the blocks of a 9-qubit prefix would be 512 x 512
+def test_a_nine_qubit_map_compiles_to_one_block_and_one_phase_group():
+    # any width compiles: here one 512 x 512 block of H gates, then one phase
     template = build_z_feature_map(9, 1)
-    assert {kind for kind, _ in _compile_prefix(template.gates, 9)} == {"gates"}
+    assert [kind for kind, _ in _compile_prefix(template.gates, 9)] == ["block", "phase"]
     _assert_matches_dense_oracle(template, np.random.default_rng(5).uniform(0, np.pi, (2, 9)))
 
 
