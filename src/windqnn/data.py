@@ -119,11 +119,17 @@ def format_column(values) -> Iterator[str]:
 
 
 def write_table(path: str, columns: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
-    """Write a CSV file: the header of columns, then rows of text cells."""
+    """Write a CSV file in one write: the header of two or more columns, then
+    rows of as many text cells, each line as csv.writer writes cells that need
+    no quoting.  One column, or a cell holding a comma, a quote, a CR or an LF,
+    raises a ValueError naming path before the file is opened."""
+    lines = [",".join(columns), *map(",".join, rows), ""]  # no row's cells outlive its line
+    text, count = "\r\n".join(lines), len(lines) - 1
+    if (len(columns) < 2 or '"' in text or text.count(",") != count * (len(columns) - 1)
+            or text.count("\r") != count or text.count("\n") != count):
+        raise ValueError(f"{path}: a table of one column, or a cell with a comma, quote, CR or LF")
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(columns)
-        writer.writerows(rows)
+        handle.write(text)
 
 
 def load_csv(path: str, column_names: Optional[dict] = None) -> Tuple[Dataset, int]:

@@ -79,6 +79,9 @@ class MethodResult:
     def __post_init__(self):
         if self.method_id not in METHOD_ORDER:
             raise ValueError(f"unknown method id {self.method_id!r}")
+        if np.shape(self.actual) != np.shape(self.predicted):
+            raise ValueError(f"{self.method_id}: actual has shape {np.shape(self.actual)} "
+                             f"but predicted has shape {np.shape(self.predicted)}")
 
     @property
     def feature_map(self) -> str:
@@ -188,8 +191,9 @@ def read_trace_csv(path: str) -> List[Tuple[int, float]]:
     return trace
 
 
-def write_predictions_csv(actual, predicted, path: str) -> None:
-    write_table(path, PREDICTION_COLUMNS, zip(format_column(actual), format_column(predicted)))
+def write_predictions_csv(actual_cells, predicted_cells, path: str) -> None:
+    """Write predictions.csv from the two columns as format_column's text cells."""
+    write_table(path, PREDICTION_COLUMNS, zip(actual_cells, predicted_cells))
 
 
 def read_predictions_csv(path: str) -> Tuple[np.ndarray, np.ndarray]:
@@ -259,7 +263,8 @@ def _write_svg(path: str, title: str, x_label: str, y_label: str, x_range, y_ran
 
 
 def emit_scatter_svg(actual, predicted, path: str, title: str = "") -> None:
-    """Actual-vs-predicted scatter with a y=x reference line, axes in kW."""
+    """Actual-vs-predicted scatter with a y=x reference line, axes in kW;
+    one %-format call writes every circle."""
     actual = np.asarray(actual, dtype=float)
     predicted = np.asarray(predicted, dtype=float)
     if actual.size == 0 or actual.shape != predicted.shape:
@@ -274,9 +279,9 @@ def emit_scatter_svg(actual, predicted, path: str, title: str = "") -> None:
         f'stroke="#888888" stroke-dasharray="4 3"/>'
     ]
     # every pixel column in one numpy expression, in the scalar's operation order
-    xs, ys = _x_pix(actual, *x_range).tolist(), _y_pix(predicted, *y_range).tolist()
-    marks += [f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2" fill="#1f77b4" fill-opacity="0.6"/>'
-              for x, y in zip(xs, ys)]
+    pairs = np.column_stack((_x_pix(actual, *x_range), _y_pix(predicted, *y_range)))
+    circle = '<circle cx="%.2f" cy="%.2f" r="2" fill="#1f77b4" fill-opacity="0.6"/>'
+    marks.append("\n".join([circle] * len(pairs)) % tuple(pairs.ravel().tolist()))
     _write_svg(path, title, "Actual power (kW)", "Predicted power (kW)", x_range, y_range,
                marks)
 
@@ -360,6 +365,7 @@ def write_run_artifact(report: ExperimentReport, directory: str) -> List[str]:
     with trace.csv (iterative methods only), predictions.csv and scatter.svg,
     or error.txt with the traceback of each of report.failures.  Files an
     earlier run left under these names are deleted first; others stay.
+    Each distinct actual array, a run's shared test column, is formatted once.
     """
     os.makedirs(directory, exist_ok=True)
     try:
@@ -367,6 +373,8 @@ def write_run_artifact(report: ExperimentReport, directory: str) -> List[str]:
         path = os.path.join(directory, "results.csv")
         write_results_csv(report, path)
         written = [path]
+        distinct = {id(m.actual): m.actual for m in report.methods}
+        actual_cells = {key: list(format_column(actual)) for key, actual in distinct.items()}
         for m in report.ordered():
             method_dir = os.path.join(directory, m.method_id)
             os.makedirs(method_dir, exist_ok=True)
@@ -376,7 +384,7 @@ def write_run_artifact(report: ExperimentReport, directory: str) -> List[str]:
                 written.append(path)
             if m.actual.size:
                 path = os.path.join(method_dir, "predictions.csv")
-                write_predictions_csv(m.actual, m.predicted, path)
+                write_predictions_csv(actual_cells[id(m.actual)], format_column(m.predicted), path)
                 written.append(path)
         for failure in report.failures:
             path = os.path.join(directory, failure.method_id, "error.txt")

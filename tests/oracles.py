@@ -9,7 +9,8 @@ The kNN and CART oracles are the plain forms of the baselines: a full
 stable sort of every distance row, and a tree grown depth first, one node
 and one feature at a time.  The ingest and shuffle oracles at the end read
 a CSV through ``csv.DictReader`` one row at a time, and draw one swap index
-per step.  The fast forms must match them bit for bit.
+per step; the table writer oracle writes through ``csv.writer``.  The fast
+forms must match them bit for bit.
 """
 from __future__ import annotations
 
@@ -309,6 +310,14 @@ def load_csv_oracle(path: str, column_names=None):
         raise DataError(f"no valid rows in {path} ({dropped} dropped)")
     table = np.array(rows, dtype=float)
     return Dataset(features=table[:, :4], power=table[:, 4]), dropped
+
+
+def write_table_oracle(path: str, columns, rows) -> None:
+    """A CSV file written row by row through csv.writer's default dialect."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(columns)
+        writer.writerows(rows)
 
 
 def fisher_yates_oracle(n: int, seed: int) -> np.ndarray:

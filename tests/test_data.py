@@ -1,4 +1,5 @@
 """Dataset ingestion, splitting, scaling, and synthetic generation tests."""
+import re
 import sys
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from windqnn import data
+from windqnn import data, optimizer
 from windqnn.data import (
     FEATURE_COLUMNS,
     TARGET_COLUMN,
@@ -25,6 +26,7 @@ from windqnn.data import (
 
 from windqnn.report import (
     METHOD_ORDER,
+    RESULTS_COLUMNS,
     ExperimentReport,
     MethodResult,
     read_predictions_csv,
@@ -35,7 +37,7 @@ from windqnn.report import (
     write_trace_csv,
 )
 
-from oracles import fisher_yates_oracle, load_csv_oracle
+from oracles import fisher_yates_oracle, load_csv_oracle, write_table_oracle
 
 HEADER = "timestamp,wind_speed,wind_direction,pressure,temperature,power\n"
 
@@ -239,7 +241,7 @@ def _bits(values) -> bytes:
 def test_predictions_csv_reads_back_bit_for_bit(tmp_path, pairs):
     actual, predicted = (np.array(column) for column in zip(*pairs))
     path = str(tmp_path / "predictions.csv")
-    write_predictions_csv(actual, predicted, path)
+    write_predictions_csv(data.format_column(actual), data.format_column(predicted), path)
     got_actual, got_predicted = read_predictions_csv(path)
     assert _bits(got_actual) == _bits(actual) and _bits(got_predicted) == _bits(predicted)
 
@@ -283,6 +285,46 @@ def test_dataset_csv_reads_back_bit_for_bit(tmp_path, rows):
     assert dropped == 0
     assert _bits(loaded.features) == _bits(dataset.features)
     assert _bits(loaded.power) == _bits(dataset.power)
+
+
+# the words the package writes into a cell: the empty word, the method ids,
+# the column names, the feature-map and ansatz labels (a baseline's slug) and
+# the optimizer's stop statuses
+_LABELLED = [MethodResult(method_id=m, r2=0.0, mae=0.0, wall_time_s=0.0, seed=0)
+             for m in METHOD_ORDER]
+_WORDS = st.sampled_from(sorted({
+    "", *METHOD_ORDER, *RESULTS_COLUMNS, *(m.feature_map for m in _LABELLED),
+    *(m.ansatz for m in _LABELLED), *(getattr(optimizer, name) for name in dir(optimizer)
+                                      if name.startswith("STATUS_"))}))
+# a cell: a word, an integer, or the repr of a float as format_column makes it
+_TABLE_CELLS = st.one_of(_WORDS, st.integers().map(str), _FINITE.map(repr),
+                         st.sampled_from([-0.0, 5e-324, 1e16]).map(repr))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(2, 8).flatmap(lambda width: st.tuples(
+    st.lists(_WORDS.filter(bool), min_size=width, max_size=width),
+    st.lists(st.lists(_TABLE_CELLS, min_size=width, max_size=width), max_size=20))))
+def test_write_table_writes_the_bytes_of_csv_writer(tmp_path, table):
+    columns, rows = table
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    data.write_table(str(got), columns, rows)
+    write_table_oracle(str(want), columns, rows)
+    assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("columns, row", [
+    (("a", "b"), ("3.0", "1,5")), (("a", "b"), ("3.0", 'say "hi"')), (("a", "b"), ("3.0", "a\rb")),
+    (("a", "b"), ("3.0", "a\nb")), (("a",), ("",))],
+    ids=["comma", "quote", "cr", "lf", "one_column"])
+def test_write_table_refuses_a_cell_that_needs_quoting(tmp_path, columns, row):
+    # csv.writer would quote each of these cells, the lone empty cell of a row too
+    path = tmp_path / "table.csv"
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: a table of one column, "
+                                         "or a cell with a comma, quote, CR or LF$"):
+        data.write_table(str(path), columns, [row])
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("fault, message", [

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from windqnn.data import DataError
+from windqnn import report
+from windqnn.data import DataError, format_column
 from windqnn.qnn import CONFIG_IDS
 from windqnn.report import (
     BASELINE_IDS,
@@ -142,6 +143,15 @@ def test_method_result_validates_config_pairing():
         MethodResult(method_id="svm", r2=0.9, mae=100.0, wall_time_s=1.0, seed=42)
 
 
+def test_method_result_refuses_series_of_unequal_length():
+    # zip would cut predictions.csv to the shorter series, and the scatter
+    # would then fail with the run directory half written
+    with pytest.raises(ValueError, match=r"^dt: actual has shape \(3,\) but predicted has "
+                                         r"shape \(2,\)$"):
+        MethodResult(method_id="dt", r2=0.9, mae=100.0, wall_time_s=1.0, seed=42,
+                      actual=np.arange(3.0), predicted=np.arange(2.0))
+
+
 @pytest.mark.parametrize("row, message", [
     ("QNN-5,ZZ,reverse_linear,0.9,100.0,1.0,42",
      "QNN-5 must carry feature_map 'Z' and ansatz 'reverse_linear', got 'ZZ'/'reverse_linear'"),
@@ -199,7 +209,7 @@ def test_predictions_csv_round_trip(tmp_path):
     actual = rng.uniform(0, 2031, size=20)
     predicted = rng.uniform(0, 2031, size=20)
     path = str(tmp_path / "predictions.csv")
-    write_predictions_csv(actual, predicted, path)
+    write_predictions_csv(format_column(actual), format_column(predicted), path)
     got_actual, got_predicted = read_predictions_csv(path)
     np.testing.assert_array_equal(got_actual, actual)
     np.testing.assert_array_equal(got_predicted, predicted)
@@ -212,7 +222,7 @@ def test_predictions_csv_formats_each_value_as_its_repr(tmp_path):
     actual = np.array(_AWKWARD)
     predicted = -np.array(_AWKWARD[::-1])
     path = tmp_path / "predictions.csv"
-    write_predictions_csv(actual, predicted, str(path))
+    write_predictions_csv(format_column(actual), format_column(predicted), str(path))
     want = "actual_kW,predicted_kW\r\n" + "".join(
         f"{float(a)!r},{float(p)!r}\r\n" for a, p in zip(actual, predicted))
     assert path.read_bytes() == want.encode()
@@ -248,6 +258,26 @@ def test_scatter_svg_pixels_match_the_scalar_formulas(tmp_path):
             f'r="2" fill="#1f77b4" fill-opacity="0.6"/>' for a, p in zip(actual, predicted)]
     got = [line for line in path.read_text().split("\n") if line.startswith("<circle")]
     assert got == want
+
+
+def test_scatter_svg_circles_match_a_per_circle_format(tmp_path):
+    # both series span [0, 2000], so the axes are fixed and the data can be
+    # placed where a pixel's third decimal is 5, the case rounding decides
+    span = _axis(0.0, 2000.0)
+    x_wanted = np.array([100.125, 200.375, 300.005, 411.115, 512.675])
+    y_wanted = np.array([100.625, 250.875, 333.335, 366.665, 90.005])
+    actual = np.concatenate([[0.0, 2000.0],
+                             (x_wanted - 64) / 512 * (span[1] - span[0]) + span[0]])
+    predicted = np.concatenate([[2000.0, 0.0],
+                                (416 - y_wanted) / 352 * (span[1] - span[0]) + span[0]])
+    xs, ys = _x_pix(actual, *span), _y_pix(predicted, *span)
+    assert sum(f"{x:.3f}"[-1] == "5" for x in xs) >= 5
+    assert sum(f"{y:.3f}"[-1] == "5" for y in ys) >= 5
+    path = tmp_path / "scatter.svg"
+    emit_scatter_svg(actual, predicted, str(path))
+    want = [f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2" fill="#1f77b4" fill-opacity="0.6"/>'
+            for x, y in zip(xs.tolist(), ys.tolist())]
+    assert [line for line in path.read_text().split("\n") if line.startswith("<circle")] == want
 
 
 def test_trace_svg_polylines_and_legend(tmp_path):
@@ -337,3 +367,36 @@ def test_bad_artifact_cell_names_file_and_line(tmp_path):
 def test_render_from_artifacts_requires_results(tmp_path):
     with pytest.raises(FileNotFoundError, match="results.csv"):
         render_from_artifacts(str(tmp_path))
+
+
+def test_write_run_artifact_formats_a_shared_actual_column_once(tmp_path, monkeypatch):
+    full = _full_report(n_points=893)
+    shared = full.methods[0].actual
+    for m in full.methods:
+        m.actual = shared
+    formatted = []
+
+    def spy(values):
+        formatted.append(values)
+        return format_column(values)
+
+    monkeypatch.setattr(report, "format_column", spy)
+    write_run_artifact(full, str(tmp_path / "run"))
+    series = [v for v in formatted if isinstance(v, np.ndarray) and v.shape == shared.shape]
+    assert len(series) == 16
+    assert sum(v is shared for v in series) == 1
+    assert sorted(map(id, series)) == sorted({id(shared), *(id(m.predicted) for m in full.methods)})
+
+
+def test_write_run_artifact_writes_each_methods_own_actual_column(tmp_path):
+    full = _full_report()
+    first, second = full.methods[0].actual, full.methods[-1].actual
+    for i, m in enumerate(full.methods):
+        m.actual = first if i % 2 else second
+        m.predicted = -m.actual
+    run_dir = tmp_path / "run"
+    write_run_artifact(full, str(run_dir))
+    for m in full.methods:
+        actual, predicted = read_predictions_csv(str(run_dir / m.method_id / "predictions.csv"))
+        assert actual.tobytes() == m.actual.tobytes()
+        assert predicted.tobytes() == m.predicted.tobytes()
